@@ -65,6 +65,9 @@ fn main() {
     suite.bench(&format!("advect/{GRID}"), || {
         let _ = advect::advect_scalar(&sim_problem, &div, &flags, 0.5);
     });
+    suite.bench(&format!("advect_velocity/{GRID}"), || {
+        let _ = advect::advect_velocity(&sim_problem, 0.5);
+    });
     let mut vel = sim_problem.clone();
     suite.bench(&format!("forces/{GRID}"), || {
         forces::add_buoyancy(&mut vel, &div, &flags, 1.0, 0.5);
@@ -89,8 +92,36 @@ fn main() {
     });
 
     simd_kernels_at(&mut suite, 128);
+    par_overhead(&mut suite);
 
     suite.finish();
+}
+
+/// Cost of an `sfn-par` fan-out: an empty one (pure hand-off), then a
+/// streaming update over 1 k / 16 k / 256 k doubles fanned out vs. the
+/// same chunks run inline — where the two cross is the grain below
+/// which a kernel should not fan out.
+fn par_overhead(suite: &mut Suite) {
+    let threads = sfn_par::thread_count();
+    suite.bench("par_overhead/empty", || {
+        std::hint::black_box(sfn_par::map_range(threads, std::hint::black_box(|i| i)));
+    });
+    for n in [1usize << 10, 1 << 14, 1 << 18] {
+        let mut data = vec![1.0f64; n];
+        // At least 4 chunks per thread, at most 32 KiB each.
+        let chunk = (n / (4 * threads)).clamp(1, 4096);
+        let mut update = || {
+            sfn_par::for_each_chunk_mut(&mut data, chunk, sfn_par::COARSE, |_, c| {
+                for v in c.iter_mut() {
+                    *v = *v * 0.999 + 0.001;
+                }
+            })
+        };
+        suite.bench(&format!("par_overhead/fanout/{}k", n >> 10), &mut update);
+        suite.bench(&format!("par_overhead/inline/{}k", n >> 10), || {
+            sfn_par::with_threads(1, &mut update)
+        });
+    }
 }
 
 /// The 128² tier: only the kernels the SIMD dispatch touches, where
@@ -119,6 +150,9 @@ fn simd_kernels_at(suite: &mut Suite, grid: usize) {
     };
     suite.bench(&format!("advect/{grid}"), || {
         let _ = advect::advect_scalar(&vel, &div, &flags, 0.5);
+    });
+    suite.bench(&format!("advect_velocity/{grid}"), || {
+        let _ = advect::advect_velocity(&vel, 0.5);
     });
 
     let mut rng = StdRng::seed_from_u64(42);

@@ -8,9 +8,10 @@
 //! property tests in this module compare the vector paths against them.
 //!
 //! Rounding contract: the element-wise kernels ([`axpy`], [`xpay`],
-//! [`bilinear4`]) perform *exactly* the scalar operation sequence with
-//! plain mul/add (no FMA contraction), so their vector results are
-//! bit-identical to the scalar reference. The reductions ([`dot`],
+//! [`bilinear4`] and the advection row kernel built on its body,
+//! [`Backtrace::sample_row`]) perform *exactly* the scalar operation
+//! sequence with plain mul/add (no FMA contraction), so their vector
+//! results are bit-identical to the scalar reference. The reductions ([`dot`],
 //! [`norm_sq`], [`axpy_norm_sq`]) re-associate the sum across lanes and
 //! therefore agree only to rounding (a few ULP on well-scaled data).
 
@@ -342,6 +343,87 @@ pub fn bilinear_scalar(data: &[f64], w: usize, h: usize, x: f64, y: f64) -> f64 
     a + (b - a) * fy
 }
 
+/// A `w×h` row-major grid borrowed for sampling; the constructor
+/// checks the shape the gathers rely on.
+#[derive(Clone, Copy)]
+pub struct Grid<'a> {
+    data: &'a [f64],
+    w: usize,
+    h: usize,
+}
+
+impl<'a> Grid<'a> {
+    /// # Panics
+    /// Panics if `data.len() != w*h`, the grid is empty, or it has more
+    /// than `i32::MAX` elements (the gathers index with `i32`).
+    pub fn new(data: &'a [f64], w: usize, h: usize) -> Self {
+        assert_eq!(data.len(), w * h, "grid shape");
+        assert!(w > 0 && h > 0, "empty grid");
+        assert!(data.len() <= i32::MAX as usize, "grid too large to gather");
+        Grid { data, w, h }
+    }
+
+    #[inline]
+    fn sample(&self, x: f64, y: f64) -> f64 {
+        bilinear_scalar(self.data, self.w, self.h, x, y)
+    }
+
+    /// Four clamped bilinear samples at lanes `(x, y)`: the register
+    /// level body of [`bilinear4`].
+    ///
+    /// # Safety
+    /// Needs AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sample4(
+        &self,
+        x: std::arch::x86_64::__m256d,
+        y: std::arch::x86_64::__m256d,
+    ) -> std::arch::x86_64::__m256d {
+        use std::arch::x86_64::*;
+        let zero = _mm256_setzero_pd();
+        let wm1 = _mm256_set1_pd((self.w - 1) as f64);
+        let hm1 = _mm256_set1_pd((self.h - 1) as f64);
+        let wv = _mm256_set1_pd(self.w as f64);
+        // Clamp into the interpolation domain. _mm256_max_pd(NaN, 0)
+        // returns the second operand (0), so NaN lands at index 0 — fine
+        // per the documented contract.
+        let x = _mm256_min_pd(_mm256_max_pd(x, zero), wm1);
+        let y = _mm256_min_pd(_mm256_max_pd(y, zero), hm1);
+        let i0 = _mm256_min_pd(_mm256_floor_pd(x), wm1);
+        let j0 = _mm256_min_pd(_mm256_floor_pd(y), hm1);
+        let one = _mm256_set1_pd(1.0);
+        let i1 = _mm256_min_pd(_mm256_add_pd(i0, one), wm1);
+        let j1 = _mm256_min_pd(_mm256_add_pd(j0, one), hm1);
+        let fx = _mm256_sub_pd(x, i0);
+        let fy = _mm256_sub_pd(y, j0);
+        // Flat indices as doubles (exact for any grid that fits memory),
+        // then truncate to i32 for the gathers.
+        let base0 = _mm256_mul_pd(j0, wv);
+        let base1 = _mm256_mul_pd(j1, wv);
+        let idx00 = _mm256_cvttpd_epi32(_mm256_add_pd(base0, i0));
+        let idx10 = _mm256_cvttpd_epi32(_mm256_add_pd(base0, i1));
+        let idx01 = _mm256_cvttpd_epi32(_mm256_add_pd(base1, i0));
+        let idx11 = _mm256_cvttpd_epi32(_mm256_add_pd(base1, i1));
+        let p = self.data.as_ptr();
+        // SAFETY: every index is `j*w + i` with `i ≤ w-1`, `j ≤ h-1`, so
+        // it is below `w*h == data.len()` (checked by `Grid::new`).
+        let (v00, v10, v01, v11) = unsafe {
+            (
+                _mm256_i32gather_pd::<8>(p, idx00),
+                _mm256_i32gather_pd::<8>(p, idx10),
+                _mm256_i32gather_pd::<8>(p, idx01),
+                _mm256_i32gather_pd::<8>(p, idx11),
+            )
+        };
+        // Same lerp sequence as the scalar reference (mul/add, no FMA).
+        let a = _mm256_add_pd(v00, _mm256_mul_pd(_mm256_sub_pd(v10, v00), fx));
+        let b = _mm256_add_pd(v01, _mm256_mul_pd(_mm256_sub_pd(v11, v01), fx));
+        _mm256_add_pd(a, _mm256_mul_pd(_mm256_sub_pd(b, a), fy))
+    }
+}
+
 /// Four clamped bilinear samples at once, vector-dispatched. The AVX2
 /// path gathers the 16 corner values and performs the same mul/add
 /// lerp sequence as [`bilinear_scalar`], so results are bit-identical.
@@ -353,64 +435,117 @@ pub fn bilinear_scalar(data: &[f64], w: usize, h: usize, x: f64, y: f64) -> f64 
 /// finiteness too.
 ///
 /// # Panics
-/// Panics if `data.len() != w*h` or the grid is empty.
+/// As [`Grid::new`].
 pub fn bilinear4(data: &[f64], w: usize, h: usize, xs: &[f64; 4], ys: &[f64; 4]) -> [f64; 4] {
-    assert_eq!(data.len(), w * h, "grid shape");
-    assert!(w > 0 && h > 0, "empty grid");
+    let grid = Grid::new(data, w, h);
     match level() {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { bilinear4_avx2(data, w, h, xs, ys) },
-        _ => {
-            let mut out = [0.0; 4];
-            for k in 0..4 {
-                out[k] = bilinear_scalar(data, w, h, xs[k], ys[k]);
-            }
-            out
-        }
+        SimdLevel::Avx2 => unsafe { bilinear4_avx2(&grid, xs, ys) },
+        _ => std::array::from_fn(|k| grid.sample(xs[k], ys[k])),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn bilinear4_avx2(data: &[f64], w: usize, h: usize, xs: &[f64; 4], ys: &[f64; 4]) -> [f64; 4] {
+unsafe fn bilinear4_avx2(grid: &Grid, xs: &[f64; 4], ys: &[f64; 4]) -> [f64; 4] {
     use std::arch::x86_64::*;
-    let zero = _mm256_setzero_pd();
-    let wm1 = _mm256_set1_pd((w - 1) as f64);
-    let hm1 = _mm256_set1_pd((h - 1) as f64);
-    let wv = _mm256_set1_pd(w as f64);
-    // Clamp into the interpolation domain. min(max(x, 0), w-1) maps
-    // NaN to w-1 with this operand order? No: _mm_max_pd(NaN, 0)
-    // returns the second operand (0) — NaN lands at index 0 either
-    // way, which is fine per the documented contract.
-    let x = _mm256_min_pd(_mm256_max_pd(_mm256_loadu_pd(xs.as_ptr()), zero), wm1);
-    let y = _mm256_min_pd(_mm256_max_pd(_mm256_loadu_pd(ys.as_ptr()), zero), hm1);
-    let i0 = _mm256_min_pd(_mm256_floor_pd(x), wm1);
-    let j0 = _mm256_min_pd(_mm256_floor_pd(y), hm1);
-    let one = _mm256_set1_pd(1.0);
-    let i1 = _mm256_min_pd(_mm256_add_pd(i0, one), wm1);
-    let j1 = _mm256_min_pd(_mm256_add_pd(j0, one), hm1);
-    let fx = _mm256_sub_pd(x, i0);
-    let fy = _mm256_sub_pd(y, j0);
-    // Flat indices as doubles (exact for any grid that fits memory),
-    // then truncate to i32 for the gathers.
-    let base0 = _mm256_mul_pd(j0, wv);
-    let base1 = _mm256_mul_pd(j1, wv);
-    let idx00 = _mm256_cvttpd_epi32(_mm256_add_pd(base0, i0));
-    let idx10 = _mm256_cvttpd_epi32(_mm256_add_pd(base0, i1));
-    let idx01 = _mm256_cvttpd_epi32(_mm256_add_pd(base1, i0));
-    let idx11 = _mm256_cvttpd_epi32(_mm256_add_pd(base1, i1));
-    let p = data.as_ptr();
-    let v00 = _mm256_i32gather_pd::<8>(p, idx00);
-    let v10 = _mm256_i32gather_pd::<8>(p, idx10);
-    let v01 = _mm256_i32gather_pd::<8>(p, idx01);
-    let v11 = _mm256_i32gather_pd::<8>(p, idx11);
-    // Same lerp sequence as the scalar reference (mul/add, no FMA).
-    let a = _mm256_add_pd(v00, _mm256_mul_pd(_mm256_sub_pd(v10, v00), fx));
-    let b = _mm256_add_pd(v01, _mm256_mul_pd(_mm256_sub_pd(v11, v01), fx));
-    let r = _mm256_add_pd(a, _mm256_mul_pd(_mm256_sub_pd(b, a), fy));
     let mut out = [0.0f64; 4];
-    _mm256_storeu_pd(out.as_mut_ptr(), r);
+    // SAFETY: AVX2 is enabled for this function; the arrays hold 4 lanes.
+    unsafe {
+        let r = grid.sample4(_mm256_loadu_pd(xs.as_ptr()), _mm256_loadu_pd(ys.as_ptr()));
+        _mm256_storeu_pd(out.as_mut_ptr(), r);
+    }
     out
+}
+
+// ------------------------------------------------------- backtrace
+
+/// The semi-Lagrangian kernel shared by every bilinear advection: `src`
+/// sampled at the RK2 (midpoint) backtrace of its own sample points
+/// through the staggered velocity `(u, v)`.
+///
+/// Sample `(i, j)` of `src` sits at position `(i + ox, j + oy)` in grid
+/// units, `offset = (ox, oy)` — `(0.5, 0.5)` for cell centres,
+/// `(0, 0.5)` for u faces, `(0.5, 0)` for v faces — and the same
+/// offsets map a position back into `src`'s index space. `u` lives at
+/// `(x, y - 0.5)` and `v` at `(x - 0.5, y)` in their index spaces;
+/// `scale` is `dt / dx`, the displacement in grid units per unit of
+/// (physical) velocity.
+pub struct Backtrace<'a> {
+    /// x-velocity faces, `(nx+1)×ny`.
+    pub u: Grid<'a>,
+    /// y-velocity faces, `nx×(ny+1)`.
+    pub v: Grid<'a>,
+    /// The field being advected (may be `u` or `v` itself).
+    pub src: Grid<'a>,
+    /// Position of `src`'s sample `(0, 0)` in grid units.
+    pub offset: (f64, f64),
+    /// `dt / dx`.
+    pub scale: f64,
+}
+
+impl Backtrace<'_> {
+    /// Fills `out` (a prefix of row `j` of a `src`-shaped field). The
+    /// AVX2 path traces 4 points per step through the gathered body of
+    /// [`bilinear4`] and repeats the scalar expression order exactly,
+    /// so both paths agree bit-for-bit (finite coordinates, see
+    /// [`bilinear4`]); the scalar reference also finishes the row tail.
+    pub fn sample_row(&self, j: usize, out: &mut [f64]) {
+        let done = match level() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: level() reports AVX2 only when the CPU has it.
+            SimdLevel::Avx2 => unsafe { self.sample_row_avx2(j, out) },
+            _ => 0,
+        };
+        let (ox, oy) = self.offset;
+        let (s, hs) = (self.scale, 0.5 * self.scale);
+        let y = j as f64 + oy;
+        for (i, o) in out.iter_mut().enumerate().skip(done) {
+            let x = i as f64 + ox;
+            let (u1, v1) = (self.u.sample(x, y - 0.5), self.v.sample(x - 0.5, y));
+            let (mx, my) = (x - hs * u1, y - hs * v1);
+            let (u2, v2) = (self.u.sample(mx, my - 0.5), self.v.sample(mx - 0.5, my));
+            *o = self.src.sample(x - s * u2 - ox, y - s * v2 - oy);
+        }
+    }
+
+    /// Whole groups of 4 points of row `j`; returns how many points
+    /// were written.
+    ///
+    /// # Safety
+    /// Needs AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sample_row_avx2(&self, j: usize, out: &mut [f64]) -> usize {
+        use std::arch::x86_64::*;
+        let (ox, oy) = (_mm256_set1_pd(self.offset.0), _mm256_set1_pd(self.offset.1));
+        let (s, hs) = (_mm256_set1_pd(self.scale), _mm256_set1_pd(0.5 * self.scale));
+        let half = _mm256_set1_pd(0.5);
+        let y = _mm256_add_pd(_mm256_set1_pd(j as f64), oy);
+        let ym = _mm256_sub_pd(y, half);
+        // Lane l holds i + l: small integers, exact in f64.
+        let mut col = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
+        let mut done = 0;
+        for quad in out.chunks_exact_mut(4) {
+            let x = _mm256_add_pd(col, ox);
+            // SAFETY: AVX2 is enabled for this function; `quad` holds
+            // exactly 4 doubles.
+            unsafe {
+                let u1 = self.u.sample4(x, ym);
+                let v1 = self.v.sample4(_mm256_sub_pd(x, half), y);
+                let mx = _mm256_sub_pd(x, _mm256_mul_pd(hs, u1));
+                let my = _mm256_sub_pd(y, _mm256_mul_pd(hs, v1));
+                let u2 = self.u.sample4(mx, _mm256_sub_pd(my, half));
+                let v2 = self.v.sample4(_mm256_sub_pd(mx, half), my);
+                let bx = _mm256_sub_pd(_mm256_sub_pd(x, _mm256_mul_pd(s, u2)), ox);
+                let by = _mm256_sub_pd(_mm256_sub_pd(y, _mm256_mul_pd(s, v2)), oy);
+                _mm256_storeu_pd(quad.as_mut_ptr(), self.src.sample4(bx, by));
+            }
+            col = _mm256_add_pd(col, _mm256_set1_pd(4.0));
+            done += 4;
+        }
+        done
+    }
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! used by mantaflow's default advection. A MacCormack variant adds a
 //! correction pass with a monotonicity clamp.
 
+use sfn_grid::simd::{Backtrace, Grid};
 use sfn_grid::{CellFlags, Field2, MacGrid};
 
 /// Backtraces position `(x, y)` (grid units) through `vel` by `dt`
@@ -20,6 +21,61 @@ fn backtrace(vel: &MacGrid, x: f64, y: f64, dt: f64) -> (f64, f64) {
     (x - s * u2, y - s * v2)
 }
 
+/// Points per parallel chunk of [`advect_rows`]: ~30 µs of gathered
+/// samples, a few pool hand-offs' worth.
+const GRAIN: usize = 2048;
+
+/// Single-thread cost of one traced point on the gathered path
+/// (`kernels` bench: `advect/64`, 4096 points, 59 µs) — what `sfn-par`
+/// is told, so 64² and below (the 24² training set-up, most served
+/// grids) stay inline under its `MIN_FAN_OUT_NS` rule.
+const NS_PER_POINT: u64 = 15;
+
+/// Fills `out` (the shape of `src`) with `src` sampled at the RK2
+/// backtrace of each of its sample points, sample `(0, 0)` sitting at
+/// `offset` in grid units: one [`Backtrace::sample_row`] per row — the
+/// kernel every bilinear advection here shares — with the rows fanned
+/// out over the `sfn-par` pool in [`GRAIN`]-point chunks. Rows are
+/// independent and the row kernel's vector path is bit-identical to
+/// its scalar reference (the expression order of [`backtrace`] +
+/// [`Field2::sample_linear`]), so the result depends on neither the
+/// SIMD level nor the thread count.
+fn advect_rows(vel: &MacGrid, src: &Field2, offset: (f64, f64), dt: f64, out: &mut Field2) {
+    fn grid(f: &Field2) -> Grid<'_> {
+        Grid::new(f.data(), f.w(), f.h())
+    }
+    let (w, h) = (src.w(), src.h());
+    let trace = Backtrace {
+        u: grid(&vel.u),
+        v: grid(&vel.v),
+        src: grid(src),
+        offset,
+        scale: dt / vel.dx(),
+    };
+    let rows_per_chunk = GRAIN.div_ceil(w);
+    let est_ns = (w * h) as u64 * NS_PER_POINT;
+    sfn_par::for_each_chunk_mut(out.data_mut(), rows_per_chunk * w, est_ns, |c, chunk| {
+        for (r, row) in chunk.chunks_mut(w).enumerate() {
+            trace.sample_row(c * rows_per_chunk + r, row);
+        }
+    });
+}
+
+/// Enters the profiling scope shared by the bilinear advection kernels
+/// (`advect.avx2` on the gathered path) and accounts `points` samples:
+/// an RK2 backtrace (two MAC samples, 16 doubles) plus one bilinear
+/// source sample (4 doubles) read, one value written, per point.
+fn advect_scope(points: usize) -> sfn_prof::KernelScope {
+    #[cfg(target_arch = "x86_64")]
+    let vector = sfn_par::simd::level() == sfn_par::simd::SimdLevel::Avx2;
+    #[cfg(not(target_arch = "x86_64"))]
+    let vector = false;
+    let scope = sfn_prof::KernelScope::enter(if vector { "advect.avx2" } else { "advect" });
+    let n = points as u64;
+    scope.record(60 * n, 20 * n * 8, n * 8);
+    scope
+}
+
 /// Advects a cell-centred scalar field through `vel` by `dt`.
 ///
 /// Solid cells keep their previous value (no smoke inside obstacles —
@@ -27,34 +83,13 @@ fn backtrace(vel: &MacGrid, x: f64, y: f64, dt: f64) -> (f64, f64) {
 /// clamped bilinear interpolation, so the scheme obeys a discrete
 /// max-principle (no new extrema).
 ///
-/// Dispatches between the scalar reference and a 4-wide gathered
-/// bilinear path (AVX2, via [`sfn_grid::simd::bilinear4`]); the two
-/// perform identical operation sequences and agree bit-for-bit.
+/// Dispatches between the scalar reference and the 4-wide gathered
+/// path of [`Backtrace::sample_row`]; the two agree bit-for-bit.
 pub fn advect_scalar(vel: &MacGrid, q: &Field2, flags: &CellFlags, dt: f64) -> Field2 {
     assert_eq!((q.w(), q.h()), (vel.nx(), vel.ny()), "field shape");
-    #[cfg(target_arch = "x86_64")]
-    let vector = sfn_par::simd::level() == sfn_par::simd::SimdLevel::Avx2;
-    #[cfg(not(target_arch = "x86_64"))]
-    let vector = false;
-    let scope = sfn_prof::KernelScope::enter(if vector { "advect.avx2" } else { "advect" });
-    if scope.active() {
-        // Per cell: RK2 backtrace (two MAC samples, 16 doubles) plus one
-        // bilinear source sample (4 doubles), one value written.
-        let n = (q.w() * q.h()) as u64;
-        scope.record(60 * n, 20 * n * 8, n * 8);
-    }
-    let mut out = if vector {
-        advect_scalar_bilinear4(vel, q, dt)
-    } else {
-        Field2::from_fn(q.w(), q.h(), |i, j| {
-            // Cell centre position.
-            let (x, y) = (i as f64 + 0.5, j as f64 + 0.5);
-            let (bx, by) = backtrace(vel, x, y, dt);
-            // Field2 index space for a cell-centred field: value (i,j)
-            // is at position (i+0.5, j+0.5) -> index = position - 0.5.
-            q.sample_linear(bx - 0.5, by - 0.5)
-        })
-    };
+    let _scope = advect_scope(q.w() * q.h());
+    let mut out = Field2::new(q.w(), q.h());
+    advect_rows(vel, q, (0.5, 0.5), dt, &mut out);
     // Solid-cell fixup (both paths): obstacles keep their old value.
     for j in 0..q.h() {
         for i in 0..q.w() {
@@ -66,88 +101,16 @@ pub fn advect_scalar(vel: &MacGrid, q: &Field2, flags: &CellFlags, dt: f64) -> F
     out
 }
 
-/// The vector fast path: whole rows of 4 cells traced at once, every
-/// bilinear lookup a gathered [`sfn_grid::simd::bilinear4`]. All
-/// in-between arithmetic repeats the scalar [`backtrace`] expression
-/// order, so the result is bit-identical to the reference path.
-fn advect_scalar_bilinear4(vel: &MacGrid, q: &Field2, dt: f64) -> Field2 {
-    use sfn_grid::simd::bilinear4;
-    let (w, h) = (q.w(), q.h());
-    let s = dt / vel.dx();
-    let hs = 0.5 * s;
-    let (ud, uw, uh) = (vel.u.data(), vel.u.w(), vel.u.h());
-    let (vd, vw, vh) = (vel.v.data(), vel.v.w(), vel.v.h());
-    let qd = q.data();
-    let mut out = Field2::new(w, h);
-    let od = out.data_mut();
-    for j in 0..h {
-        let y = j as f64 + 0.5;
-        let ys = [y; 4];
-        let ysm = [y - 0.5; 4];
-        let mut i = 0;
-        while i + 4 <= w {
-            let xs = std::array::from_fn(|l| (i + l) as f64 + 0.5);
-            let xsm = xs.map(|x| x - 0.5);
-            // First velocity sample at the cell centres.
-            let u1 = bilinear4(ud, uw, uh, &xs, &ysm);
-            let v1 = bilinear4(vd, vw, vh, &xsm, &ys);
-            // Midpoint sample (u at (x, y-0.5), v at (x-0.5, y)).
-            let mut mx = [0.0; 4];
-            let mut my = [0.0; 4];
-            for l in 0..4 {
-                mx[l] = xs[l] - hs * u1[l];
-                my[l] = ys[l] - hs * v1[l];
-            }
-            let u2 = bilinear4(ud, uw, uh, &mx, &my.map(|v| v - 0.5));
-            let v2 = bilinear4(vd, vw, vh, &mx.map(|v| v - 0.5), &my);
-            // Full backtrace, shifted into Field2 index space.
-            let mut bx = [0.0; 4];
-            let mut by = [0.0; 4];
-            for l in 0..4 {
-                bx[l] = xs[l] - s * u2[l] - 0.5;
-                by[l] = ys[l] - s * v2[l] - 0.5;
-            }
-            od[j * w + i..j * w + i + 4].copy_from_slice(&bilinear4(qd, w, h, &bx, &by));
-            i += 4;
-        }
-        // Row tail: scalar, same expression order.
-        while i < w {
-            let x = i as f64 + 0.5;
-            let (bx, by) = backtrace(vel, x, y, dt);
-            od[j * w + i] = q.sample_linear(bx - 0.5, by - 0.5);
-            i += 1;
-        }
-    }
-    out
-}
-
 /// Advects the staggered velocity field through itself by `dt`
-/// (self-advection), producing a new velocity field.
+/// (self-advection), producing a new velocity field. Both face
+/// components go through [`advect_rows`], like [`advect_scalar`].
 pub fn advect_velocity(vel: &MacGrid, dt: f64) -> MacGrid {
     let (nx, ny) = (vel.nx(), vel.ny());
-    let scope = sfn_prof::KernelScope::enter("advect");
-    if scope.active() {
-        // Same per-sample traffic as the scalar path, once per face.
-        let faces = ((nx + 1) * ny + nx * (ny + 1)) as u64;
-        scope.record(60 * faces, 20 * faces * 8, faces * 8);
-    }
+    let _scope = advect_scope((nx + 1) * ny + nx * (ny + 1));
     let mut out = MacGrid::new(nx, ny, vel.dx());
-    for j in 0..ny {
-        for i in 0..=nx {
-            // u(i, j) lives at (i, j + 0.5).
-            let (x, y) = (i as f64, j as f64 + 0.5);
-            let (bx, by) = backtrace(vel, x, y, dt);
-            out.u.set(i, j, vel.sample_u(bx, by));
-        }
-    }
-    for j in 0..=ny {
-        for i in 0..nx {
-            // v(i, j) lives at (i + 0.5, j).
-            let (x, y) = (i as f64 + 0.5, j as f64);
-            let (bx, by) = backtrace(vel, x, y, dt);
-            out.v.set(i, j, vel.sample_v(bx, by));
-        }
-    }
+    // u(i, j) lives at (i, j + 0.5), v(i, j) at (i + 0.5, j).
+    advect_rows(vel, &vel.u, (0.0, 0.5), dt, &mut out.u);
+    advect_rows(vel, &vel.v, (0.5, 0.0), dt, &mut out.v);
     out
 }
 
@@ -251,29 +214,66 @@ mod tests {
         assert!((out.at(9, 8) - 0.5).abs() < 1e-9);
     }
 
+    fn swirly_velocity(nx: usize, ny: usize) -> MacGrid {
+        let mut vel = MacGrid::new(nx, ny, 0.5);
+        for j in 0..ny {
+            for i in 0..=nx {
+                vel.u.set(i, j, ((i * 7 + j * 3) % 5) as f64 / 2.0 - 1.0);
+            }
+        }
+        for j in 0..=ny {
+            for i in 0..nx {
+                vel.v.set(i, j, ((i * 3 + j * 11) % 7) as f64 / 3.0 - 1.0);
+            }
+        }
+        vel
+    }
+
+    /// The definition, point by point: no row kernel, no SIMD, no pool.
+    fn pointwise(vel: &MacGrid, src: &Field2, (ox, oy): (f64, f64), dt: f64) -> Field2 {
+        Field2::from_fn(src.w(), src.h(), |i, j| {
+            let (bx, by) = backtrace(vel, i as f64 + ox, j as f64 + oy, dt);
+            src.sample_linear(bx - ox, by - oy)
+        })
+    }
+
+    fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (k, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: {x} vs {y} at {k}");
+        }
+    }
+
     #[test]
     fn vector_advection_bit_identical_to_scalar() {
         use sfn_par::simd::{with_level, SimdLevel};
-        // Sizes straddling the 4-lane width, swirly flow, obstacles.
-        for (nx, ny) in [(4, 4), (13, 9), (32, 17)] {
-            let mut vel = MacGrid::new(nx, ny, 0.5);
-            for j in 0..ny {
-                for i in 0..=nx {
-                    vel.u.set(i, j, ((i * 7 + j * 3) % 5) as f64 / 2.0 - 1.0);
-                }
-            }
-            for j in 0..=ny {
-                for i in 0..nx {
-                    vel.v.set(i, j, ((i * 3 + j * 11) % 7) as f64 / 3.0 - 1.0);
-                }
-            }
+        // Sizes straddling the 4-lane width (u rows are nx+1 wide, so
+        // every nx misses a multiple of 4 somewhere), 64², and one big
+        // enough to fan out; swirly flow, obstacles.
+        for (nx, ny) in [(4, 4), (13, 9), (32, 17), (63, 5), (64, 64), (97, 90)] {
+            let vel = swirly_velocity(nx, ny);
             let mut flags = CellFlags::all_fluid(nx, ny);
             flags.set(nx / 2, ny / 2, sfn_grid::CellType::Solid);
             let q = Field2::from_fn(nx, ny, |i, j| ((i * 5 + j * 13) % 11) as f64 / 3.0 - 1.5);
-            let scalar = with_level(SimdLevel::Scalar, || advect_scalar(&vel, &q, &flags, 0.37));
-            let auto = advect_scalar(&vel, &q, &flags, 0.37);
-            for (a, b) in scalar.data().iter().zip(auto.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b} at {nx}x{ny}");
+            let run = || {
+                (
+                    advect_scalar(&vel, &q, &flags, 0.37),
+                    advect_velocity(&vel, 0.37),
+                )
+            };
+            let (q_ref, vel_ref) = with_level(SimdLevel::Scalar, || sfn_par::with_threads(1, run));
+            let (u_def, v_def) = (
+                pointwise(&vel, &vel.u, (0.0, 0.5), 0.37),
+                pointwise(&vel, &vel.v, (0.5, 0.0), 0.37),
+            );
+            assert_same_bits(u_def.data(), vel_ref.u.data(), "u vs definition");
+            assert_same_bits(v_def.data(), vel_ref.v.data(), "v vs definition");
+            for threads in [1, 2, 5] {
+                let (q_out, vel_out) = sfn_par::with_threads(threads, run);
+                let what = format!("{nx}x{ny}, {threads} threads");
+                assert_same_bits(q_ref.data(), q_out.data(), &format!("density {what}"));
+                assert_same_bits(vel_ref.u.data(), vel_out.u.data(), &format!("u {what}"));
+                assert_same_bits(vel_ref.v.data(), vel_out.v.data(), &format!("v {what}"));
             }
         }
     }
@@ -282,18 +282,7 @@ mod tests {
     fn max_principle_holds() {
         // Semi-Lagrangian with bilinear sampling cannot create values
         // outside [min, max] of the input.
-        let mut vel = MacGrid::new(12, 12, 1.0);
-        // Swirly velocity.
-        for j in 0..12 {
-            for i in 0..=12 {
-                vel.u.set(i, j, ((i * 7 + j * 3) % 5) as f64 / 2.0 - 1.0);
-            }
-        }
-        for j in 0..=12 {
-            for i in 0..12 {
-                vel.v.set(i, j, ((i * 3 + j * 11) % 7) as f64 / 3.0 - 1.0);
-            }
-        }
+        let vel = swirly_velocity(12, 12);
         let flags = CellFlags::all_fluid(12, 12);
         let q = Field2::from_fn(12, 12, |i, j| ((i + j) % 3) as f64);
         let out = advect_scalar(&vel, &q, &flags, 0.8);

@@ -729,10 +729,18 @@ fn run_simd_diff(input: &[u8]) -> Outcome {
             }
             let q = sfn_grid::Field2::from_fn(nx, ny, |_, _| rng.random_range(-3.0..3.0));
             let dt = rng.random_range(-1.5..1.5);
-            let scalar =
-                with_level(SimdLevel::Scalar, || sfn_sim::advect::advect_scalar(&vel, &q, &flags, dt));
-            let vector = sfn_sim::advect::advect_scalar(&vel, &q, &flags, dt);
-            check_f64(scalar.data(), vector.data(), "advect")
+            // Density and both face components of the self-advected
+            // velocity: all three go through the shared row kernel.
+            let run = || {
+                let q = sfn_sim::advect::advect_scalar(&vel, &q, &flags, dt);
+                (q, sfn_sim::advect::advect_velocity(&vel, dt))
+            };
+            let (scalar_q, scalar_vel) = with_level(SimdLevel::Scalar, run);
+            let (vector_q, vector_vel) = run();
+            let (su, sv) = (scalar_vel.u.data(), scalar_vel.v.data());
+            check_f64(scalar_q.data(), vector_q.data(), "advect")
+                .or_else(|| check_f64(su, vector_vel.u.data(), "advect_velocity.u"))
+                .or_else(|| check_f64(sv, vector_vel.v.data(), "advect_velocity.v"))
         }
     };
     match failure {

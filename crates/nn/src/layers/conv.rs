@@ -142,7 +142,8 @@ impl Conv2d {
         // traffic: the input planes are charged once per *sample* (on
         // its first output channel), the weights once per plane — each
         // plane reads exactly its own `ic·k·k` filter panel.
-        sfn_par::for_each_chunk_mut(out.data_mut(), hw, |plane, out_plane| {
+        let est_ns = super::est_ns(2 * ickk * hw * n * out_ch, true);
+        sfn_par::for_each_chunk_mut(out.data_mut(), hw, est_ns, |plane, out_plane| {
             let nn = plane / out_ch;
             let oc = plane % out_ch;
             let input_share = if oc == 0 { chw * 4 } else { 0 };
@@ -210,7 +211,8 @@ impl Conv2d {
         let sample_writes = ((ickk * hw + ochw) * 4) as u64;
         if n >= 2 {
             // Parallel over samples; each GEMM runs sequentially.
-            sfn_par::for_each_chunk_mut(out.data_mut(), ochw, |nn, chunk| {
+            let est_ns = super::est_ns(sample_flops as usize * n, true);
+            sfn_par::for_each_chunk_mut(out.data_mut(), ochw, est_ns, |nn, chunk| {
                     sfn_prof::record_work(sample_flops, sample_reads, sample_writes);
                     let mut cols = vec![0.0f32; ickk * hw];
                     let sample = &input.data()[nn * chw..(nn + 1) * chw];
@@ -384,12 +386,15 @@ impl Layer for Conv2d {
         let in_ch = self.in_ch;
         let out_ch = self.out_ch;
 
-        // Parameter gradients, parallel over output channels.
+        // Parameter gradients, parallel over output channels (the
+        // input gradient below costs the same 2·n·oc·ic·k²·h·w flops).
         let per_oc = in_ch * kk;
+        let est_ns = super::est_ns(2 * n * out_ch * per_oc * h * w, false);
         sfn_par::for_each_chunk_zip_mut(
             &mut self.grad_weight,
             per_oc,
             &mut self.grad_bias,
+            est_ns,
             |oc, gw, gb| {
                 *gb = 0.0;
                 for g in gw.iter_mut() {
@@ -432,7 +437,7 @@ impl Layer for Conv2d {
         let mut grad_in = Tensor::zeros(n, in_ch, h, w);
         let hw = h * w;
         let weight = &self.weight;
-        sfn_par::for_each_chunk_mut(grad_in.data_mut(), hw, |plane, gi_plane| {
+        sfn_par::for_each_chunk_mut(grad_in.data_mut(), hw, est_ns, |plane, gi_plane| {
                 let nn = plane / in_ch;
                 let ic = plane % in_ch;
                 for oc in 0..out_ch {

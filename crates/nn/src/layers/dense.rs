@@ -67,7 +67,8 @@ impl Layer for Dense {
         let mut out = Tensor::zeros(n, self.outputs, 1, 1);
         let inputs = self.inputs;
         let outputs = self.outputs;
-        sfn_par::for_each_chunk_mut(out.data_mut(), outputs, |nn, row| {
+        let est_ns = super::est_ns(2 * n * inputs * outputs, false);
+        sfn_par::for_each_chunk_mut(out.data_mut(), outputs, est_ns, |nn, row| {
                 let x = &input.data()[nn * inputs..(nn + 1) * inputs];
                 for (o, out_v) in row.iter_mut().enumerate() {
                     let wrow = &self.weight[o * inputs..(o + 1) * inputs];
@@ -94,12 +95,14 @@ impl Layer for Dense {
         assert_eq!(grad_out.shape(), (n, self.outputs, 1, 1), "grad shape");
         let inputs = self.inputs;
         let outputs = self.outputs;
+        let est_ns = super::est_ns(2 * n * inputs * outputs, false);
 
         // Parameter gradients, parallel over output rows.
         sfn_par::for_each_chunk_zip_mut(
             &mut self.grad_weight,
             inputs,
             &mut self.grad_bias,
+            est_ns,
             |o, gw, gb| {
                 for g in gw.iter_mut() {
                     *g = 0.0;
@@ -117,7 +120,7 @@ impl Layer for Dense {
 
         // Input gradient: gᵀ·W, parallel over samples.
         let mut grad_in = Tensor::zeros(n, c, h, w);
-        sfn_par::for_each_chunk_mut(grad_in.data_mut(), inputs, |nn, gi| {
+        sfn_par::for_each_chunk_mut(grad_in.data_mut(), inputs, est_ns, |nn, gi| {
                 for o in 0..outputs {
                     let g = grad_out.data()[nn * outputs + o];
                     if g == 0.0 {

@@ -64,7 +64,8 @@ pub fn matmul(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32
     }
     // Whole register-tile row blocks per chunk so the vector kernel
     // never sees a split tile except at the true bottom edge.
-    sfn_par::for_each_chunk_mut(out, MR * n, |blk, chunk| {
+    let est_ns = super::est_ns(2 * m * k * n, true);
+    sfn_par::for_each_chunk_mut(out, MR * n, est_ns, |blk, chunk| {
         let i0 = blk * MR;
         let rows = chunk.len() / n;
         matmul_block(&a[i0 * k..(i0 + rows) * k], rows, k, b, n, chunk);

@@ -2,7 +2,8 @@
 //!
 //! Lives in its own integration-test binary because `sfn_prof` state is
 //! process-global: enabling the profiler here must not race the crate's
-//! parallel unit tests.
+//! parallel unit tests. The tests in this binary take [`hold`] for the
+//! same reason — libtest runs them on parallel threads.
 //!
 //! Regression context: `Conv2d::forward_direct` used to charge the full
 //! `in_ch·(hw + k·k)·4` bytes-read once per (sample, out-channel)
@@ -13,6 +14,13 @@
 
 use sfn_nn::layers::{Conv2d, Layer};
 use sfn_nn::Tensor;
+
+/// Serialises the tests: each one enables, resets and reads the one
+/// process-wide profiler.
+fn hold() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn totals(prefix: &str) -> sfn_prof::KernelTotals {
     let mut sum = sfn_prof::KernelTotals::default();
@@ -29,6 +37,7 @@ fn totals(prefix: &str) -> sfn_prof::KernelTotals {
 
 #[test]
 fn direct_conv_accounting_matches_hand_computed_2x2_case() {
+    let _g = hold();
     // 1 input channel, 2 output channels, 3×3 kernel, 2×2 image:
     // ic·k·k = 9 < 1024 → direct path.
     let (in_ch, out_ch, k, h, w) = (1usize, 2usize, 3usize, 2usize, 2usize);
@@ -61,6 +70,7 @@ fn direct_conv_accounting_matches_hand_computed_2x2_case() {
 
 #[test]
 fn direct_conv_traffic_does_not_scale_input_reads_by_out_ch() {
+    let _g = hold();
     // The regression shape: many output channels over one input. With
     // the old accounting, bytes_read grew ~out_ch× the input size; now
     // the input is charged once and only the weight panels scale.
@@ -86,6 +96,7 @@ fn direct_conv_traffic_does_not_scale_input_reads_by_out_ch() {
 
 #[test]
 fn gemm_conv_accounting_matches_hand_computed_case() {
+    let _g = hold();
     // 128 input channels → ic·k·k = 1152 ≥ 1024 → GEMM path on a 2×2
     // image (tiny spatially so the hand-computed numbers stay small).
     let (in_ch, out_ch, k, h, w) = (128usize, 1usize, 3usize, 2usize, 2usize);

@@ -309,15 +309,15 @@ mod tests {
         let _guard = test_lock::hold();
         clear();
         set_flight_enabled(true);
-        // Force real sfn-par worker threads even on a 1-core runner.
-        std::env::set_var("SFN_THREADS", "8");
         let writes = 3 * CAPACITY;
-        let _ = sfn_par::map_range(writes, |i| {
-            crate::event(Level::Info, "test.flight.par")
-                .field_u64("w", i as u64)
-                .emit();
+        // Real sfn-par pool helpers even on a 1-core runner.
+        sfn_par::with_threads(8, || {
+            sfn_par::map_range(writes, |i| {
+                crate::event(Level::Info, "test.flight.par")
+                    .field_u64("w", i as u64)
+                    .emit();
+            })
         });
-        std::env::remove_var("SFN_THREADS");
         let report = crash_report("par-hammer");
         let mut events = 0;
         let mut seen = std::collections::BTreeSet::new();

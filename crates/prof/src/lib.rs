@@ -187,10 +187,11 @@ impl KernelTotals {
 ///
 /// This is the `sfn-par` worker entry point: each worker pushes into
 /// its own lock-free ring stripe, and the owning scope merges the
-/// stripes when it exits. Callers must arrange that the scope outlives
-/// the workers (true for `std::thread::scope`-based parallelism, which
-/// joins before returning). A no-op when profiling is disabled or no
-/// scope is active.
+/// stripes when it exits. The scope must outlive the workers' calls:
+/// guaranteed for `sfn-par`, whose pool lets no entry point return
+/// until every helper has left the closure (join-before-return), so a
+/// scope entered before the fan-out drains complete stripes. A no-op
+/// when profiling is disabled or no scope is active.
 #[inline]
 pub fn record_work(flops: u64, bytes_read: u64, bytes_written: u64) {
     if !enabled() {
@@ -507,18 +508,18 @@ mod tests {
         let _g = hold();
         set_enabled(true);
         reset();
-        // Force real worker threads even on a 1-core runner.
-        std::env::set_var("SFN_THREADS", "8");
         let n = 500;
         {
             let _scope = KernelScope::enter("test_par");
-            let out = sfn_par::map_range(n, |i| {
-                record_work(7, 3, 1);
-                i
+            // Real pool helpers even on a 1-core runner.
+            let out = sfn_par::with_threads(8, || {
+                sfn_par::map_range(n, |i| {
+                    record_work(7, 3, 1);
+                    i
+                })
             });
             assert_eq!(out.len(), n);
         }
-        std::env::remove_var("SFN_THREADS");
         set_enabled(false);
         let snap = snapshot();
         let (_, t) = snap.iter().find(|(n, _)| *n == "test_par").expect("kernel recorded");
