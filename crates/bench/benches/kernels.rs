@@ -10,13 +10,15 @@
 
 use sfn_bench::runners::representative_divergence;
 use sfn_bench::timing::Suite;
+use sfn_grid::Field2;
 use sfn_nn::layers::{Conv2d, Layer};
 use sfn_nn::Tensor;
 use sfn_rng::{rngs::StdRng, SeedableRng};
 use sfn_sim::{advect, forces};
+use sfn_solver::pcg::PreparedPreconditioner;
 use sfn_solver::{
     CgSolver, CsrMatrix, JacobiSolver, MicPreconditioner, MultigridSolver, PcgSolver,
-    PoissonProblem, PoissonSolver, SorSolver,
+    PoissonProblem, PoissonSolver, Preconditioner, SorSolver,
 };
 
 fn main() {
@@ -26,7 +28,7 @@ fn main() {
     let problem = PoissonProblem::new(&flags, 1.0);
     let b = sfn_solver::divergence_rhs(&div, &flags, 0.5);
 
-    // Pressure solvers (pcg_mic0 covers the mic0 factor apply too).
+    // Pressure solvers.
     let jacobi = JacobiSolver::new(2.0 / 3.0, 1e-4, 2_000);
     suite.bench(&format!("jacobi/{GRID}"), || {
         let _ = jacobi.solve(&problem, &b);
@@ -39,10 +41,7 @@ fn main() {
     suite.bench(&format!("cg/{GRID}"), || {
         let _ = cg.solve(&problem, &b);
     });
-    let pcg = PcgSolver::new(MicPreconditioner::default(), 1e-6, 2_000);
-    suite.bench(&format!("pcg_mic0/{GRID}"), || {
-        let _ = pcg.solve(&problem, &b);
-    });
+    mic0_benches(&mut suite, &problem, &b);
     let mg = MultigridSolver::default();
     suite.bench(&format!("multigrid/{GRID}"), || {
         let _ = mg.solve(&problem, &b);
@@ -97,6 +96,28 @@ fn main() {
     suite.finish();
 }
 
+/// MIC(0)-PCG the way a simulation sees it (`pcg_mic0`: one solver,
+/// whose operator is prepared by the warm-up and reused by every timed
+/// call), with a fresh solver per call (`pcg_mic0_cold`: the same solve
+/// plus the stencil plan and the factorisation), and the two triangular
+/// sweeps alone (`mic0_apply`).
+fn mic0_benches(suite: &mut Suite, problem: &PoissonProblem<'_>, b: &Field2) {
+    let grid = problem.nx();
+    let new_solver = || PcgSolver::new(MicPreconditioner::default(), 1e-6, 2_000);
+    let pcg = new_solver();
+    suite.bench(&format!("pcg_mic0/{grid}"), || {
+        let _ = pcg.solve(problem, b);
+    });
+    suite.bench_batched(&format!("pcg_mic0_cold/{grid}"), new_solver, |pcg| {
+        let _ = pcg.solve(problem, b);
+    });
+    let factor = MicPreconditioner::default().prepare(problem);
+    let mut z = Field2::new(grid, grid);
+    suite.bench(&format!("mic0_apply/{grid}"), || {
+        factor.apply(problem, b, &mut z);
+    });
+}
+
 /// Cost of an `sfn-par` fan-out: an empty one (pure hand-off), then a
 /// streaming update over 1 k / 16 k / 256 k doubles fanned out vs. the
 /// same chunks run inline — where the two cross is the grain below
@@ -131,10 +152,7 @@ fn simd_kernels_at(suite: &mut Suite, grid: usize) {
     let problem = PoissonProblem::new(&flags, 1.0);
     let b = sfn_solver::divergence_rhs(&div, &flags, 0.5);
 
-    let pcg = PcgSolver::new(MicPreconditioner::default(), 1e-6, 2_000);
-    suite.bench(&format!("pcg_mic0/{grid}"), || {
-        let _ = pcg.solve(&problem, &b);
-    });
+    mic0_benches(suite, &problem, &b);
 
     let a = CsrMatrix::assemble(&problem);
     let x = a.pack(&b);

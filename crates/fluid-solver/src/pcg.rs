@@ -7,11 +7,14 @@
 //! Preconditioners are split into a cheap *factory* ([`Preconditioner`])
 //! and a per-problem *factorisation* ([`PreparedPreconditioner`]) so
 //! that setup work (e.g. the MIC(0) incomplete Cholesky factor) is done
-//! once per solve rather than once per iteration.
+//! once per geometry rather than once per iteration — or per solve: a
+//! simulation's flags do not change between steps, so [`PcgSolver`]
+//! keeps what it prepared for the last `(flags, dx)` it saw.
 
-use crate::laplace::PoissonProblem;
+use crate::laplace::{PoissonProblem, StencilPlan};
 use crate::{PoissonSolver, SolveStats};
-use sfn_grid::Field2;
+use sfn_grid::{CellFlags, Field2};
+use std::sync::Mutex;
 
 /// Factory for a preconditioner `M ≈ A`.
 pub trait Preconditioner {
@@ -60,19 +63,84 @@ impl PreparedPreconditioner for IdentityPreconditioner {
     }
 }
 
+/// Everything a solve needs that depends only on the geometry: the
+/// stencil plan, the factorised preconditioner and the CG vectors.
+struct Operator<P> {
+    /// The geometry all of the below was built for — the equality key.
+    flags: CellFlags,
+    dx: f64,
+    plan: StencilPlan,
+    prepared: P,
+    /// Work vectors; every solve overwrites each before reading it.
+    r: Field2,
+    z: Field2,
+    s: Field2,
+    as_: Field2,
+}
+
+impl<P> Operator<P> {
+    fn new<M: Preconditioner<Prepared = P>>(
+        preconditioner: &M,
+        problem: &PoissonProblem<'_>,
+    ) -> Self {
+        let field = || Field2::new(problem.nx(), problem.ny());
+        Self {
+            flags: problem.flags.clone(),
+            dx: problem.dx,
+            plan: StencilPlan::new(problem),
+            prepared: preconditioner.prepare(problem),
+            r: field(),
+            z: field(),
+            s: field(),
+            as_: field(),
+        }
+    }
+}
+
 /// Conjugate gradients with a pluggable preconditioner.
 ///
 /// Tolerance is on the *relative* ℓ₂ residual `‖r‖/‖b‖`. The solver is
 /// robust to the semi-definite closed-box case: a compatible `b` keeps
 /// the Krylov space orthogonal to the null-space.
-#[derive(Debug, Clone)]
-pub struct PcgSolver<M> {
-    /// Preconditioner factory.
-    pub preconditioner: M,
+///
+/// # The prepared operator
+///
+/// The first solve on a geometry builds the stencil plan, factorises
+/// the preconditioner and sizes the work vectors; the solver keeps them
+/// and later solves reuse them for as long as the problem's `flags`
+/// compare equal and its `dx` has the same bits. Any other problem is a
+/// miss that rebuilds and replaces them, so results never depend on what
+/// was solved before. A warm solve allocates the returned pressure and
+/// nothing else. A clone starts empty, and concurrent solves through one
+/// shared solver take turns. The preconditioner is fixed at construction
+/// because the kept factorisation was made by it.
+pub struct PcgSolver<M: Preconditioner> {
+    preconditioner: M,
     /// Relative residual tolerance.
     pub tolerance: f64,
     /// Iteration budget.
     pub max_iterations: usize,
+    operator: Mutex<Option<Operator<M::Prepared>>>,
+}
+
+impl<M: Preconditioner + Clone> Clone for PcgSolver<M> {
+    fn clone(&self) -> Self {
+        Self::new(
+            self.preconditioner.clone(),
+            self.tolerance,
+            self.max_iterations,
+        )
+    }
+}
+
+impl<M: Preconditioner + std::fmt::Debug> std::fmt::Debug for PcgSolver<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PcgSolver")
+            .field("preconditioner", &self.preconditioner)
+            .field("tolerance", &self.tolerance)
+            .field("max_iterations", &self.max_iterations)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<M: Preconditioner> PcgSolver<M> {
@@ -85,6 +153,7 @@ impl<M: Preconditioner> PcgSolver<M> {
             preconditioner,
             tolerance,
             max_iterations,
+            operator: Mutex::new(None),
         }
     }
 }
@@ -105,20 +174,39 @@ impl<M: Preconditioner> PcgSolver<M> {
         assert_eq!((b.w(), b.h()), (nx, ny), "rhs shape");
         let mut x = Field2::new(nx, ny);
 
+        // A poisoned lock means a solve panicked part-way. The slot is
+        // only ever assigned a complete `Operator`, and its work vectors
+        // are rewritten by each solve before they are read, so whatever
+        // that solve left behind is still valid.
+        let mut slot = self.operator.lock().unwrap_or_else(|e| e.into_inner());
+        let stale = |op: &Operator<_>| {
+            op.dx.to_bits() != problem.dx.to_bits() || op.flags != *problem.flags
+        };
+        if slot.as_ref().is_some_and(stale) {
+            *slot = None;
+        }
+        let Operator {
+            plan,
+            prepared,
+            r,
+            z,
+            s,
+            as_,
+            ..
+        } = slot.get_or_insert_with(|| Operator::new(&self.preconditioner, problem));
+
         // All CG vectors are kept zero on non-fluid cells (the residual
         // is masked once up front; the stencil plan and preconditioners
         // preserve the property). Whole-slice SIMD dots/norms then equal
         // their fluid-masked counterparts exactly — zeros contribute
         // nothing — so the loop below never touches cell flags.
-        let plan = crate::laplace::StencilPlan::new(problem);
-        let mut r = b.clone();
-        plan.project(&mut r);
+        r.data_mut().copy_from_slice(b.data());
+        plan.project(r);
         let b_norm = sfn_grid::simd::norm_sq(r.data()).sqrt();
         if b_norm == 0.0 {
             return (x, SolveStats::trivial());
         }
 
-        let prepared = self.preconditioner.prepare(problem);
         let n = problem.unknowns() as u64;
         let pre_flops = prepared.flops(problem);
         // Per iteration: 1 A·s (9n), 1 M⁻¹r, and six 2n-flop vector ops
@@ -127,15 +215,13 @@ impl<M: Preconditioner> PcgSolver<M> {
         // Setup: initial M⁻¹ apply, ‖b‖ and one dot.
         let mut flops = pre_flops + 4 * n;
 
-        let mut z = Field2::new(nx, ny);
-        prepared.apply(problem, &r, &mut z);
-        let mut s = z.clone();
+        prepared.apply(problem, r, z);
+        s.data_mut().copy_from_slice(z.data());
         let mut rz = sfn_grid::simd::dot(r.data(), z.data());
-        let mut as_ = Field2::new(nx, ny);
 
         let mut rel = 1.0;
         for it in 1..=self.max_iterations {
-            plan.apply(&s, &mut as_);
+            plan.apply(s, as_);
             let s_as = sfn_grid::simd::dot(s.data(), as_.data());
             if s_as <= 0.0 || !s_as.is_finite() {
                 // Hit the null-space or a numerical breakdown; stop with
@@ -167,7 +253,7 @@ impl<M: Preconditioner> PcgSolver<M> {
                     },
                 );
             }
-            prepared.apply(problem, &r, &mut z);
+            prepared.apply(problem, r, z);
             let rz_new = sfn_grid::simd::dot(r.data(), z.data());
             let beta = rz_new / rz;
             rz = rz_new;
@@ -228,6 +314,67 @@ mod tests {
                 0.0
             }
         })
+    }
+
+    /// One solver driven through `problems` in order must return what a
+    /// fresh solver returns for each, to the bit.
+    fn assert_history_free<M: Preconditioner + Clone>(m: M, problems: &[(&CellFlags, f64)]) {
+        let kept = PcgSolver::new(m.clone(), 1e-8, 500);
+        for (n, &(flags, dx)) in problems.iter().enumerate() {
+            let problem = PoissonProblem::new(flags, dx);
+            let b = random_rhs(flags, 31 + n as u64);
+            let (x, stats) = kept.solve(&problem, &b);
+            let (want, want_stats) = PcgSolver::new(m.clone(), 1e-8, 500).solve(&problem, &b);
+            assert_eq!(stats, want_stats, "problem {n}");
+            assert!(stats.iterations > 0, "problem {n} must exercise the loop");
+            let bits = |f: &Field2| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x), bits(&want), "problem {n}");
+        }
+    }
+
+    #[test]
+    fn kept_operator_is_rebuilt_when_flags_size_or_dx_change() {
+        let a = CellFlags::smoke_box(24, 24);
+        let mut b = a.clone();
+        b.add_solid_disc(12.0, 10.0, 4.0);
+        let c = CellFlags::smoke_box(17, 31);
+        // Same size, other obstacle; other size; same flags, other dx —
+        // each followed by a return to `a`, which must be a rebuild too.
+        let problems = [
+            (&a, 1.0),
+            (&a, 1.0),
+            (&b, 1.0),
+            (&a, 1.0),
+            (&c, 1.0),
+            (&a, 1.0),
+            (&a, 0.5),
+            (&a, 1.0),
+        ];
+        assert_history_free(crate::ic0::MicPreconditioner::default(), &problems);
+        assert_history_free(crate::multigrid::MgPreconditioner::default(), &problems);
+        assert_history_free(IdentityPreconditioner, &problems);
+    }
+
+    #[test]
+    fn clone_starts_empty_and_shares_nothing() {
+        let flags = CellFlags::smoke_box(12, 12);
+        let problem = PoissonProblem::new(&flags, 1.0);
+        let b = random_rhs(&flags, 3);
+        let solver = PcgSolver::new(crate::ic0::MicPreconditioner::default(), 1e-8, 500);
+        let (want, _) = solver.solve(&problem, &b);
+        let clone = solver.clone();
+        assert!(clone.operator.lock().unwrap().is_none());
+        // The clone moving on to another geometry leaves the source's
+        // operator where it was.
+        let other = CellFlags::closed_box(9, 14);
+        let _ = clone.solve(&PoissonProblem::new(&other, 1.0), &random_rhs(&other, 4));
+        assert!(solver
+            .operator
+            .lock()
+            .unwrap()
+            .as_ref()
+            .is_some_and(|op| op.flags == flags));
+        assert_eq!(solver.solve(&problem, &b).0, want);
     }
 
     #[test]

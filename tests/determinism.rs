@@ -16,18 +16,22 @@ use smart_fluidnet::surrogate::{tompson_default, NeuralProjector};
 const GRID: usize = 96;
 const STEPS: usize = 32;
 
-/// Runs `STEPS` steps on `threads` threads; returns the raw bits of the
-/// final density and velocity, plus each step's DivNorm bits.
-fn run(threads: usize, projector: &mut dyn PressureProjector) -> Vec<u64> {
+/// Runs `STEPS` steps on `threads` threads around a disc of radius
+/// `disc · GRID`, with one rollback on the way (a snapshot at the
+/// half-way mark, four steps past it, `restore`, on — the runtime's
+/// rollback path); returns the raw bits of the final density and
+/// velocity, plus each kept step's DivNorm bits.
+fn run(threads: usize, disc: f64, projector: &mut dyn PressureProjector) -> Vec<u64> {
     sfn_par::with_threads(threads, || {
         let mut flags = CellFlags::smoke_box(GRID, GRID);
-        flags.add_solid_disc(GRID as f64 * 0.5, GRID as f64 * 0.6, GRID as f64 * 0.08);
+        flags.add_solid_disc(GRID as f64 * 0.5, GRID as f64 * 0.6, GRID as f64 * disc);
         let mut sim = Simulation::new(SimConfig::plume(GRID), flags);
-        let mut bits: Vec<u64> = sim
-            .run(STEPS, projector)
-            .iter()
-            .map(|s| s.div_norm.to_bits())
-            .collect();
+        let mut stats = sim.run(STEPS / 2, projector);
+        let snapshot = sim.snapshot();
+        sim.run(4, projector);
+        sim.restore(&snapshot).expect("same geometry");
+        stats.extend(sim.run(STEPS / 2, projector));
+        let mut bits: Vec<u64> = stats.iter().map(|s| s.div_norm.to_bits()).collect();
         assert!(sim.is_healthy());
         let vel = sim.velocity();
         for field in [sim.density(), &vel.u, &vel.v] {
@@ -46,14 +50,24 @@ fn steps_are_bit_identical_across_thread_counts() {
         let net = Network::from_spec(&tompson_default(), 3).expect("default spec builds");
         NeuralProjector::new(net, "tompson")
     };
-    let reference = (run(1, &mut pcg()), run(1, &mut cnn()));
-    for threads in [2, 8] {
+    const DISCS: [f64; 2] = [0.08, 0.13];
+    let reference = (
+        DISCS.map(|disc| run(1, disc, &mut pcg())),
+        run(1, DISCS[0], &mut cnn()),
+    );
+    for threads in [1, 2, 8] {
+        // One projector carried from simulation to simulation: the
+        // operator its solver keeps must not leak from one geometry
+        // into the next, nor across the rollback inside each run.
+        let mut kept = pcg();
+        for d in [0, 1, 0] {
+            assert!(
+                run(threads, DISCS[d], &mut kept) == reference.0[d],
+                "PCG run (disc {d}) differs on {threads} threads"
+            );
+        }
         assert!(
-            run(threads, &mut pcg()) == reference.0,
-            "PCG run differs on {threads} threads"
-        );
-        assert!(
-            run(threads, &mut cnn()) == reference.1,
+            run(threads, DISCS[0], &mut cnn()) == reference.1,
             "CNN run differs on {threads} threads"
         );
     }

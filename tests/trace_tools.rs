@@ -160,11 +160,11 @@ fn doctored_slow_trace_fails_the_diff_gate() {
 }
 
 #[test]
-fn committed_kernel_baseline_passes_and_doctored_conv_fails() {
-    // The exact pair the CI profile-gate diffs: the committed baseline
-    // must self-diff clean, and the doctored fixture (conv2d at half
-    // throughput, i.e. a 2x-slower conv kernel) must trip the default
-    // 1.5x kernel-ratio threshold.
+fn committed_kernel_baseline_passes_and_doctored_kernels_fail() {
+    // The exact pairs the CI profile-gate diffs: the committed baseline
+    // must self-diff clean, and each doctored fixture (one kernel at
+    // half throughput, i.e. 2x slower: the conv, and the MIC(0) sweeps)
+    // must trip the default 1.5x kernel-ratio threshold on that kernel.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let load = |name: &str| {
         let text = std::fs::read_to_string(root.join("baselines").join(name))
@@ -173,24 +173,33 @@ fn committed_kernel_baseline_passes_and_doctored_conv_fails() {
             .unwrap_or_else(|e| panic!("baselines/{name} is not a summary: {}", e.message))
     };
     let baseline = load("kernel_baseline.json");
-    assert!(
-        baseline.kernels.iter().any(|k| k.name == "conv2d" && k.gflops > 0.0),
-        "committed baseline must carry a profiled conv2d kernel"
-    );
-
     let verdict = trace::diff(&baseline, &baseline, &trace::Thresholds::default());
     assert!(verdict.ok(), "{}", verdict.render());
 
-    let doctored = load("kernel_doctored.json");
-    let verdict = trace::diff(&baseline, &doctored, &trace::Thresholds::default());
-    assert!(!verdict.ok(), "a 2x-slower conv kernel must fail the gate");
-    assert!(
-        verdict.regressions.iter().any(|r| r.metric == "kernel.conv2d.gflops"),
-        "{}",
-        verdict.render()
-    );
+    for (kernel, fixture) in [
+        ("conv2d", "kernel_doctored.json"),
+        ("mic0", "kernel_doctored_mic0.json"),
+    ] {
+        let profiled = |k: &trace::KernelStat| k.name == kernel && k.gflops > 0.0;
+        assert!(
+            baseline.kernels.iter().any(profiled),
+            "committed baseline must carry a profiled {kernel} kernel"
+        );
+        let doctored = load(fixture);
+        let verdict = trace::diff(&baseline, &doctored, &trace::Thresholds::default());
+        assert!(
+            !verdict.ok(),
+            "a 2x-slower {kernel} kernel must fail the gate"
+        );
+        let metric = format!("kernel.{kernel}.gflops");
+        assert!(
+            verdict.regressions.iter().any(|r| r.metric == metric),
+            "{}",
+            verdict.render()
+        );
 
-    // Faster-than-baseline is an improvement, never a regression.
-    let verdict = trace::diff(&doctored, &baseline, &trace::Thresholds::default());
-    assert!(verdict.ok(), "{}", verdict.render());
+        // Faster-than-baseline is an improvement, never a regression.
+        let verdict = trace::diff(&doctored, &baseline, &trace::Thresholds::default());
+        assert!(verdict.ok(), "{}", verdict.render());
+    }
 }
