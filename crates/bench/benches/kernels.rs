@@ -1,7 +1,8 @@
 //! Per-kernel micro-benchmarks — the primitives `sfn-prof` accounts
 //! for, timed in isolation at a 64² working size, plus a 128² tier for
 //! the SIMD-dispatched kernels (conv2d, gemm, pcg_mic0, spmv, advect)
-//! where cache blocking starts to matter.
+//! where cache blocking starts to matter, and whole surrogate
+//! inferences (`infer_tompson`, `plan_build`).
 //!
 //! This suite seeds the committed `BENCH_000N.json` perf trajectory
 //! (min/median/p90 per kernel) that the SIMD work is judged against:
@@ -12,14 +13,16 @@ use sfn_bench::runners::representative_divergence;
 use sfn_bench::timing::Suite;
 use sfn_grid::Field2;
 use sfn_nn::layers::{Conv2d, Layer};
-use sfn_nn::Tensor;
+use sfn_nn::plan::Plan;
+use sfn_nn::{Network, Tensor};
 use sfn_rng::{rngs::StdRng, SeedableRng};
-use sfn_sim::{advect, forces};
+use sfn_sim::{advect, forces, PressureProjector};
 use sfn_solver::pcg::PreparedPreconditioner;
 use sfn_solver::{
     CgSolver, CsrMatrix, JacobiSolver, MicPreconditioner, MultigridSolver, PcgSolver,
     PoissonProblem, PoissonSolver, Preconditioner, SorSolver,
 };
+use sfn_surrogate::{tompson_default, NeuralProjector};
 
 fn main() {
     const GRID: usize = 64;
@@ -91,6 +94,7 @@ fn main() {
     });
 
     simd_kernels_at(&mut suite, 128);
+    inference(&mut suite);
     par_overhead(&mut suite);
 
     suite.finish();
@@ -115,6 +119,23 @@ fn mic0_benches(suite: &mut Suite, problem: &PoissonProblem<'_>, b: &Field2) {
     let mut z = Field2::new(grid, grid);
     suite.bench(&format!("mic0_apply/{grid}"), || {
         factor.apply(problem, b, &mut z);
+    });
+}
+
+/// Surrogate inference the way a step sees it (`infer_tompson`: one
+/// projector whose plan the warm-up compiled — pack, six convs, pool,
+/// upsample, unpack), and what a geometry miss adds (`plan_build`).
+fn inference(suite: &mut Suite) {
+    let saved = Network::from_spec(&tompson_default(), 42).expect("default spec builds").save();
+    for grid in [64, 128] {
+        let (flags, div) = representative_divergence(grid);
+        let mut nn = NeuralProjector::try_from_saved(&saved, "tompson").expect("own snapshot");
+        suite.bench(&format!("infer_tompson/{grid}"), || {
+            let _ = nn.solve_pressure(&div, &flags, 1.0, 0.5);
+        });
+    }
+    suite.bench("plan_build/128", || {
+        let _ = std::hint::black_box(Plan::new(&saved.spec, &saved.weights, (2, 128, 128)));
     });
 }
 

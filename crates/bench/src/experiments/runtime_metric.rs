@@ -4,7 +4,6 @@
 
 use crate::env::BenchEnv;
 use crate::runners::{pcg_projector, problems_at};
-use sfn_nn::Network;
 use sfn_sim::quality_loss;
 use sfn_stats::{pearson, spearman, TextTable};
 use sfn_surrogate::NeuralProjector;
@@ -26,8 +25,8 @@ pub fn trace_problem(env: &BenchEnv, problem_idx: usize, steps: usize) -> Trace 
     let problems = problems_at(grid, problem_idx + 1);
     let problem = &problems[problem_idx];
     let art = env.framework.artifacts();
-    let net = Network::load(&art.measurements[art.base_index].saved, 0).expect("base loads");
-    let mut nn = NeuralProjector::new(net, "tompson");
+    let base = &art.measurements[art.base_index].saved;
+    let mut nn = NeuralProjector::try_from_saved(base, "tompson").expect("base loads");
     let mut pcg = pcg_projector();
 
     let mut nn_sim = problem.simulation();

@@ -2,7 +2,6 @@
 
 use sfn_grid::Field2;
 use sfn_nn::network::SavedModel;
-use sfn_nn::Network;
 use sfn_runtime::{RunOutcome, RuntimeConfig};
 use sfn_sim::{quality_loss, ExactProjector};
 use sfn_solver::{MicPreconditioner, PcgSolver};
@@ -71,8 +70,7 @@ pub fn run_fixed(
     steps: usize,
     reference: &Field2,
 ) -> RunRecord {
-    let net = Network::load(saved, 0).expect("model snapshot loads");
-    let mut proj = NeuralProjector::new(net, name.to_string());
+    let mut proj = NeuralProjector::try_from_saved(saved, name).expect("model snapshot loads");
     let mut sim = problem.simulation();
     let stats = sim.run(steps, &mut proj);
     let secs = stats.iter().map(|s| s.projection_time.as_secs_f64()).sum();
@@ -190,6 +188,7 @@ pub fn representative_divergence(grid: usize) -> (sfn_grid::CellFlags, Field2) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfn_nn::Network;
 
     #[test]
     fn reference_and_fixed_runs_work() {

@@ -3,7 +3,6 @@
 use crate::artifacts::OfflineArtifacts;
 use crate::config::OfflineConfig;
 use sfn_modelgen::{generate_family, select_candidates, EvalContext};
-use sfn_nn::Network;
 use sfn_quality::mlp::MlpTrainConfig;
 use sfn_quality::{
     generate_samples, select_runtime_models, ExecutionRecord, MlpVariant, ModelRecords,
@@ -196,8 +195,8 @@ fn build_knn_pairs(selected: &[CandidateModel], cfg: &OfflineConfig) -> Vec<(f64
                 .iter()
                 .zip(&references)
                 .filter_map(|(p, reference)| {
-                    let net = Network::load(&model.saved, 0).ok()?;
-                    let mut proj = NeuralProjector::new(net, model.name.clone());
+                    let mut proj =
+                        NeuralProjector::try_from_saved(&model.saved, model.name.clone()).ok()?;
                     let mut sim = p.simulation();
                     let stats = sim.run(cfg.eval_steps, &mut proj);
                     if !sim.is_healthy() {

@@ -483,7 +483,7 @@ pub fn serve_request(rng: &mut StdRng) -> Vec<u8> {
 /// from these 14 bytes, so a finding reproduces from the case alone.
 pub fn simd_diff_case(rng: &mut StdRng) -> Vec<u8> {
     let mut out = Vec::with_capacity(14);
-    out.push(rng.random_range(0..4u32) as u8);
+    out.push(rng.random_range(0..5u32) as u8);
     for _ in 0..5 {
         out.push(rng.random_range(0..256u32) as u8);
     }

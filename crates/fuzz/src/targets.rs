@@ -612,9 +612,10 @@ fn run_http(input: &[u8]) -> Outcome {
 /// selected kernel runs once pinned to the scalar reference path and
 /// once at the ambient SIMD level; every output element must agree
 /// within `MAX_ULP` units-in-the-last-place. The element-wise kernels
-/// (conv, GEMM, SpMV, advect) are in fact *bit-identical* by
-/// construction — the vector paths repeat the scalar operation order —
-/// so the 4-ULP budget is headroom for future kernels that reassociate.
+/// (conv, GEMM, SpMV, advect, the inference plan) are in fact
+/// *bit-identical* by construction — the vector paths repeat the
+/// scalar operation order — so the 4-ULP budget is headroom for future
+/// kernels that reassociate.
 fn run_simd_diff(input: &[u8]) -> Outcome {
     use sfn_par::simd::{with_level, SimdLevel};
     use sfn_rng::{RngExt, SeedableRng};
@@ -653,7 +654,7 @@ fn run_simd_diff(input: &[u8]) -> Outcome {
         None
     };
 
-    let failure = match b[0] % 4 {
+    let failure = match b[0] % 5 {
         0 => {
             // Conv2d, both the direct and the im2col+GEMM path
             // depending on ic·k² (the path choice is level-independent,
@@ -711,6 +712,45 @@ fn run_simd_diff(input: &[u8]) -> Outcome {
             with_level(SimdLevel::Scalar, || a.spmv(&x, &mut scalar));
             a.spmv(&x, &mut vector);
             check_f64(&scalar, &vector, "spmv")
+        }
+        4 => {
+            // A whole inference plan: the direct kernel's fused skip
+            // add and ReLU writing padded destinations, a pool /
+            // upsample pair, a 1×1 head.
+            use sfn_nn::LayerSpec::{AvgPool, Conv2d, MaxPool, ReLU, Upsample};
+            let ch = b[1] as usize % 5 + 2;
+            let kernel = [1, 3, 5][b[2] as usize % 3];
+            let pool = [None, Some(MaxPool { size: 2 }), Some(AvgPool { size: 2 })][b[3] as usize % 3];
+            let h = b[4] as usize % 40 + 2;
+            let w = b[5] as usize % 40 + 2;
+            let mut layers = vec![Conv2d { in_ch: 2, out_ch: ch, kernel, residual: false }, ReLU];
+            layers.extend(pool);
+            layers.extend([Conv2d { in_ch: ch, out_ch: ch, kernel: 3, residual: true }, ReLU]);
+            layers.extend(pool.map(|_| Upsample { factor: 2 }));
+            layers.push(Conv2d { in_ch: ch, out_ch: 1, kernel: 1, residual: false });
+            let spec = sfn_nn::NetworkSpec::new(layers);
+            let weights: Vec<Vec<f32>> = spec
+                .layers
+                .iter()
+                .flat_map(|l| match *l {
+                    Conv2d { in_ch, out_ch, kernel, .. } => vec![out_ch * in_ch * kernel * kernel, out_ch],
+                    _ => Vec::new(),
+                })
+                .map(|len| (0..len).map(|_| rng.random_range(-1.0..1.0) as f32).collect())
+                .collect();
+            let input: Vec<f32> = (0..2 * h * w).map(|_| rng.random_range(-2.0..2.0) as f32).collect();
+            let run = || {
+                let mut plan = sfn_nn::plan::Plan::new(&spec, &weights, (2, h, w)).expect("valid by construction");
+                for (r, row) in input.chunks(w).enumerate() {
+                    plan.input_row_mut(r / h, r % h).copy_from_slice(row);
+                }
+                plan.run();
+                let (_, oh, _) = plan.output_shape();
+                (0..oh).flat_map(|y| plan.output_row(0, y).to_vec()).collect::<Vec<f32>>()
+            };
+            let scalar = with_level(SimdLevel::Scalar, run);
+            let vector = run();
+            check_f32(&scalar, &vector, "plan")
         }
         _ => {
             // Semi-Lagrangian advection (gathered bilinear vs scalar).

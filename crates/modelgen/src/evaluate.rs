@@ -164,8 +164,8 @@ impl EvalContext {
         let flops_per_step = network.flops((2, grid, grid));
         let saved = network.save();
         let results = self.run_projector(|| {
-            let net = Network::load(&saved, 0).expect("reloading own snapshot");
-            Box::new(NeuralProjector::new(net, model.name.clone()))
+            let proj = NeuralProjector::try_from_saved(&saved, model.name.clone());
+            Box::new(proj.expect("reloading own snapshot"))
         });
         let n = results.len() as f64;
         let quality = results.iter().map(|r| r.0).sum::<f64>() / n;

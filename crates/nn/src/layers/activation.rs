@@ -4,6 +4,17 @@ use crate::layers::{Layer, ParamView};
 use crate::spec::LayerSpec;
 use crate::tensor::Tensor;
 
+/// The layers' scalar functions, shared with the inference plan's
+/// stand-alone activations so the two cannot drift (`Tanh` is
+/// `f32::tanh`).
+pub(crate) fn relu(v: f32) -> f32 {
+    v.max(0.0)
+}
+
+pub(crate) fn sigmoid(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
+}
+
 /// Rectified linear unit `max(0, x)`.
 #[derive(Default)]
 pub struct ReLU {
@@ -22,7 +33,7 @@ impl Layer for ReLU {
         if training {
             self.cached_input = Some(input.clone());
         }
-        input.map(|v| v.max(0.0))
+        input.map(relu)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -66,7 +77,7 @@ impl Sigmoid {
 
 impl Layer for Sigmoid {
     fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        let out = input.map(|v| 1.0 / (1.0 + (-v).exp()));
+        let out = input.map(sigmoid);
         if training {
             self.cached_output = Some(out.clone());
         }

@@ -20,9 +20,9 @@ pub struct Conv2d {
     grad_bias: Vec<f32>,
     cached_input: Option<Tensor>,
     /// Reused padded-halo scratch for the direct path, keyed by the
-    /// padded geometry it was zeroed for. The interior is fully
-    /// rewritten every call and the halo is never written, so the
-    /// buffer only needs re-zeroing when the geometry changes.
+    /// padded geometry (planes, pitch; the length gives the height) it
+    /// was zeroed for. The interior is fully rewritten every call and
+    /// the halo never, so it is re-zeroed only on a geometry change.
     scratch: Option<(usize, usize, crate::arena::AlignedBuf)>,
 }
 
@@ -103,12 +103,9 @@ impl Conv2d {
     /// Each input plane is first copied into a zero-padded buffer whose
     /// row pitch is rounded to a full cache line
     /// ([`crate::arena::padded_pitch`]), so the tap loops are
-    /// branch-free with no halo edge cases. Each output element
-    /// accumulates `bias + Σ w·in` over the non-zero taps in
-    /// `(ic, ky, kx)` order; the AVX2 path keeps a register block of
-    /// accumulators per row chunk (the output plane is written exactly
-    /// once) and uses plain mul+add in the same per-element order, so
-    /// it is bit-identical to the scalar fallback.
+    /// branch-free with no halo edge cases; each output plane then
+    /// goes through [`direct_plane`], the one tap kernel this layer
+    /// shares with the inference [`crate::plan::Plan`].
     fn forward_direct(&mut self, input: &Tensor, out: &mut Tensor) {
         let (n, _, h, w) = input.shape();
         let k = self.kernel;
@@ -124,7 +121,7 @@ impl Conv2d {
         let ph = h + 2 * pad;
         let ppl = ph * pw;
         let planes = n * in_ch;
-        if !matches!(&self.scratch, Some((p, w, _)) if *p == planes && *w == pw) {
+        if !matches!(&self.scratch, Some((p, w, buf)) if (*p, *w, buf.len()) == (planes, pw, planes * ppl)) {
             self.scratch = Some((planes, pw, crate::arena::AlignedBuf::zeroed(planes * ppl)));
         }
         let padded = &mut self.scratch.as_mut().unwrap().2;
@@ -137,45 +134,15 @@ impl Conv2d {
         let padded = &*padded;
         let weight = &self.weight;
         let bias = &self.bias;
-        // Parallel over (sample, output-channel) planes; each worker
-        // reports its own share of the work (f32 = 4 bytes). Compulsory
-        // traffic: the input planes are charged once per *sample* (on
-        // its first output channel), the weights once per plane — each
-        // plane reads exactly its own `ic·k·k` filter panel.
         let est_ns = super::est_ns(2 * ickk * hw * n * out_ch, true);
         sfn_par::for_each_chunk_mut(out.data_mut(), hw, est_ns, |plane, out_plane| {
             let nn = plane / out_ch;
             let oc = plane % out_ch;
-            let input_share = if oc == 0 { chw * 4 } else { 0 };
-            sfn_prof::record_work(
-                2 * (ickk * hw) as u64,
-                (ickk * 4 + input_share) as u64,
-                (hw * 4) as u64,
-            );
-            let b = bias[oc];
-            // Non-zero taps in (ic, ky, kx) order: both the scalar and
-            // the vector kernel skip the same zero weights, so their
-            // per-element accumulation order matches exactly.
-            let mut taps: Vec<(usize, usize, f32)> = Vec::with_capacity(ickk);
-            for ic in 0..in_ch {
-                for ky in 0..k {
-                    // Hoisted (oc, ic, ky) weight row.
-                    let wrow = &weight[((oc * in_ch + ic) * k + ky) * k..][..k];
-                    for (kx, &wv) in wrow.iter().enumerate() {
-                        if wv != 0.0 {
-                            taps.push((ic * ppl, ky * pw + kx, wv));
-                        }
-                    }
-                }
-            }
+            record_plane_work(ickk, hw, if oc == 0 { chw } else { 0 });
+            let taps = taps(&weight[oc * ickk..][..ickk], k, pw, ppl);
             let sample = &padded[nn * in_ch * ppl..][..in_ch * ppl];
-            match sfn_par::simd::level() {
-                #[cfg(target_arch = "x86_64")]
-                sfn_par::simd::SimdLevel::Avx2 => unsafe {
-                    direct_plane_avx2(sample, pw, h, w, &taps, b, out_plane);
-                },
-                _ => direct_plane_scalar(sample, pw, h, w, &taps, b, out_plane),
-            }
+            let tight = PlaneOut { dst: out_plane, pitch: w, origin: 0, residual: None, relu: false };
+            direct_plane(sample, pw, h, w, &taps, bias[oc], tight);
         });
     }
 
@@ -230,36 +197,129 @@ impl Conv2d {
     }
 }
 
-/// Scalar direct-conv plane kernel: per output element,
-/// `bias + Σ w·in` over the non-zero taps in order. `taps` holds
-/// `(plane_offset, ky·pw + kx, weight)` per tap into the padded sample.
-fn direct_plane_scalar(
+/// One non-zero filter tap: the offset of its first source element in
+/// the padded sample (`ic·ppl + ky·pw + kx`) and its weight.
+pub(crate) type Tap = (usize, f32);
+
+/// The non-zero taps of one output channel's `ic·k·k` filter panel in
+/// `(ic, ky, kx)` order, for a padded source of row pitch `pw` and
+/// plane length `ppl`. Both kernel bodies skip the same zero weights,
+/// so their accumulation order matches exactly. Training calls this
+/// per plane per forward: one allocation, no divisions.
+pub(crate) fn taps(filter: &[f32], k: usize, pw: usize, ppl: usize) -> Vec<Tap> {
+    let mut taps = Vec::with_capacity(filter.len());
+    for (ic, panel) in filter.chunks(k * k).enumerate() {
+        for (ky, wrow) in panel.chunks(k).enumerate() {
+            for (kx, &wv) in wrow.iter().enumerate() {
+                if wv != 0.0 {
+                    taps.push((ic * ppl + ky * pw + kx, wv));
+                }
+            }
+        }
+    }
+    taps
+}
+
+/// One output plane's share of a direct conv (f32 = 4 bytes), reported
+/// by whichever worker runs it. Compulsory traffic: the sample's
+/// `input_elems` are charged once (on its first output channel), each
+/// plane's own `ic·k·k` filter panel once per plane.
+pub(crate) fn record_plane_work(ickk: usize, hw: usize, input_elems: usize) {
+    sfn_prof::record_work(2 * (ickk * hw) as u64, ((ickk + input_elems) * 4) as u64, (hw * 4) as u64);
+}
+
+/// Where [`direct_plane`] writes an output plane, and what it does to
+/// each accumulator on the way: training writes a tight plane with no
+/// epilogue, a [`crate::plan::Plan`] writes straight into the padded
+/// layout the next conv reads and fuses the skip add and the ReLU.
+pub(crate) struct PlaneOut<'a> {
+    /// This plane's storage, its row pitch, and where `(0, 0)` lies.
+    pub dst: &'a mut [f32],
+    pub pitch: usize,
+    pub origin: usize,
+    /// Residual skip: offset in the source sample of the element added
+    /// to output `(0, 0)` (rows at the source pitch).
+    pub residual: Option<usize>,
+    /// Clamp at zero last.
+    pub relu: bool,
+}
+
+/// The direct-conv tap kernel for one `h × w` output plane: per
+/// element `bias + Σ w·in` over `taps` in order, then `+ residual`,
+/// then `max(·, 0.0)` — that order is the bit-identity contract
+/// between [`Conv2d::forward`] followed by separate layers and the
+/// fused plan. `sample` is the padded source (row pitch `pw`).
+///
+/// # Panics
+/// Panics if a tap, the residual or the destination would reach
+/// outside its slice; the vector body relies on these checks.
+pub(crate) fn direct_plane(
     sample: &[f32],
     pw: usize,
     h: usize,
     w: usize,
-    taps: &[(usize, usize, f32)],
+    taps: &[Tap],
     bias: f32,
-    out_plane: &mut [f32],
+    out: PlaneOut<'_>,
+) {
+    if h == 0 || w == 0 {
+        return;
+    }
+    // Last element any row loop touches, relative to its base offset.
+    let reach = (h - 1) * pw + w;
+    let base = taps.iter().map(|t| t.0).chain(out.residual).max().unwrap_or(0);
+    assert!(base + reach <= sample.len(), "conv source extent");
+    assert!(out.origin + (h - 1) * out.pitch + w <= out.dst.len(), "conv destination extent");
+    match sfn_par::simd::level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was detected by `level()`, and the two extent
+        // assertions above bound every offset the kernel forms.
+        sfn_par::simd::SimdLevel::Avx2 => unsafe {
+            direct_plane_avx2(sample, pw, h, w, taps, bias, out)
+        },
+        _ => direct_plane_scalar(sample, pw, h, 0..w, taps, bias, out),
+    }
+}
+
+/// Scalar body of [`direct_plane`], over the columns `cols` of every
+/// row (all of them, or what the vector body's 8-wide blocks left).
+fn direct_plane_scalar(
+    sample: &[f32],
+    pw: usize,
+    h: usize,
+    cols: std::ops::Range<usize>,
+    taps: &[Tap],
+    bias: f32,
+    out: PlaneOut<'_>,
 ) {
     for y in 0..h {
         let row = y * pw;
-        let orow = &mut out_plane[y * w..][..w];
-        for (x, o) in orow.iter_mut().enumerate() {
+        let orow = &mut out.dst[out.origin + y * out.pitch..][cols.clone()];
+        for (x, o) in cols.clone().zip(orow) {
             let mut acc = bias;
-            for &(pl, off, wv) in taps {
-                acc += wv * sample[pl + row + off + x];
+            for &(off, wv) in taps {
+                acc += wv * sample[off + row + x];
             }
-            *o = acc;
+            if let Some(r) = out.residual {
+                acc += sample[r + row + x];
+            }
+            *o = if out.relu { acc.max(0.0) } else { acc };
         }
     }
 }
 
-/// AVX2 direct-conv plane kernel: a 32-wide (4×ymm) register block of
+/// AVX2 body of [`direct_plane`]: a 32-wide (4×ymm) register block of
 /// accumulators per row chunk; every tap is one broadcast + 4
-/// load/mul/add, and the output row is stored exactly once. Plain
-/// mul+add in the scalar tap order keeps it bit-identical to
-/// [`direct_plane_scalar`].
+/// load/mul/add, the epilogue runs on the registers and the output row
+/// is stored exactly once. Plain mul+add in the scalar tap order (and
+/// `max` with zero as the second operand, so NaN and `-0.0` clamp to
+/// `+0.0` like `f32::max`) keeps it bit-identical to
+/// [`direct_plane_scalar`], which also finishes each row's last
+/// `w % 8` columns.
+///
+/// # Safety
+/// AVX2 must be available, and [`direct_plane`]'s two extent
+/// assertions must hold.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn direct_plane_avx2(
@@ -267,54 +327,63 @@ unsafe fn direct_plane_avx2(
     pw: usize,
     h: usize,
     w: usize,
-    taps: &[(usize, usize, f32)],
+    taps: &[Tap],
     bias: f32,
-    out_plane: &mut [f32],
+    out: PlaneOut<'_>,
 ) {
     use std::arch::x86_64::*;
     let sp = sample.as_ptr();
+    let zero = _mm256_setzero_ps();
     for y in 0..h {
         let row = y * pw;
-        let op = out_plane.as_mut_ptr().add(y * w);
+        let op = out.dst.as_mut_ptr().add(out.origin + y * out.pitch);
+        // Skip-connection row, or any valid pointer when unused.
+        let rp = sp.add(out.residual.unwrap_or(0) + row);
+        let finish = |acc: __m256, x: usize| {
+            debug_assert!(x + 8 <= w);
+            let acc = match out.residual {
+                Some(_) => _mm256_add_ps(acc, _mm256_loadu_ps(rp.add(x))),
+                None => acc,
+            };
+            let acc = if out.relu { _mm256_max_ps(acc, zero) } else { acc };
+            _mm256_storeu_ps(op.add(x), acc);
+        };
         let mut x = 0;
         while x + 32 <= w {
             let mut a0 = _mm256_set1_ps(bias);
             let mut a1 = a0;
             let mut a2 = a0;
             let mut a3 = a0;
-            for &(pl, off, wv) in taps {
-                let s = sp.add(pl + row + off + x);
+            for &(off, wv) in taps {
+                let s = sp.add(off + row + x);
                 let wv8 = _mm256_set1_ps(wv);
                 a0 = _mm256_add_ps(a0, _mm256_mul_ps(wv8, _mm256_loadu_ps(s)));
                 a1 = _mm256_add_ps(a1, _mm256_mul_ps(wv8, _mm256_loadu_ps(s.add(8))));
                 a2 = _mm256_add_ps(a2, _mm256_mul_ps(wv8, _mm256_loadu_ps(s.add(16))));
                 a3 = _mm256_add_ps(a3, _mm256_mul_ps(wv8, _mm256_loadu_ps(s.add(24))));
             }
-            _mm256_storeu_ps(op.add(x), a0);
-            _mm256_storeu_ps(op.add(x + 8), a1);
-            _mm256_storeu_ps(op.add(x + 16), a2);
-            _mm256_storeu_ps(op.add(x + 24), a3);
+            finish(a0, x);
+            finish(a1, x + 8);
+            finish(a2, x + 16);
+            finish(a3, x + 24);
             x += 32;
         }
         while x + 8 <= w {
             let mut a0 = _mm256_set1_ps(bias);
-            for &(pl, off, wv) in taps {
-                let s = _mm256_loadu_ps(sp.add(pl + row + off + x));
+            for &(off, wv) in taps {
+                let s = _mm256_loadu_ps(sp.add(off + row + x));
                 a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_set1_ps(wv), s));
             }
-            _mm256_storeu_ps(op.add(x), a0);
+            finish(a0, x);
             x += 8;
         }
-        // Scalar row tail, same per-element order.
-        for xx in x..w {
-            let mut acc = bias;
-            for &(pl, off, wv) in taps {
-                acc += wv * *sp.add(pl + row + off + xx);
-            }
-            *op.add(xx) = acc;
-        }
     }
+    direct_plane_scalar(sample, pw, h, w / 8 * 8..w, taps, bias, out);
 }
+
+/// Kernel name of the direct path in the roofline report, for
+/// [`Conv2d`] and the [`crate::plan::Plan`] convs alike.
+pub(crate) const DIRECT_KERNEL: &str = "conv2d.direct";
 
 impl Conv2d {
     /// True when the im2col + GEMM lowering pays off. The register-
@@ -338,7 +407,7 @@ impl Conv2d {
                 SimdLevel::Scalar => "conv2d.gemm.scalar",
             }
         } else {
-            "conv2d.direct"
+            DIRECT_KERNEL
         }
     }
 }

@@ -16,7 +16,11 @@
 //! * [`optim`] — SGD with momentum and Adam;
 //! * [`loss`] — MSE and weighted-MSE objectives (the DivNorm objective
 //!   lives in `sfn-surrogate` where the fluid context is available);
-//! * [`flops`] — analytic FLOP accounting per layer (Table 4).
+//! * [`flops`] — analytic FLOP accounting per layer (Table 4);
+//! * [`plan::Plan`] — the same model compiled for inference: what a
+//!   simulation step runs. [`network::Network`] trains and evaluates,
+//!   and its `predict` is the plan's bit-exact test oracle, never its
+//!   fallback; the [`plan`] docs say who owns what and why that holds.
 //!
 //! Every stochastic component (initialisation, dropout) takes explicit
 //! seeds, so training runs are reproducible.
@@ -31,6 +35,7 @@ pub mod loss;
 pub mod model_io;
 pub mod network;
 pub mod optim;
+pub mod plan;
 pub mod simd;
 pub mod spec;
 pub mod tensor;

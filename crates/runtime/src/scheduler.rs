@@ -32,7 +32,6 @@ use crate::quarantine::{QuarantineDecision, QuarantineTable};
 use sfn_ckpt::{CheckpointDoc, SchedulerState};
 use sfn_grid::Field2;
 use sfn_nn::network::SavedModel;
-use sfn_nn::Network;
 use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
 use sfn_obs::{Level, ScopedTimer};
 use sfn_sim::{ExactProjector, Simulation};
@@ -470,9 +469,9 @@ impl SmartRuntime {
         let mut projectors = Vec::with_capacity(candidates.len());
         let mut rejected = Vec::new();
         for c in candidates {
-            match Network::load(&c.saved, 0) {
-                Ok(net) => {
-                    projectors.push(NeuralProjector::new(net, c.name.clone()));
+            match NeuralProjector::try_from_saved(&c.saved, c.name.clone()) {
+                Ok(projector) => {
+                    projectors.push(projector);
                     kept.push(c);
                 }
                 Err(e) => {

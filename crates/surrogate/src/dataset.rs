@@ -57,18 +57,22 @@ pub struct ProjectionDataset {
 /// across resolutions.
 pub const PRESSURE_GAIN: f64 = 10.0;
 
+/// The normalisation factor of a divergence field: `max|∇·u*|`, or 1
+/// for an all-zero field.
+pub fn divergence_scale(divergence: &Field2) -> f64 {
+    let m = divergence.max_abs();
+    if m > 0.0 {
+        m
+    } else {
+        1.0
+    }
+}
+
 /// Builds the normalised `[1, 2, h, w]` input tensor from a divergence
 /// field and occupancy image. Returns the tensor and the scale.
 pub fn build_input(divergence: &Field2, occupancy: &Field2) -> (Tensor, f64) {
     let (w, h) = (divergence.w(), divergence.h());
-    let scale = {
-        let m = divergence.max_abs();
-        if m > 0.0 {
-            m
-        } else {
-            1.0
-        }
-    };
+    let scale = divergence_scale(divergence);
     let mut t = Tensor::zeros(1, 2, h, w);
     for j in 0..h {
         for i in 0..w {
