@@ -1,7 +1,7 @@
 //! Per-kernel micro-benchmarks — the primitives `sfn-prof` accounts
 //! for, timed in isolation at a 64² working size, plus a 128² tier for
-//! the SIMD-dispatched kernels (conv2d, gemm, pcg_mic0, spmv, advect)
-//! where cache blocking starts to matter, and whole surrogate
+//! the SIMD-dispatched kernels (conv2d, pcg_mic0, advect) where the
+//! padded-pitch layouts start to matter, and whole surrogate
 //! inferences (`infer_tompson`, `plan_build`).
 //!
 //! This suite seeds the committed `BENCH_000N.json` perf trajectory
@@ -19,7 +19,7 @@ use sfn_rng::{rngs::StdRng, SeedableRng};
 use sfn_sim::{advect, forces, PressureProjector};
 use sfn_solver::pcg::PreparedPreconditioner;
 use sfn_solver::{
-    CgSolver, CsrMatrix, JacobiSolver, MicPreconditioner, MultigridSolver, PcgSolver,
+    CgSolver, JacobiSolver, MicPreconditioner, MultigridSolver, PcgSolver,
     PoissonProblem, PoissonSolver, Preconditioner, SorSolver,
 };
 use sfn_surrogate::{tompson_default, NeuralProjector};
@@ -44,55 +44,20 @@ fn main() {
     suite.bench(&format!("cg/{GRID}"), || {
         let _ = cg.solve(&problem, &b);
     });
-    mic0_benches(&mut suite, &problem, &b);
     let mg = MultigridSolver::default();
     suite.bench(&format!("multigrid/{GRID}"), || {
         let _ = mg.solve(&problem, &b);
     });
 
-    // Sparse matrix-vector product over the assembled operator.
-    let a = CsrMatrix::assemble(&problem);
-    let x = a.pack(&b);
-    let mut y = vec![0.0; a.rows()];
-    suite.bench(&format!("spmv/{GRID}"), || {
-        a.spmv(&x, &mut y);
-    });
-
-    // Transport and body forces on a representative velocity field.
-    let sim_problem = {
-        let mut vel = sfn_grid::MacGrid::new(GRID, GRID, 1.0);
-        vel.enforce_solid_boundaries(&flags);
-        vel
-    };
-    suite.bench(&format!("advect/{GRID}"), || {
-        let _ = advect::advect_scalar(&sim_problem, &div, &flags, 0.5);
-    });
-    suite.bench(&format!("advect_velocity/{GRID}"), || {
-        let _ = advect::advect_velocity(&sim_problem, 0.5);
-    });
-    let mut vel = sim_problem.clone();
+    // Body forces on a representative velocity field.
+    let mut vel = sfn_grid::MacGrid::new(GRID, GRID, 1.0);
+    vel.enforce_solid_boundaries(&flags);
     suite.bench(&format!("forces/{GRID}"), || {
         forces::add_buoyancy(&mut vel, &div, &flags, 1.0, 0.5);
         forces::add_vorticity_confinement(&mut vel, &flags, 0.1, 0.5);
     });
 
-    // conv2d (im2col + GEMM path) and the standalone GEMM primitive.
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut conv = Conv2d::new(4, 4, 3, false, &mut rng);
-    let img = Tensor::from_fn(1, 4, GRID, GRID, |_, c, h, w| {
-        ((c * 31 + h * 5 + w) % 13) as f32 / 6.0
-    });
-    suite.bench(&format!("conv2d/{GRID}"), || {
-        let _ = conv.forward(&img, false);
-    });
-    let m = GRID;
-    let am: Vec<f32> = (0..m * m).map(|i| ((i * 31) % 11) as f32 - 5.0).collect();
-    let bm: Vec<f32> = (0..m * m).map(|i| ((i * 17) % 7) as f32 - 3.0).collect();
-    let mut cm = vec![0.0f32; m * m];
-    suite.bench(&format!("gemm/{GRID}"), || {
-        sfn_nn::layers::gemm::matmul(&am, m, m, &bm, m, &mut cm);
-    });
-
+    simd_kernels_at(&mut suite, GRID);
     simd_kernels_at(&mut suite, 128);
     inference(&mut suite);
     par_overhead(&mut suite);
@@ -166,21 +131,14 @@ fn par_overhead(suite: &mut Suite) {
     }
 }
 
-/// The 128² tier: only the kernels the SIMD dispatch touches, where
-/// the padded-pitch / cache-blocked layouts start to pay off.
+/// The kernels the SIMD dispatch touches (and MIC(0)-PCG), at `grid`²:
+/// at 128² the padded-pitch layouts start to pay off.
 fn simd_kernels_at(suite: &mut Suite, grid: usize) {
     let (flags, div) = representative_divergence(grid);
     let problem = PoissonProblem::new(&flags, 1.0);
     let b = sfn_solver::divergence_rhs(&div, &flags, 0.5);
 
     mic0_benches(suite, &problem, &b);
-
-    let a = CsrMatrix::assemble(&problem);
-    let x = a.pack(&b);
-    let mut y = vec![0.0; a.rows()];
-    suite.bench(&format!("spmv/{grid}"), || {
-        a.spmv(&x, &mut y);
-    });
 
     let vel = {
         let mut vel = sfn_grid::MacGrid::new(grid, grid, 1.0);
@@ -201,13 +159,5 @@ fn simd_kernels_at(suite: &mut Suite, grid: usize) {
     });
     suite.bench(&format!("conv2d/{grid}"), || {
         let _ = conv.forward(&img, false);
-    });
-
-    let m = grid;
-    let am: Vec<f32> = (0..m * m).map(|i| ((i * 31) % 11) as f32 - 5.0).collect();
-    let bm: Vec<f32> = (0..m * m).map(|i| ((i * 17) % 7) as f32 - 3.0).collect();
-    let mut cm = vec![0.0f32; m * m];
-    suite.bench(&format!("gemm/{grid}"), || {
-        sfn_nn::layers::gemm::matmul(&am, m, m, &bm, m, &mut cm);
     });
 }

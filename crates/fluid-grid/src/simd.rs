@@ -2,18 +2,18 @@
 //! paths.
 //!
 //! Every public function dispatches on [`sfn_par::simd::level`] between
-//! an always-compiled scalar reference (`*_scalar`) and `std::arch`
-//! variants (AVX2 on x86_64, NEON on aarch64). The scalar variants are
-//! the semantic ground truth: the `simd_diff` fuzz target and the
-//! property tests in this module compare the vector paths against them.
+//! an always-compiled scalar reference (`*_scalar`) and an AVX2
+//! `std::arch` variant on x86_64. The scalar variants are the semantic
+//! ground truth: the `simd_diff` fuzz target and the property tests in
+//! this module compare the vector paths against them.
 //!
-//! Rounding contract: the element-wise kernels ([`axpy`], [`xpay`],
-//! [`bilinear4`] and the advection row kernel built on its body,
-//! [`Backtrace::sample_row`]) perform *exactly* the scalar operation
-//! sequence with plain mul/add (no FMA contraction), so their vector
-//! results are bit-identical to the scalar reference. The reductions ([`dot`],
-//! [`norm_sq`], [`axpy_norm_sq`]) re-associate the sum across lanes and
-//! therefore agree only to rounding (a few ULP on well-scaled data).
+//! Rounding contract: the element-wise kernels ([`axpy`], [`xpay`] and
+//! the advection row kernel [`Backtrace::sample_row`]) perform
+//! *exactly* the scalar operation sequence with plain mul/add (no FMA
+//! contraction), so their vector results are bit-identical to the
+//! scalar reference. The reductions ([`dot`], [`norm_sq`],
+//! [`axpy_norm_sq`]) re-associate the sum across lanes and therefore
+//! agree only to rounding (a few ULP on well-scaled data).
 
 use sfn_par::simd::{level, SimdLevel};
 
@@ -38,8 +38,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     match level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { dot_avx2(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { dot_neon(a, b) },
         _ => dot_scalar(a, b),
     }
 }
@@ -79,27 +77,6 @@ unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn dot_neon(a: &[f64], b: &[f64]) -> f64 {
-    use std::arch::aarch64::*;
-    let n = a.len();
-    let mut acc = vdupq_n_f64(0.0);
-    let mut i = 0;
-    while i + 2 <= n {
-        let av = vld1q_f64(a.as_ptr().add(i));
-        let bv = vld1q_f64(b.as_ptr().add(i));
-        acc = vfmaq_f64(acc, av, bv);
-        i += 2;
-    }
-    let mut s = vaddvq_f64(acc);
-    while i < n {
-        s += a[i] * b[i];
-        i += 1;
-    }
-    s
-}
-
 // ------------------------------------------------------------- axpy
 
 /// Scalar reference: `y[i] += alpha·x[i]` (mul then add, no FMA).
@@ -120,8 +97,6 @@ pub fn axpy(y: &mut [f64], x: &[f64], alpha: f64) {
     match level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { axpy_avx2(y, x, alpha) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { axpy_neon(y, x, alpha) },
         _ => axpy_scalar(y, x, alpha),
     }
 }
@@ -140,26 +115,6 @@ unsafe fn axpy_avx2(y: &mut [f64], x: &[f64], alpha: f64) {
         let r = _mm256_add_pd(yv, _mm256_mul_pd(av, xv));
         _mm256_storeu_pd(y.as_mut_ptr().add(i), r);
         i += 4;
-    }
-    while i < n {
-        y[i] += alpha * x[i];
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn axpy_neon(y: &mut [f64], x: &[f64], alpha: f64) {
-    use std::arch::aarch64::*;
-    let n = y.len();
-    let av = vdupq_n_f64(alpha);
-    let mut i = 0;
-    while i + 2 <= n {
-        let xv = vld1q_f64(x.as_ptr().add(i));
-        let yv = vld1q_f64(y.as_ptr().add(i));
-        let r = vaddq_f64(yv, vmulq_f64(av, xv));
-        vst1q_f64(y.as_mut_ptr().add(i), r);
-        i += 2;
     }
     while i < n {
         y[i] += alpha * x[i];
@@ -187,8 +142,6 @@ pub fn xpay(s: &mut [f64], z: &[f64], beta: f64) {
     match level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { xpay_avx2(s, z, beta) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { xpay_neon(s, z, beta) },
         _ => xpay_scalar(s, z, beta),
     }
 }
@@ -206,26 +159,6 @@ unsafe fn xpay_avx2(s: &mut [f64], z: &[f64], beta: f64) {
         let r = _mm256_add_pd(zv, _mm256_mul_pd(bv, sv));
         _mm256_storeu_pd(s.as_mut_ptr().add(i), r);
         i += 4;
-    }
-    while i < n {
-        s[i] = z[i] + beta * s[i];
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn xpay_neon(s: &mut [f64], z: &[f64], beta: f64) {
-    use std::arch::aarch64::*;
-    let n = s.len();
-    let bv = vdupq_n_f64(beta);
-    let mut i = 0;
-    while i + 2 <= n {
-        let sv = vld1q_f64(s.as_ptr().add(i));
-        let zv = vld1q_f64(z.as_ptr().add(i));
-        let r = vaddq_f64(zv, vmulq_f64(bv, sv));
-        vst1q_f64(s.as_mut_ptr().add(i), r);
-        i += 2;
     }
     while i < n {
         s[i] = z[i] + beta * s[i];
@@ -259,8 +192,6 @@ pub fn axpy_norm_sq(r: &mut [f64], a: &[f64], alpha: f64) -> f64 {
     match level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { axpy_norm_sq_avx2(r, a, alpha) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { axpy_norm_sq_neon(r, a, alpha) },
         _ => axpy_norm_sq_scalar(r, a, alpha),
     }
 }
@@ -294,32 +225,7 @@ unsafe fn axpy_norm_sq_avx2(r: &mut [f64], a: &[f64], alpha: f64) -> f64 {
     s
 }
 
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn axpy_norm_sq_neon(r: &mut [f64], a: &[f64], alpha: f64) -> f64 {
-    use std::arch::aarch64::*;
-    let n = r.len();
-    let av = vdupq_n_f64(alpha);
-    let mut acc = vdupq_n_f64(0.0);
-    let mut i = 0;
-    while i + 2 <= n {
-        let xv = vld1q_f64(a.as_ptr().add(i));
-        let rv = vld1q_f64(r.as_ptr().add(i));
-        let nr = vaddq_f64(rv, vmulq_f64(av, xv));
-        vst1q_f64(r.as_mut_ptr().add(i), nr);
-        acc = vfmaq_f64(acc, nr, nr);
-        i += 2;
-    }
-    let mut s = vaddvq_f64(acc);
-    while i < n {
-        r[i] += alpha * a[i];
-        s += r[i] * r[i];
-        i += 1;
-    }
-    s
-}
-
-// ------------------------------------------------------- bilinear4
+// -------------------------------------------------------- bilinear
 
 /// Scalar reference: clamped bilinear sample of a `w×h` row-major grid
 /// at `(x, y)` in index space — the exact operation sequence of
@@ -368,8 +274,14 @@ impl<'a> Grid<'a> {
         bilinear_scalar(self.data, self.w, self.h, x, y)
     }
 
-    /// Four clamped bilinear samples at lanes `(x, y)`: the register
-    /// level body of [`bilinear4`].
+    /// Four clamped bilinear samples at lanes `(x, y)`: gathers the 16
+    /// corner values and performs the same mul/add lerp sequence as
+    /// [`bilinear_scalar`], so results are bit-identical.
+    ///
+    /// NaN coordinates are the one divergence from scalar `clamp`
+    /// (which propagates NaN): the vector clamp maps NaN to index 0.
+    /// Callers (advection backtraces over finite fields) never produce
+    /// NaN coordinates; the fuzz generator enforces finiteness too.
     ///
     /// # Safety
     /// Needs AVX2.
@@ -424,40 +336,6 @@ impl<'a> Grid<'a> {
     }
 }
 
-/// Four clamped bilinear samples at once, vector-dispatched. The AVX2
-/// path gathers the 16 corner values and performs the same mul/add
-/// lerp sequence as [`bilinear_scalar`], so results are bit-identical.
-///
-/// NaN coordinates are the one divergence from scalar `clamp` (which
-/// panics on NaN bounds never, but propagates NaN): the vector clamp
-/// maps NaN to index 0. Callers (advection backtraces over finite
-/// fields) never produce NaN coordinates; the fuzz generator enforces
-/// finiteness too.
-///
-/// # Panics
-/// As [`Grid::new`].
-pub fn bilinear4(data: &[f64], w: usize, h: usize, xs: &[f64; 4], ys: &[f64; 4]) -> [f64; 4] {
-    let grid = Grid::new(data, w, h);
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { bilinear4_avx2(&grid, xs, ys) },
-        _ => std::array::from_fn(|k| grid.sample(xs[k], ys[k])),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn bilinear4_avx2(grid: &Grid, xs: &[f64; 4], ys: &[f64; 4]) -> [f64; 4] {
-    use std::arch::x86_64::*;
-    let mut out = [0.0f64; 4];
-    // SAFETY: AVX2 is enabled for this function; the arrays hold 4 lanes.
-    unsafe {
-        let r = grid.sample4(_mm256_loadu_pd(xs.as_ptr()), _mm256_loadu_pd(ys.as_ptr()));
-        _mm256_storeu_pd(out.as_mut_ptr(), r);
-    }
-    out
-}
-
 // ------------------------------------------------------- backtrace
 
 /// The semi-Lagrangian kernel shared by every bilinear advection: `src`
@@ -486,10 +364,10 @@ pub struct Backtrace<'a> {
 
 impl Backtrace<'_> {
     /// Fills `out` (a prefix of row `j` of a `src`-shaped field). The
-    /// AVX2 path traces 4 points per step through the gathered body of
-    /// [`bilinear4`] and repeats the scalar expression order exactly,
-    /// so both paths agree bit-for-bit (finite coordinates, see
-    /// [`bilinear4`]); the scalar reference also finishes the row tail.
+    /// AVX2 path traces 4 points per step through the gathered
+    /// `Grid::sample4` and repeats the scalar expression order exactly,
+    /// so both paths agree bit-for-bit (finite coordinates, see there);
+    /// the scalar reference also finishes the row tail.
     pub fn sample_row(&self, j: usize, out: &mut [f64]) {
         let done = match level() {
             #[cfg(target_arch = "x86_64")]
@@ -601,6 +479,27 @@ mod tests {
             assert_eq!(r1, r2, "residual update n={n}");
             let s_two = dot_scalar(&r2, &r2);
             assert!((s_fused - s_two).abs() <= 1e-12 * s_two.max(1.0));
+        }
+    }
+
+    /// Four samples through the dispatched body of
+    /// [`Backtrace::sample_row`]'s gather.
+    fn bilinear4(data: &[f64], w: usize, h: usize, xs: &[f64; 4], ys: &[f64; 4]) -> [f64; 4] {
+        let grid = Grid::new(data, w, h);
+        match level() {
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => {
+                use std::arch::x86_64::*;
+                let mut out = [0.0f64; 4];
+                // SAFETY: level() reports AVX2 only when the CPU has
+                // it; the arrays hold 4 lanes.
+                unsafe {
+                    let r = grid.sample4(_mm256_loadu_pd(xs.as_ptr()), _mm256_loadu_pd(ys.as_ptr()));
+                    _mm256_storeu_pd(out.as_mut_ptr(), r);
+                }
+                out
+            }
+            _ => std::array::from_fn(|k| grid.sample(xs[k], ys[k])),
         }
     }
 

@@ -24,7 +24,6 @@
 
 #![warn(missing_docs)]
 
-pub mod csr;
 pub mod ic0;
 pub mod jacobi;
 pub mod laplace;
@@ -34,7 +33,6 @@ pub mod sor;
 
 use sfn_grid::{CellFlags, Field2};
 
-pub use csr::CsrMatrix;
 pub use ic0::MicPreconditioner;
 pub use jacobi::JacobiSolver;
 pub use laplace::PoissonProblem;

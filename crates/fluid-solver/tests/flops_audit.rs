@@ -17,7 +17,7 @@
 use sfn_grid::{CellFlags, Field2};
 use sfn_solver::ic0::MicPreconditioner;
 use sfn_solver::pcg::{CgSolver, PcgSolver};
-use sfn_solver::{CsrMatrix, PoissonProblem, PoissonSolver};
+use sfn_solver::{PoissonProblem, PoissonSolver};
 
 fn random_rhs(flags: &CellFlags, seed: u64) -> Field2 {
     let mut state = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(7);
@@ -116,16 +116,5 @@ fn declared_flops_match_measured_within_5pct() {
         mic.bytes_written - mic_build.bytes_written,
         applies * 2 * cells * 8
     );
-
-    // --- Assembled SpMV ---------------------------------------------
-    sfn_prof::reset();
-    let a = CsrMatrix::assemble(&problem);
-    let x = a.pack(&b);
-    let mut y = vec![0.0; a.rows()];
-    a.spmv(&x, &mut y);
-    let spmv = kernel_totals("spmv");
     sfn_prof::set_enabled(false);
-    // Exactly one multiply-add per stored non-zero.
-    assert_eq!(spmv.calls, 1);
-    assert_eq!(spmv.flops, 2 * a.nnz() as u64);
 }

@@ -86,7 +86,7 @@ pub fn all() -> Vec<Target> {
         },
         Target {
             name: "simd_diff",
-            about: "vector-vs-scalar differential oracle over conv/GEMM/SpMV/advect (≤4 ULP)",
+            about: "vector-vs-scalar differential oracle over conv/stencil/advect/plan (≤4 ULP)",
             run: run_simd_diff,
             seeds: |rng| (0..12).map(|_| crate::gen::simd_diff_case(rng)).collect(),
             dict: SIMD_DIFF_DICT,
@@ -612,7 +612,7 @@ fn run_http(input: &[u8]) -> Outcome {
 /// selected kernel runs once pinned to the scalar reference path and
 /// once at the ambient SIMD level; every output element must agree
 /// within `MAX_ULP` units-in-the-last-place. The element-wise kernels
-/// (conv, GEMM, SpMV, advect, the inference plan) are in fact
+/// (conv, the Poisson stencil, advect, the inference plan) are in fact
 /// *bit-identical* by construction — the vector paths repeat the
 /// scalar operation order — so the 4-ULP budget is headroom for future
 /// kernels that reassociate.
@@ -655,10 +655,9 @@ fn run_simd_diff(input: &[u8]) -> Outcome {
     };
 
     let failure = match b[0] % 5 {
-        0 => {
-            // Conv2d, both the direct and the im2col+GEMM path
-            // depending on ic·k² (the path choice is level-independent,
-            // so both runs take the same one).
+        // Two selectors on conv, so every selector byte the generator
+        // emits (0..5) runs a kernel.
+        0 | 1 => {
             let in_ch = b[1] as usize % 3 + 1;
             let out_ch = b[2] as usize % 4 + 1;
             let k = [1, 3, 5][b[3] as usize % 3];
@@ -677,23 +676,8 @@ fn run_simd_diff(input: &[u8]) -> Outcome {
             let vector = layer.forward(&input, false);
             check_f32(scalar.data(), vector.data(), "conv2d")
         }
-        1 => {
-            // Raw blocked GEMM.
-            let m = b[1] as usize % 24 + 1;
-            let k = b[2] as usize % 48 + 1;
-            let n = b[3] as usize % 24 + 1;
-            let a: Vec<f32> = (0..m * k).map(|_| rng.random_range(-2.0..2.0) as f32).collect();
-            let bm: Vec<f32> = (0..k * n).map(|_| rng.random_range(-2.0..2.0) as f32).collect();
-            let mut scalar = vec![0.0f32; m * n];
-            let mut vector = vec![0.0f32; m * n];
-            with_level(SimdLevel::Scalar, || {
-                sfn_nn::layers::gemm::matmul(&a, m, k, &bm, n, &mut scalar)
-            });
-            sfn_nn::layers::gemm::matmul(&a, m, k, &bm, n, &mut vector);
-            check_f32(&scalar, &vector, "gemm")
-        }
         2 => {
-            // Assembled SpMV (ELL gather vs CSR scalar).
+            // The 5-point Poisson stencil PCG applies every iteration.
             let nx = b[1] as usize % 24 + 4;
             let ny = b[2] as usize % 24 + 4;
             let mut flags = sfn_grid::CellFlags::smoke_box(nx, ny);
@@ -705,13 +689,14 @@ fn run_simd_diff(input: &[u8]) -> Outcome {
                 );
             }
             let problem = sfn_solver::PoissonProblem::new(&flags, 0.5);
-            let a = sfn_solver::CsrMatrix::assemble(&problem);
-            let x: Vec<f64> = (0..a.rows()).map(|_| rng.random_range(-3.0..3.0)).collect();
-            let mut scalar = vec![0.0; a.rows()];
-            let mut vector = vec![0.0; a.rows()];
-            with_level(SimdLevel::Scalar, || a.spmv(&x, &mut scalar));
-            a.spmv(&x, &mut vector);
-            check_f64(&scalar, &vector, "spmv")
+            let plan = sfn_solver::laplace::StencilPlan::new(&problem);
+            // Non-fluid entries too: the plan must zero them out itself.
+            let x = sfn_grid::Field2::from_fn(nx, ny, |_, _| rng.random_range(-3.0..3.0));
+            let mut scalar = sfn_grid::Field2::new(nx, ny);
+            let mut vector = sfn_grid::Field2::new(nx, ny);
+            with_level(SimdLevel::Scalar, || plan.apply(&x, &mut scalar));
+            plan.apply(&x, &mut vector);
+            check_f64(scalar.data(), vector.data(), "stencil")
         }
         4 => {
             // A whole inference plan: the direct kernel's fused skip

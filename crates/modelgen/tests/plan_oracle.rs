@@ -2,9 +2,7 @@
 //! [`Plan`] and [`Network::predict`] agree `to_bits` on every output
 //! element, for every architecture the §4 transformations generate
 //! from the reference models — whatever the grid, the SIMD level and
-//! the thread count. (Only a conv wide enough for `Conv2d`'s GEMM
-//! lowering, which no generated model has and the plan does not
-//! take, agrees to rounding instead.)
+//! the thread count.
 
 use sfn_modelgen::transform::{dropout, narrow, pooling, shallow};
 use sfn_nn::network::SavedModel;
@@ -117,10 +115,8 @@ fn plan_matches_network_predict_bit_for_bit() {
             let got = sfn_par::with_threads(threads, || simd::with_level(level, || planned(&saved, &input)));
             assert_eq!(got.len(), want.len());
             for (i, (a, b)) in want.data().iter().zip(&got).enumerate() {
-                // The oracle sums a wide conv in GEMM order.
-                let close = wide && (a - b).abs() <= 1e-4 * a.abs().max(1.0);
                 assert!(
-                    a.to_bits() == b.to_bits() || close,
+                    a.to_bits() == b.to_bits(),
                     "{} at {h}x{w}, {level:?}, {threads} threads: element {i}: {a} vs {b}",
                     spec.render()
                 );

@@ -97,8 +97,7 @@ impl Conv2d {
 }
 
 impl Conv2d {
-    /// Direct convolution over padded-halo input copies (used where
-    /// im2col traffic dominates: small output-channel counts).
+    /// Direct convolution over padded-halo input copies.
     ///
     /// Each input plane is first copied into a zero-padded buffer whose
     /// row pitch is rounded to a full cache line
@@ -144,56 +143,6 @@ impl Conv2d {
             let tight = PlaneOut { dst: out_plane, pitch: w, origin: 0, residual: None, relu: false };
             direct_plane(sample, pw, h, w, &taps, bias[oc], tight);
         });
-    }
-
-    /// im2col + GEMM convolution (the fast path; see
-    /// [`crate::layers::gemm`]).
-    fn forward_gemm(&self, input: &Tensor, out: &mut Tensor) {
-        use crate::layers::gemm::{im2col, matmul, matmul_seq};
-        let (n, _, h, w) = input.shape();
-        let hw = h * w;
-        let ickk = self.in_ch * self.kernel * self.kernel;
-        let chw = self.in_ch * hw;
-        let ochw = self.out_ch * hw;
-        let weight = &self.weight;
-        let bias = &self.bias;
-        let kernel = self.kernel;
-        let in_ch = self.in_ch;
-        let out_ch = self.out_ch;
-        let add_bias = |chunk: &mut [f32]| {
-            for (oc, row) in chunk.chunks_mut(hw).enumerate() {
-                let b = bias[oc];
-                if b != 0.0 {
-                    for v in row {
-                        *v += b;
-                    }
-                }
-            }
-        };
-        // Per-sample work share, reported by whichever thread runs the
-        // sample (f32 = 4 bytes): the input image, the im2col matrix
-        // both ways, the weight panel, and the output chunk.
-        let sample_flops = 2 * (out_ch * ickk * hw) as u64;
-        let sample_reads = ((chw + ickk * hw + out_ch * ickk) * 4) as u64;
-        let sample_writes = ((ickk * hw + ochw) * 4) as u64;
-        if n >= 2 {
-            // Parallel over samples; each GEMM runs sequentially.
-            let est_ns = super::est_ns(sample_flops as usize * n, true);
-            sfn_par::for_each_chunk_mut(out.data_mut(), ochw, est_ns, |nn, chunk| {
-                    sfn_prof::record_work(sample_flops, sample_reads, sample_writes);
-                    let mut cols = vec![0.0f32; ickk * hw];
-                    let sample = &input.data()[nn * chw..(nn + 1) * chw];
-                    im2col(sample, in_ch, h, w, kernel, &mut cols);
-                    matmul_seq(weight, out_ch, ickk, &cols, hw, chunk);
-                    add_bias(chunk);
-                });
-        } else {
-            sfn_prof::record_work(sample_flops, sample_reads, sample_writes);
-            let mut cols = vec![0.0f32; ickk * hw];
-            im2col(&input.data()[..chw], in_ch, h, w, kernel, &mut cols);
-            matmul(weight, out_ch, ickk, &cols, hw, out.data_mut());
-            add_bias(&mut out.data_mut()[..ochw]);
-        }
     }
 }
 
@@ -385,33 +334,6 @@ unsafe fn direct_plane_avx2(
 /// [`Conv2d`] and the [`crate::plan::Plan`] convs alike.
 pub(crate) const DIRECT_KERNEL: &str = "conv2d.direct";
 
-impl Conv2d {
-    /// True when the im2col + GEMM lowering pays off. The register-
-    /// blocked direct kernel reads the (L2-resident) padded input in
-    /// place, while im2col materialises an `ic·k²·h·w` matrix; measured
-    /// on AVX2 the direct path wins up to ~128 channels at 3×3
-    /// (`ic·k² ≈ 1152`), where the materialised panel reuse across
-    /// output channels finally amortises the im2col traffic.
-    fn use_gemm(&self) -> bool {
-        self.in_ch * self.kernel * self.kernel >= 1024
-    }
-
-    /// Per-path kernel name for the roofline report, e.g.
-    /// `conv2d.direct` vs `conv2d.gemm.avx2`.
-    fn kernel_name(&self) -> &'static str {
-        use sfn_par::simd::{level, SimdLevel};
-        if self.use_gemm() {
-            match level() {
-                SimdLevel::Avx2 => "conv2d.gemm.avx2",
-                SimdLevel::Neon => "conv2d.gemm.neon",
-                SimdLevel::Scalar => "conv2d.gemm.scalar",
-            }
-        } else {
-            DIRECT_KERNEL
-        }
-    }
-}
-
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         let (n, c, h, w) = input.shape();
@@ -419,13 +341,9 @@ impl Layer for Conv2d {
         // Worker threads report their shares via `record_work`; the
         // scope merges them at exit. Only the residual add (done here on
         // the caller thread) is recorded directly.
-        let scope = sfn_prof::KernelScope::enter(self.kernel_name());
+        let scope = sfn_prof::KernelScope::enter(DIRECT_KERNEL);
         let mut out = Tensor::zeros(n, self.out_ch, h, w);
-        if self.use_gemm() {
-            self.forward_gemm(input, &mut out);
-        } else {
-            self.forward_direct(input, &mut out);
-        }
+        self.forward_direct(input, &mut out);
         if self.residual {
             out.add_scaled(input, 1.0);
             if scope.active() {
@@ -721,39 +639,6 @@ mod tests {
         let layer = Conv2d::new(4, 8, 3, false, &mut rng);
         // 2 * 8*4*9 * 16*16 = 147456
         assert_eq!(layer.flops((4, 16, 16)), 2 * 8 * 4 * 9 * 256);
-    }
-
-    #[test]
-    fn gemm_and_direct_paths_agree() {
-        let mut rng = rng_from_seed(21);
-        // Exercises both code paths explicitly (forward() would pick direct).
-        let mut layer = Conv2d::new(4, 5, 3, false, &mut rng);
-        let input = Tensor::from_fn(3, 4, 9, 7, |n, c, h, w| {
-            ((n * 41 + c * 13 + h * 5 + w * 3) % 17) as f32 / 8.0 - 1.0
-        });
-        let mut a = Tensor::zeros(3, 5, 9, 7);
-        let mut b = Tensor::zeros(3, 5, 9, 7);
-        layer.forward_direct(&input, &mut a);
-        layer.forward_gemm(&input, &mut b);
-        for (x, y) in a.data().iter().zip(b.data()) {
-            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn gemm_single_sample_path() {
-        let mut rng = rng_from_seed(22);
-        let mut layer = Conv2d::new(3, 4, 5, false, &mut rng);
-        let input = Tensor::from_fn(1, 3, 8, 8, |_, c, h, w| {
-            ((c * 7 + h * 3 + w) % 9) as f32 - 4.0
-        });
-        let mut a = Tensor::zeros(1, 4, 8, 8);
-        let mut b = Tensor::zeros(1, 4, 8, 8);
-        layer.forward_direct(&input, &mut a);
-        layer.forward_gemm(&input, &mut b);
-        for (x, y) in a.data().iter().zip(b.data()) {
-            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
-        }
     }
 
     #[test]

@@ -26,11 +26,7 @@
 //! buffer interiors; `Dropout` (the identity at inference) compiles to
 //! nothing. **Not planned:** `Dense` — a pressure surrogate is fully
 //! convolutional, so a spec containing one is a typed [`SpecError`] —
-//! batches (a plan runs one sample), anything about training, and the
-//! im2col + GEMM lowering: every conv runs the direct tap kernel. No
-//! model in the tree reaches `ic·k² ≥ 1024`, where `Conv2d` switches
-//! to GEMM and sums in another order; there the plan agrees with
-//! `Network::predict` to rounding, not to the bit.
+//! batches (a plan runs one sample), and anything about training.
 
 use crate::arena::{padded_pitch, AlignedBuf};
 use crate::layers::activation::{relu, sigmoid};

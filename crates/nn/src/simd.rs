@@ -1,4 +1,4 @@
-//! Vectorised f32 primitives for the conv/GEMM hot paths.
+//! Vectorised f32 row primitives.
 //!
 //! Same contract as `sfn_grid::simd`: an always-compiled scalar
 //! reference defines the semantics, `std::arch` variants dispatch on
@@ -30,8 +30,6 @@ pub fn row_axpy(out: &mut [f32], x: &[f32], a: f32) {
     match level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { row_axpy_avx2(out, x, a) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { row_axpy_neon(out, x, a) },
         _ => row_axpy_scalar(out, x, a),
     }
 }
@@ -68,25 +66,6 @@ unsafe fn row_axpy_avx2(out: &mut [f32], x: &[f32], a: f32) {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn row_axpy_neon(out: &mut [f32], x: &[f32], a: f32) {
-    use std::arch::aarch64::*;
-    let n = out.len();
-    let av = vdupq_n_f32(a);
-    let mut i = 0;
-    while i + 4 <= n {
-        let xv = vld1q_f32(x.as_ptr().add(i));
-        let ov = vld1q_f32(out.as_ptr().add(i));
-        vst1q_f32(out.as_mut_ptr().add(i), vaddq_f32(ov, vmulq_f32(av, xv)));
-        i += 4;
-    }
-    while i < n {
-        out[i] += a * x[i];
-        i += 1;
-    }
-}
-
 /// Scalar reference: dot product of two rows (FMA accumulation to
 /// match the vector paths' per-step rounding).
 pub fn row_dot_scalar(a: &[f32], b: &[f32]) -> f32 {
@@ -107,8 +86,6 @@ pub fn row_dot(a: &[f32], b: &[f32]) -> f32 {
     match level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { row_dot_avx2(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { row_dot_neon(a, b) },
         _ => row_dot_scalar(a, b),
     }
 }
@@ -132,27 +109,6 @@ unsafe fn row_dot_avx2(a: &[f32], b: &[f32]) -> f32 {
     let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
     let s1 = _mm_add_ss(s2, _mm_shuffle_ps::<1>(s2, s2));
     let mut s = _mm_cvtss_f32(s1);
-    while i < n {
-        s = a[i].mul_add(b[i], s);
-        i += 1;
-    }
-    s
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn row_dot_neon(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::aarch64::*;
-    let n = a.len();
-    let mut acc = vdupq_n_f32(0.0);
-    let mut i = 0;
-    while i + 4 <= n {
-        let av = vld1q_f32(a.as_ptr().add(i));
-        let bv = vld1q_f32(b.as_ptr().add(i));
-        acc = vfmaq_f32(acc, av, bv);
-        i += 4;
-    }
-    let mut s = vaddvq_f32(acc);
     while i < n {
         s = a[i].mul_add(b[i], s);
         i += 1;

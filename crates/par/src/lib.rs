@@ -40,46 +40,9 @@ pub use pool::MIN_FAN_OUT_NS;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Cache-line size assumed by the blocking helpers (universal on the
-/// x86_64 and aarch64 parts we target).
-pub const CACHE_LINE_BYTES: usize = 64;
-
-/// Per-chunk working-set budget for [`blocked_chunk_len`]: half a
-/// typical 512 KiB private L2, leaving room for a second streamed
-/// operand.
-pub const L2_BLOCK_BYTES: usize = 256 * 1024;
-
 /// `est_ns` for work that is coarse by construction (a simulation, a
 /// training run per item): always worth the pool.
 pub const COARSE: u64 = u64::MAX;
-
-/// Cache-block-aware chunk length for a parallel loop over `total`
-/// elements of `elem_bytes` each.
-///
-/// The returned length is a multiple of `unit` (a row, a plane, a
-/// register-tile height — whatever the kernel's indexing requires),
-/// sized so one chunk's working set stays within [`L2_BLOCK_BYTES`]
-/// while still splitting into enough chunks to feed the worker pool.
-/// `unit` is always respected exactly: callers can keep doing
-/// `chunk_index * chunk_len` arithmetic on the result.
-///
-/// # Panics
-/// Panics if `unit` or `elem_bytes` is zero.
-pub fn blocked_chunk_len(total: usize, elem_bytes: usize, unit: usize) -> usize {
-    assert!(unit > 0, "unit must be positive");
-    assert!(elem_bytes > 0, "elem_bytes must be positive");
-    let units = total.div_ceil(unit);
-    if units <= 1 {
-        return unit;
-    }
-    // Largest number of units per chunk that fits the L2 budget …
-    let per_block = (L2_BLOCK_BYTES / (unit * elem_bytes).max(1)).max(1);
-    // … but keep at least 2 chunks per worker so dynamic stealing can
-    // still balance heterogeneous progress.
-    let min_chunks = (2 * thread_count()).max(1);
-    let per_balance = (units / min_chunks).max(1);
-    per_block.min(per_balance).max(1) * unit
-}
 
 /// Cached [`thread_count`]; 0 = not resolved yet.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -336,27 +299,6 @@ mod tests {
     #[test]
     fn thread_count_is_positive() {
         assert!(thread_count() >= 1);
-    }
-
-    #[test]
-    fn blocked_chunk_len_respects_unit() {
-        // 1024 rows of 64 f32s: chunks must be whole multiples of a row.
-        let len = blocked_chunk_len(1024 * 64, 4, 64);
-        assert_eq!(len % 64, 0);
-        assert!(len >= 64);
-        // A single unit stays a single unit.
-        assert_eq!(blocked_chunk_len(64, 4, 64), 64);
-        // Chunks never exceed the L2 budget by more than one unit.
-        assert!(len * 4 <= L2_BLOCK_BYTES.max(64 * 4));
-    }
-
-    #[test]
-    fn blocked_chunk_len_splits_large_work() {
-        // A big array must split into more than one chunk.
-        let total = 8 * 1024 * 1024;
-        let len = blocked_chunk_len(total, 8, 8);
-        assert!(len < total);
-        assert_eq!(len % 8, 0);
     }
 
     #[test]

@@ -136,9 +136,9 @@ fn grow(st: &mut State, want: usize) {
 /// Single-thread run time under which a call stays inline. Waking a
 /// parked helper and waiting out its last chunk costs the caller
 /// ~10–30 µs (`kernels` bench on the 2-vCPU reference VM, inline →
-/// fanned out: `par_overhead/16k` 2.8 → 11 µs, `gemm/64` 11 → 32 µs,
-/// `conv2d/64` 30 → 61 µs; `conv2d/128` at 115 µs breaks even,
-/// `gemm/128` 84 → 59 µs and `advect/128` 233 → 155 µs gain).
+/// fanned out: `par_overhead/16k` 2.8 → 11 µs, `conv2d/64` 30 → 61 µs;
+/// `conv2d/128` at 115 µs breaks even and `advect/128` 233 → 155 µs
+/// gains).
 pub const MIN_FAN_OUT_NS: u64 = 80_000;
 
 /// Runs `f(i)` for every `i in 0..n` on the caller plus up to

@@ -1,20 +1,19 @@
 //! Runtime SIMD dispatch shared by every vectorised kernel in the
 //! workspace.
 //!
-//! The hot kernels (conv2d, GEMM, SpMV, the PCG vector ops, advection
-//! gathers) each keep an always-compiled scalar reference path and add
-//! `std::arch` variants behind *runtime* feature detection — the binary
-//! stays portable, and the scalar path doubles as the differential
-//! oracle baseline for the `simd_diff` fuzz target.
+//! The hot kernels (conv2d, the Poisson stencil, the PCG vector ops,
+//! advection gathers) each keep an always-compiled scalar reference
+//! path and add `std::arch` variants behind *runtime* feature
+//! detection — the binary stays portable, and the scalar path doubles
+//! as the differential oracle baseline for the `simd_diff` fuzz target.
 //!
 //! Resolution order:
 //!
-//! 1. `SFN_SIMD` environment override: `auto` (default), `avx2`,
-//!    `neon`, or `scalar`. Requesting an ISA the CPU (or target arch)
-//!    does not have falls back to scalar — never to an illegal
-//!    instruction.
-//! 2. Otherwise runtime detection: AVX2+FMA on x86_64, NEON on
-//!    aarch64, scalar everywhere else.
+//! 1. `SFN_SIMD` environment override: `auto` (default), `avx2`, or
+//!    `scalar`. Requesting an ISA the CPU (or target arch) does not
+//!    have falls back to scalar — never to an illegal instruction.
+//! 2. Otherwise runtime detection: AVX2+FMA on x86_64, scalar
+//!    everywhere else.
 //!
 //! The decision is made once and cached in an atomic; [`force`] lets
 //! tests pin a level (and restore `None` to re-read the environment).
@@ -28,8 +27,6 @@ pub enum SimdLevel {
     Scalar,
     /// x86_64 AVX2 + FMA (8×f32 / 4×f64 lanes).
     Avx2,
-    /// aarch64 NEON (4×f32 / 2×f64 lanes).
-    Neon,
 }
 
 impl SimdLevel {
@@ -38,7 +35,6 @@ impl SimdLevel {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Neon => "neon",
         }
     }
 }
@@ -49,7 +45,6 @@ fn encode(l: SimdLevel) -> u8 {
     match l {
         SimdLevel::Scalar => 1,
         SimdLevel::Avx2 => 2,
-        SimdLevel::Neon => 3,
     }
 }
 
@@ -57,7 +52,6 @@ fn decode(v: u8) -> Option<SimdLevel> {
     match v {
         1 => Some(SimdLevel::Scalar),
         2 => Some(SimdLevel::Avx2),
-        3 => Some(SimdLevel::Neon),
         _ => None,
     }
 }
@@ -73,12 +67,6 @@ pub fn detect() -> SimdLevel {
             return SimdLevel::Avx2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return SimdLevel::Neon;
-        }
-    }
     SimdLevel::Scalar
 }
 
@@ -91,13 +79,6 @@ fn resolve() -> SimdLevel {
         Ok("avx2") => {
             if detected == SimdLevel::Avx2 {
                 SimdLevel::Avx2
-            } else {
-                detected
-            }
-        }
-        Ok("neon") => {
-            if detected == SimdLevel::Neon {
-                SimdLevel::Neon
             } else {
                 detected
             }
@@ -148,7 +129,6 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(SimdLevel::Scalar.as_str(), "scalar");
         assert_eq!(SimdLevel::Avx2.as_str(), "avx2");
-        assert_eq!(SimdLevel::Neon.as_str(), "neon");
     }
 
     #[test]
@@ -168,8 +148,6 @@ mod tests {
         let d = detect();
         #[cfg(not(target_arch = "x86_64"))]
         assert_ne!(d, SimdLevel::Avx2);
-        #[cfg(not(target_arch = "aarch64"))]
-        assert_ne!(d, SimdLevel::Neon);
         let _ = d;
     }
 }

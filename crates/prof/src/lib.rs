@@ -25,7 +25,7 @@
 //!
 //! Kernel names are dotted paths: the first segment is the logical
 //! kernel, later segments name the dispatched implementation —
-//! `conv2d.direct`, `conv2d.gemm.avx2`, `spmv.ell.avx2`, `advect.avx2`.
+//! `conv2d.direct`, `advect.avx2`, `mic0.build`.
 //! Aggregating tools sum by first-segment prefix to compare logical
 //! kernels across SIMD levels (`SFN_SIMD=scalar` vs `auto` profiles),
 //! and keep the full name to attribute work to one code path.
@@ -454,7 +454,7 @@ mod tests {
     #[test]
     fn dotted_per_path_names_stay_distinct_and_prefix_aggregable() {
         // The SIMD dispatchers record one entry per code path
-        // (`conv2d.direct` vs `conv2d.gemm.avx2`); consumers sum by
+        // (`advect` vs `advect.avx2`); consumers sum by
         // first-segment prefix to compare logical kernels.
         let _g = hold();
         set_enabled(true);

@@ -42,6 +42,7 @@ pub use knn::KnnDatabase;
 pub use persist::DurableCheckpointer;
 pub use quarantine::{QuarantineDecision, QuarantineEntryState, QuarantineTable, MAX_STRIKES};
 pub use scheduler::{
-    CandidateModel, RunLimits, RunOutcome, RuntimeConfig, SchedulerEvent, SmartRuntime, Truncation,
+    decide, Action, CandidateModel, RunLimits, RunOutcome, RuntimeConfig, SchedulerEvent,
+    SmartRuntime, Truncation,
 };
 pub use telemetry::RunSummary;

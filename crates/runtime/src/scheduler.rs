@@ -34,7 +34,7 @@ use sfn_grid::Field2;
 use sfn_nn::network::SavedModel;
 use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
 use sfn_obs::{Level, ScopedTimer};
-use sfn_sim::{ExactProjector, Simulation};
+use sfn_sim::{ExactProjector, PressureProjector, Simulation, StepStats};
 use sfn_solver::{MicPreconditioner, PcgSolver};
 use sfn_surrogate::NeuralProjector;
 
@@ -166,7 +166,7 @@ impl Truncation {
 /// dereference an empty candidate neighbourhood (the verdict is typed,
 /// not a string to re-interpret).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Action {
+pub enum Action {
     /// Escalate to the (available) candidate at this index.
     SwitchUp(usize),
     /// Relax to the (available) candidate at this index.
@@ -187,6 +187,32 @@ impl Action {
             Action::Restart => "restart",
             Action::Keep => "keep",
         }
+    }
+}
+
+/// Algorithm 2 lines 8–16 as a pure function: the verdict for a
+/// predicted final quality loss against the band `[lo, hi]` around the
+/// requirement. `up` / `down` are the nearest *available* candidates
+/// above and below the running one (the caller applies quarantine);
+/// `use_mlp` gates relaxation to a faster model.
+pub fn decide(
+    predicted_loss: f64,
+    lo: f64,
+    hi: f64,
+    use_mlp: bool,
+    up: Option<usize>,
+    down: Option<usize>,
+) -> Action {
+    if predicted_loss > hi {
+        // Line 16: nothing more accurate left — fall back to PCG.
+        up.map_or(Action::Restart, Action::SwitchUp)
+    } else if predicted_loss < lo && use_mlp {
+        // Comfortable slack: move to a faster model — unless quarantine
+        // emptied the neighbourhood below, in which case there is
+        // nowhere to relax to and we keep.
+        down.map_or(Action::Keep, Action::SwitchDown)
+    } else {
+        Action::Keep
     }
 }
 
@@ -680,30 +706,14 @@ impl SmartRuntime {
                 truncation = Some(t);
                 break;
             }
-            // Per-step timeline record (Trace level): the raw material
-            // for `sfn-trace analyze` / `export` — timing is only taken
-            // when something would record the event.
-            let step_t0 = (sfn_obs::event_enabled(Level::Trace) || sfn_metrics::live())
-                .then(std::time::Instant::now);
-            let stats = sim.step(&mut self.projectors[current]);
-            let div_norm = stats.div_norm * inv_cells;
-            tracker.push(div_norm);
-            sfn_obs::histogram_record("runtime.div_norm", div_norm);
+            let name = &self.candidates[current].name;
+            let stats =
+                timed_step(&mut sim, &mut self.projectors[current], name, step + 1, inv_cells, &mut tracker);
+            sfn_obs::histogram_record("runtime.div_norm", stats.div_norm * inv_cells);
             time_per_model[current] += stats.projection_time.as_secs_f64();
             steps_per_model[current] += 1;
             step += 1;
             executed += 1;
-            if let Some(t0) = step_t0 {
-                let secs = t0.elapsed().as_secs_f64();
-                sfn_metrics::record_step(&self.candidates[current].name, secs);
-                sfn_obs::event(Level::Trace, "runtime.step")
-                    .field_u64("step", step as u64)
-                    .field_str("model", &self.candidates[current].name)
-                    .field_f64("secs", secs)
-                    .field_f64("proj_secs", stats.projection_time.as_secs_f64())
-                    .field_f64("div_norm", div_norm)
-                    .emit();
-            }
             // Crash-harness boundary: a scheduled `crash` fault SIGKILLs
             // the process here, mid-run between durable checkpoints.
             sfn_faults::crash_point("runtime/mid_step", step as u64);
@@ -835,19 +845,7 @@ impl SmartRuntime {
             let down = (0..current).rev().find(|&m| quarantine.is_available(m, interval_now));
             // Decide first, mutate after: the whole Algorithm 2 check is
             // reported as exactly one structured event either way.
-            let action = if predicted_loss > hi {
-                match up {
-                    Some(to) => Action::SwitchUp(to),
-                    None => Action::Restart, // Algorithm 2 line 16: fall back to PCG.
-                }
-            } else if predicted_loss < lo && cfg.use_mlp {
-                // Comfortable slack: move to a faster model — unless
-                // quarantine emptied the neighbourhood below, in which
-                // case there is nowhere to relax to and we keep.
-                down.map_or(Action::Keep, Action::SwitchDown)
-            } else {
-                Action::Keep
-            };
+            let action = decide(predicted_loss, lo, hi, cfg.use_mlp, up, down);
             sfn_obs::counter_add("scheduler.checks", 1);
             // The decision record carries everything `sfn-trace audit`
             // needs to replay Algorithm 2 offline: the prediction, the
@@ -898,15 +896,24 @@ impl SmartRuntime {
             }
         }
 
+        // The exact-solver tail, from the restored checkpoint when
+        // every model is barred and from step 0 on an Algorithm 2
+        // restart. A straight loop — no checks, no models, nothing left
+        // to quarantine.
         let mut restart_time = 0.0;
-        if degraded {
-            // Graceful degradation: finish on the exact solver from the
-            // restored checkpoint. A straight loop — no checks, no
-            // models, nothing left to quarantine.
-            let _span = sfn_obs::span!("runtime/degraded");
+        if degraded || restarted {
+            let (span, label) = if restarted {
+                sim = fresh_sim;
+                tracker = CumDivNormTracker::new();
+                step = 0;
+                ("runtime/restart", "pcg")
+            } else {
+                ("runtime/degraded", "pcg-degraded")
+            };
+            let _span = sfn_obs::span!(span);
             let mut pcg = ExactProjector::labelled(
                 PcgSolver::new(MicPreconditioner::default(), 1e-7, 200_000),
-                "pcg-degraded",
+                label,
             );
             while step < cfg.total_steps {
                 if let Some(t) = limits.exceeded(step, executed) {
@@ -914,63 +921,14 @@ impl SmartRuntime {
                     truncation = Some(t);
                     break;
                 }
-                let step_t0 = (sfn_obs::event_enabled(Level::Trace) || sfn_metrics::live())
-                    .then(std::time::Instant::now);
-                let s = sim.step(&mut pcg);
-                tracker.push(s.div_norm * inv_cells);
+                let s = timed_step(&mut sim, &mut pcg, label, step + 1, inv_cells, &mut tracker);
                 restart_time += s.projection_time.as_secs_f64();
                 step += 1;
                 executed += 1;
-                if let Some(t0) = step_t0 {
-                    let secs = t0.elapsed().as_secs_f64();
-                    sfn_metrics::record_step("pcg-degraded", secs);
-                    sfn_obs::event(Level::Trace, "runtime.step")
-                        .field_u64("step", step as u64)
-                        .field_str("model", "pcg-degraded")
-                        .field_f64("secs", secs)
-                        .field_f64("proj_secs", s.projection_time.as_secs_f64())
-                        .field_f64("div_norm", s.div_norm * inv_cells)
-                        .emit();
-                }
             }
         }
-
-        let (density, cum) = if restarted {
-            let _span = sfn_obs::span!("runtime/restart");
-            sim = fresh_sim;
-            let mut pcg = ExactProjector::labelled(
-                PcgSolver::new(MicPreconditioner::default(), 1e-7, 200_000),
-                "pcg",
-            );
-            let mut restart_tracker = CumDivNormTracker::new();
-            for restart_step in 0..cfg.total_steps {
-                if let Some(t) = limits.exceeded(restart_step, executed) {
-                    emit_shed(&t, executed);
-                    truncation = Some(t);
-                    break;
-                }
-                let step_t0 = (sfn_obs::event_enabled(Level::Trace) || sfn_metrics::live())
-                    .then(std::time::Instant::now);
-                let s = sim.step(&mut pcg);
-                restart_tracker.push(s.div_norm * inv_cells);
-                restart_time += s.projection_time.as_secs_f64();
-                executed += 1;
-                if let Some(t0) = step_t0 {
-                    let secs = t0.elapsed().as_secs_f64();
-                    sfn_metrics::record_step("pcg", secs);
-                    sfn_obs::event(Level::Trace, "runtime.step")
-                        .field_u64("step", restart_step as u64 + 1)
-                        .field_str("model", "pcg")
-                        .field_f64("secs", secs)
-                        .field_f64("proj_secs", s.projection_time.as_secs_f64())
-                        .field_f64("div_norm", s.div_norm * inv_cells)
-                        .emit();
-                }
-            }
-            (sim.density().clone(), restart_tracker.series().to_vec())
-        } else {
-            (sim.density().clone(), tracker.series().to_vec())
-        };
+        let density = sim.density().clone();
+        let cum = tracker.series().to_vec();
 
         let quarantined = self
             .candidates
@@ -1011,6 +969,38 @@ fn emit_shed(t: &Truncation, executed: usize) {
         .field_str("reason", t.reason())
         .field_u64("executed", executed as u64)
         .emit();
+}
+
+/// Takes simulation step number `step` (1-based) under `projector`,
+/// pushes its cell-normalised `DivNorm` onto `tracker` and reports it
+/// under `model` to the live metrics and as one `runtime.step` record
+/// (Trace level) — the raw material for `sfn-trace analyze` / `export`.
+/// Timing is only taken when something would record the event.
+fn timed_step(
+    sim: &mut Simulation,
+    projector: &mut dyn PressureProjector,
+    model: &str,
+    step: usize,
+    inv_cells: f64,
+    tracker: &mut CumDivNormTracker,
+) -> StepStats {
+    let t0 =
+        (sfn_obs::event_enabled(Level::Trace) || sfn_metrics::live()).then(std::time::Instant::now);
+    let stats = sim.step(projector);
+    let div_norm = stats.div_norm * inv_cells;
+    tracker.push(div_norm);
+    if let Some(t0) = t0 {
+        let secs = t0.elapsed().as_secs_f64();
+        sfn_metrics::record_step(model, secs);
+        sfn_obs::event(Level::Trace, "runtime.step")
+            .field_u64("step", step as u64)
+            .field_str("model", model)
+            .field_f64("secs", secs)
+            .field_f64("proj_secs", stats.projection_time.as_secs_f64())
+            .field_f64("div_norm", div_norm)
+            .emit();
+    }
+    stats
 }
 
 #[cfg(test)]
@@ -1054,6 +1044,27 @@ mod tests {
 
     fn simulation(n: usize) -> Simulation {
         Simulation::new(SimConfig::plume(n), CellFlags::smoke_box(n, n))
+    }
+
+    #[test]
+    fn decide_covers_the_six_outcomes_of_algorithm_2() {
+        // Band [0.9, 1.1]; candidate 2 above, candidate 0 below.
+        let (lo, hi) = (0.9, 1.1);
+        let table = [
+            // (predicted, use_mlp, up, down, verdict)
+            (1.2, true, Some(2), Some(0), Action::SwitchUp(2)),
+            (1.2, true, None, Some(0), Action::Restart),
+            (0.5, true, Some(2), Some(0), Action::SwitchDown(0)),
+            (0.5, true, Some(2), None, Action::Keep),
+            (0.5, false, Some(2), Some(0), Action::Keep),
+            (1.0, true, Some(2), Some(0), Action::Keep),
+        ];
+        for (predicted, use_mlp, up, down, want) in table {
+            assert_eq!(decide(predicted, lo, hi, use_mlp, up, down), want, "{predicted} mlp={use_mlp}");
+        }
+        // The band edges themselves are inside the band.
+        assert_eq!(decide(hi, lo, hi, true, Some(2), Some(0)), Action::Keep);
+        assert_eq!(decide(lo, lo, hi, true, Some(2), Some(0)), Action::Keep);
     }
 
     #[test]

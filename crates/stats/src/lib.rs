@@ -17,7 +17,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bootstrap;
 pub mod boxplot;
 pub mod correlation;
 pub mod histogram;
@@ -26,7 +25,6 @@ pub mod regression;
 pub mod summary;
 pub mod table;
 
-pub use bootstrap::{bootstrap_ci, mean_ci, proportion_ci, ConfidenceInterval};
 pub use boxplot::BoxplotSummary;
 pub use correlation::{pearson, spearman};
 pub use histogram::Histogram;

@@ -1,5 +1,5 @@
-//! Zero-allocation guard for surrogate inference (ROADMAP item 2: "the
-//! hot path does only the work").
+//! Zero-allocation guard for surrogate inference: the hot path does
+//! only the work.
 //!
 //! With [`sfn_prof::CountingAlloc`] installed, every kernel scope
 //! reports the heap allocations made while it was open. Once a

@@ -264,7 +264,7 @@ pub fn analyze(trace: &Trace) -> Analysis {
         .collect();
 
     // Kernel throughput from the profiler's end-of-run emission.
-    // Dotted per-path names (`conv2d.direct`, `spmv.ell.avx2`)
+    // Dotted per-path names (`conv2d.direct`, `advect.avx2`)
     // aggregate into their first segment: the diff gate compares
     // logical kernels, so a dispatch-path difference between the
     // baseline machine and the current one cannot silently skip the

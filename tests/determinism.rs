@@ -1,9 +1,9 @@
-//! ROADMAP item 4's `SFN_THREADS` contract: a simulation's answers do
-//! not depend on how many threads computed them. Every `sfn-par`
-//! kernel on the step path (row-parallel advection, per-plane conv2d,
-//! blocked GEMM) writes each output element from one index only, so
-//! the fields must agree bit for bit — under the exact PCG projection
-//! and under a CNN surrogate alike.
+//! The `SFN_THREADS` contract: a simulation's answers do not depend
+//! on how many threads computed them. Every `sfn-par` kernel on the
+//! step path (row-parallel advection, per-plane conv2d) writes each
+//! output element from one index only, so the fields must agree bit
+//! for bit — under the exact PCG projection and under a CNN surrogate
+//! alike.
 
 use smart_fluidnet::grid::CellFlags;
 use smart_fluidnet::nn::Network;
