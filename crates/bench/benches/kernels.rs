@@ -1,8 +1,9 @@
 //! Per-kernel micro-benchmarks — the primitives `sfn-prof` accounts
-//! for, timed in isolation at a 64² working size, plus a 128² tier for
-//! the SIMD-dispatched kernels (conv2d, pcg_mic0, advect) where the
-//! padded-pitch layouts start to matter, and whole surrogate
-//! inferences (`infer_tompson`, `plan_build`).
+//! for, timed in isolation: plain CG and body forces at a 64² working
+//! size, the SIMD-dispatched kernels (MIC(0)-PCG, advect, conv2d) at
+//! 64² and at 128², where the padded-pitch layouts start to matter,
+//! whole surrogate inferences (`infer_tompson`, `plan_build`) and the
+//! `sfn-par` fan-out cost.
 //!
 //! This suite seeds the committed `BENCH_000N.json` perf trajectory
 //! (min/median/p90 per kernel) that the SIMD work is judged against:
@@ -19,8 +20,7 @@ use sfn_rng::{rngs::StdRng, SeedableRng};
 use sfn_sim::{advect, forces, PressureProjector};
 use sfn_solver::pcg::PreparedPreconditioner;
 use sfn_solver::{
-    CgSolver, JacobiSolver, MicPreconditioner, MultigridSolver, PcgSolver,
-    PoissonProblem, PoissonSolver, Preconditioner, SorSolver,
+    CgSolver, MicPreconditioner, PcgSolver, PoissonProblem, PoissonSolver, Preconditioner,
 };
 use sfn_surrogate::{tompson_default, NeuralProjector};
 
@@ -31,22 +31,10 @@ fn main() {
     let problem = PoissonProblem::new(&flags, 1.0);
     let b = sfn_solver::divergence_rhs(&div, &flags, 0.5);
 
-    // Pressure solvers.
-    let jacobi = JacobiSolver::new(2.0 / 3.0, 1e-4, 2_000);
-    suite.bench(&format!("jacobi/{GRID}"), || {
-        let _ = jacobi.solve(&problem, &b);
-    });
-    let sor = SorSolver::new(1.7, 1e-6, 2_000);
-    suite.bench(&format!("sor/{GRID}"), || {
-        let _ = sor.solve(&problem, &b);
-    });
+    // Unpreconditioned CG, the yardstick for MIC(0)-PCG below.
     let cg = CgSolver::plain(1e-6, 2_000);
     suite.bench(&format!("cg/{GRID}"), || {
         let _ = cg.solve(&problem, &b);
-    });
-    let mg = MultigridSolver::default();
-    suite.bench(&format!("multigrid/{GRID}"), || {
-        let _ = mg.solve(&problem, &b);
     });
 
     // Body forces on a representative velocity field.

@@ -208,19 +208,15 @@ fn section(records: &mut Vec<FigureRecord>, name: &'static str, f: impl FnOnce()
 
 /// Exercises every instrumented kernel on small grids so a profiled run
 /// (`SFN_PROF=1`) always reports the full roofline table — conv2d,
-/// advect, forces, projection, cg/pcg, mic0, jacobi, sor and
-/// multigrid — even when the quick experiment path happens to skip a
-/// solver.
+/// advect, forces, projection, cg, pcg and mic0 — even when the quick
+/// experiment path happens to skip a solver.
 fn exercise_kernels() {
     use sfn_grid::{CellFlags, Field2};
     use sfn_nn::layers::{Conv2d, Layer};
     use sfn_nn::Tensor;
     use sfn_rng::{rngs::StdRng, SeedableRng};
     use sfn_sim::{ExactProjector, SimConfig, Simulation};
-    use sfn_solver::{
-        CgSolver, JacobiSolver, MicPreconditioner, MultigridSolver, PcgSolver,
-        PoissonProblem, PoissonSolver, SorSolver,
-    };
+    use sfn_solver::{CgSolver, MicPreconditioner, PcgSolver, PoissonProblem, PoissonSolver};
 
     // Pressure solves on a small box with an obstacle, one per solver.
     let mut flags = CellFlags::smoke_box(24, 18);
@@ -233,11 +229,8 @@ fn exercise_kernels() {
             0.0
         }
     });
-    let _ = JacobiSolver::new(0.8, 1e-6, 200).solve(&problem, &b);
-    let _ = SorSolver::new(1.5, 1e-6, 200).solve(&problem, &b);
     let _ = CgSolver::plain(1e-8, 200).solve(&problem, &b);
     let _ = PcgSolver::new(MicPreconditioner::default(), 1e-8, 200).solve(&problem, &b);
-    let _ = MultigridSolver::default().solve(&problem, &b);
 
     // Advection, body forces and projection via real smoke steps
     // (vorticity confinement on so both force kernels run).

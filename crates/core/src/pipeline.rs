@@ -37,7 +37,6 @@ pub fn build_offline(cfg: &OfflineConfig) -> OfflineArtifacts {
         batch_size: 8,
         learning_rate: cfg.learning_rate,
         seed: cfg.seed,
-        supervised_weight: 0.0,
     };
     let measurements = if cfg.child_epochs > 0 {
         sfn_modelgen::evaluate::train_and_measure_family_inherited(

@@ -130,32 +130,6 @@ impl<'a> PoissonProblem<'a> {
     pub fn unknowns(&self) -> usize {
         self.flags.fluid_count()
     }
-
-    /// Approximate FLOPs for one operator application
-    /// (stencil: ~10 flops per fluid cell).
-    pub fn apply_flops(&self) -> u64 {
-        10 * self.unknowns() as u64
-    }
-
-    /// True if the system is strictly positive definite (some fluid
-    /// cell has an empty neighbour, anchoring the pressure level).
-    pub fn is_definite(&self) -> bool {
-        let (nx, ny) = (self.nx(), self.ny());
-        for j in 0..ny {
-            for i in 0..nx {
-                if self.flags.is_fluid(i, j) {
-                    for (di, dj) in [(1isize, 0isize), (-1, 0), (0, 1), (0, -1)] {
-                        if self.flags.at_or_solid(i as isize + di, j as isize + dj)
-                            == CellType::Empty
-                        {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        false
-    }
 }
 
 /// Branch-free form of the pressure stencil: per-cell masked
@@ -436,14 +410,12 @@ mod tests {
         let mut out = Field2::new(6, 6);
         p.apply(&x, &mut out);
         assert!(out.max_abs() < 1e-12, "closed domain must annihilate constants");
-        assert!(!p.is_definite());
     }
 
     #[test]
-    fn open_domain_is_definite() {
+    fn open_domain_does_not_annihilate_constants() {
         let flags = CellFlags::smoke_box(6, 6);
         let p = PoissonProblem::new(&flags, 1.0);
-        assert!(p.is_definite());
         // Constants are NOT in the nullspace: top fluid row sees empty.
         let x = Field2::from_fn(6, 6, |_, _| 1.0);
         let mut out = Field2::new(6, 6);

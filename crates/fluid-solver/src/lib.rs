@@ -6,39 +6,27 @@
 //! empty (open-air) cells. The discrete operator is the standard
 //! 5-point stencil, assembled matrix-free in [`laplace`].
 //!
-//! Solvers provided:
+//! The one solver is [`pcg::PcgSolver`], (preconditioned) conjugate
+//! gradients. With [`ic0::MicPreconditioner`] it is the paper's
+//! reference method: "the pre-conditioner applied in mantaflow is the
+//! Modified Incomplete Cholesky L0 preconditioner, called MICCG(0)".
+//! With the identity preconditioner ([`pcg::CgSolver`]) it is plain CG,
+//! the unpreconditioned oracle the MIC(0) tests check against.
 //!
-//! * [`jacobi::JacobiSolver`] — damped Jacobi iteration (baseline and
-//!   multigrid smoother);
-//! * [`sor::SorSolver`] — red-black Gauss-Seidel / SOR;
-//! * [`pcg::PcgSolver`] — (preconditioned) conjugate gradients. With
-//!   [`ic0::MicPreconditioner`] this is the paper's reference method:
-//!   "the pre-conditioner applied in mantaflow is the Modified
-//!   Incomplete Cholesky L0 preconditioner, called MICCG(0)";
-//! * [`multigrid::MultigridSolver`] — geometric V-cycle, standalone or
-//!   as a PCG preconditioner (mantaflow "uses a multi-grid approach as
-//!   a preprocessing step of the PCG method").
-//!
-//! Every solver reports [`SolveStats`] including an analytic FLOP count
+//! Every solve reports [`SolveStats`] including an analytic FLOP count
 //! used by the Table 4 resource-usage reproduction.
 
 #![warn(missing_docs)]
 
 pub mod ic0;
-pub mod jacobi;
 pub mod laplace;
-pub mod multigrid;
 pub mod pcg;
-pub mod sor;
 
 use sfn_grid::{CellFlags, Field2};
 
 pub use ic0::MicPreconditioner;
-pub use jacobi::JacobiSolver;
 pub use laplace::PoissonProblem;
-pub use multigrid::MultigridSolver;
 pub use pcg::{CgSolver, PcgSolver, Preconditioner};
-pub use sor::SorSolver;
 
 /// Convergence statistics returned by every solver.
 #[derive(Debug, Clone, Copy, PartialEq)]

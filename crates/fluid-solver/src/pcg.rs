@@ -351,7 +351,6 @@ mod tests {
             (&a, 1.0),
         ];
         assert_history_free(crate::ic0::MicPreconditioner::default(), &problems);
-        assert_history_free(crate::multigrid::MgPreconditioner::default(), &problems);
         assert_history_free(IdentityPreconditioner, &problems);
     }
 

@@ -144,7 +144,6 @@ pub fn architecture_search(
             batch_size: 8,
             learning_rate: cfg.learning_rate,
             seed: cfg.seed.wrapping_add(i as u64),
-            supervised_weight: 0.0,
         };
         let (mut net, _) = train_projection_model(&spec, dataset, &train_cfg);
         let loss = evaluate_divnorm(&mut net, dataset);

@@ -1,10 +1,9 @@
 //! Training-data generation for projection surrogates.
 //!
 //! Runs reference simulations (PCG projection) over a training problem
-//! set and captures, at sampled time steps, the tuples the DivNorm
-//! objective needs: the pre-projection divergence, the geometry, the
-//! Eq. 5 weights and (for evaluation/supervised experiments) the exact
-//! PCG pressure.
+//! set and captures, at sampled time steps, what the DivNorm objective
+//! needs: the pre-projection divergence, the geometry and the Eq. 5
+//! weights. The objective is unsupervised, so no pressure is kept.
 
 use sfn_grid::{distance::divnorm_weights, CellFlags, Field2};
 use sfn_nn::Tensor;
@@ -23,8 +22,6 @@ pub struct Sample {
     pub scale: f64,
     /// Raw (unnormalised) divergence field.
     pub divergence: Field2,
-    /// Exact PCG pressure for this state (evaluation / supervision).
-    pub reference_pressure: Field2,
     /// Index into [`ProjectionDataset::geometries`].
     pub geometry: usize,
 }
@@ -130,13 +127,12 @@ impl ProjectionDataset {
                 projector.capture_next = step % capture_every == 0;
                 sim.step(&mut projector);
             }
-            for (div, pressure) in projector.captured {
+            for div in projector.captured {
                 let (input, scale) = build_input(&div, &occupancy[geom_idx]);
                 samples.push(Sample {
                     input,
                     scale,
                     divergence: div,
-                    reference_pressure: pressure,
                     geometry: geom_idx,
                 });
             }
@@ -167,11 +163,11 @@ impl ProjectionDataset {
     }
 }
 
-/// Wraps an exact projector, stealing a copy of (divergence, pressure)
-/// on flagged steps.
+/// Wraps an exact projector, keeping a copy of the divergence on
+/// flagged steps.
 struct CapturingProjector<S> {
     inner: ExactProjector<S>,
-    captured: Vec<(Field2, Field2)>,
+    captured: Vec<Field2>,
     capture_next: bool,
 }
 
@@ -183,11 +179,10 @@ impl<S: sfn_solver::PoissonSolver> PressureProjector for CapturingProjector<S> {
         dx: f64,
         dt: f64,
     ) -> sfn_sim::ProjectionOutcome {
-        let outcome = self.inner.solve_pressure(divergence, flags, dx, dt);
         if self.capture_next {
-            self.captured.push((divergence.clone(), outcome.pressure.clone()));
+            self.captured.push(divergence.clone());
         }
-        outcome
+        self.inner.solve_pressure(divergence, flags, dx, dt)
     }
 
     fn name(&self) -> String {
@@ -227,19 +222,6 @@ mod tests {
                 assert!(o == 0.0 || o == 1.0);
             }
         }
-    }
-
-    #[test]
-    fn reference_pressure_solves_the_sample() {
-        use crate::divnorm_loss::divnorm_loss_and_grad;
-        let set = ProblemSet::training(16, 1);
-        let ds = ProjectionDataset::generate(&set, 3, 1);
-        let s = &ds.samples[1];
-        let flags = &ds.geometries[s.geometry];
-        let w = &ds.weights[s.geometry];
-        let (loss, _) =
-            divnorm_loss_and_grad(&s.reference_pressure, &s.divergence, w, flags, ds.dx, ds.dt);
-        assert!(loss < 1e-9, "reference pressure loss {loss}");
     }
 
     #[test]

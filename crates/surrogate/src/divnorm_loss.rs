@@ -110,6 +110,20 @@ mod tests {
     }
 
     #[test]
+    fn exact_projector_solves_a_generated_sample() {
+        use crate::dataset::ProjectionDataset;
+        use sfn_sim::{ExactProjector, PressureProjector};
+        let ds = ProjectionDataset::generate(&sfn_workload::ProblemSet::training(16, 1), 3, 1);
+        let s = &ds.samples[1];
+        let flags = &ds.geometries[s.geometry];
+        let solver = PcgSolver::new(MicPreconditioner::default(), 1e-7, 50_000);
+        let p = ExactProjector::new(solver).solve_pressure(&s.divergence, flags, ds.dx, ds.dt).pressure;
+        let w = &ds.weights[s.geometry];
+        let (loss, _) = divnorm_loss_and_grad(&p, &s.divergence, w, flags, ds.dx, ds.dt);
+        assert!(loss < 1e-9, "exact pressure loss {loss}");
+    }
+
+    #[test]
     fn zero_pressure_gives_raw_divnorm() {
         let n = 12;
         let (flags, weights, div) = setup(n);

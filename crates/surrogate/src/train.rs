@@ -1,9 +1,7 @@
 //! Training harness for projection surrogates.
 //!
-//! Optimises the unsupervised DivNorm objective (Eq. 5) with Adam; an
-//! optional supervised term pulls the output towards the PCG pressure,
-//! which speeds up the early epochs without changing the objective's
-//! minimiser (the exact pressure minimises both).
+//! Optimises the unsupervised DivNorm objective (Eq. 5) with Adam. No
+//! ground-truth pressure enters the loss.
 
 use crate::dataset::ProjectionDataset;
 use crate::divnorm_loss::divnorm_loss_and_grad;
@@ -25,8 +23,6 @@ pub struct TrainConfig {
     pub learning_rate: f64,
     /// Seed for initialisation and shuffling.
     pub seed: u64,
-    /// Weight of the supervised (PCG-pressure MSE) auxiliary term.
-    pub supervised_weight: f64,
 }
 
 impl Default for TrainConfig {
@@ -36,7 +32,6 @@ impl Default for TrainConfig {
             batch_size: 8,
             learning_rate: 1e-2,
             seed: 0xF1D0,
-            supervised_weight: 0.0,
         }
     }
 }
@@ -85,21 +80,15 @@ pub fn train_network(net: &mut Network, ds: &ProjectionDataset, cfg: &TrainConfi
                 );
                 batch_loss += loss;
                 // Chain rule: dL/dout = scale · dL/dp̂ (fluid cells only),
-                // averaged over the batch. Supervised term in the
-                // normalised output domain.
+                // averaged over the batch. Accumulating onto +0.0 turns
+                // a −0.0 term into +0.0, which the trained bits depend on.
                 let inv_b = 1.0 / chunk.len() as f64;
-                let n_cells = (h * w) as f64;
                 let out_scale = sample.scale * crate::dataset::PRESSURE_GAIN;
                 for j in 0..h {
                     for i in 0..w {
                         let mut g = 0.0f64;
                         if flags.is_fluid(i, j) {
                             g += out_scale * grad_p.at(i, j);
-                            if cfg.supervised_weight > 0.0 {
-                                let target = sample.reference_pressure.at(i, j) / out_scale;
-                                let pred = plane.at(0, 0, j, i) as f64;
-                                g += cfg.supervised_weight * 2.0 * (pred - target) / n_cells;
-                            }
                         }
                         grad.set(bi, 0, j, i, (g * inv_b) as f32);
                     }
@@ -191,7 +180,6 @@ mod tests {
             batch_size: 8,
             learning_rate: 1e-2,
             seed: 5,
-            supervised_weight: 0.0,
         };
         let (_, report) = train_projection_model(&spec, &ds, &cfg);
         let first = report.loss_curve[0];
@@ -211,7 +199,6 @@ mod tests {
             batch_size: 8,
             learning_rate: 1e-2,
             seed: 2,
-            supervised_weight: 0.0,
         };
         let (mut net, _) = train_projection_model(&spec, &ds, &cfg);
         let model_loss = evaluate_divnorm(&mut net, &ds);

@@ -267,8 +267,8 @@ pub fn analyze(trace: &Trace) -> Analysis {
     // Dotted per-path names (`conv2d.direct`, `advect.avx2`)
     // aggregate into their first segment: the diff gate compares
     // logical kernels, so a dispatch-path difference between the
-    // baseline machine and the current one cannot silently skip the
-    // comparison via the skip-if-absent rule.
+    // baseline machine and the current one neither skips the
+    // comparison nor reads as a missing kernel.
     let mut kernel_agg: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
     for k in crate::profile::ProfileReport::from_trace(trace).kernels {
         let base = k.name.split('.').next().unwrap_or(&k.name);

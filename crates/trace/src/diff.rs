@@ -192,6 +192,22 @@ pub fn diff(baseline: &Analysis, current: &Analysis, thresholds: &Thresholds) ->
         }
     }
 
+    // A profiled run (one with any kernel record) must still run every
+    // kernel the baseline lists. Absence is not noise, so no time floor
+    // applies; an unprofiled run has no kernel records and skips this.
+    if !current.kernels.is_empty() {
+        for bk in &baseline.kernels {
+            if !current.kernels.iter().any(|k| k.name == bk.name) {
+                verdict.regressions.push(Regression {
+                    metric: format!("kernel.{}.missing", bk.name),
+                    baseline: bk.calls as f64,
+                    current: 0.0,
+                    limit: 1.0,
+                });
+            }
+        }
+    }
+
     // Kernel throughput: a kernel regresses when its GFLOP/s drops to
     // less than baseline / kernel_ratio. Kernels absent from the
     // baseline (new instrumentation) and kernels below the time floor
@@ -379,6 +395,20 @@ mod tests {
             secs: 5.0,
             gflops: 0.001,
         });
+        let v = diff(&base(), &cur, &Thresholds::default());
+        assert!(v.ok(), "{}", v.render());
+    }
+
+    #[test]
+    fn kernels_missing_from_a_profiled_run_fail_the_gate() {
+        let mut cur = base();
+        cur.kernels.retain(|k| k.name != "pcg");
+        let v = diff(&base(), &cur, &Thresholds::default());
+        assert_eq!(v.regressions.len(), 1, "{}", v.render());
+        assert_eq!(v.regressions[0].metric, "kernel.pcg.missing");
+        assert_eq!((v.regressions[0].baseline, v.regressions[0].current), (20.0, 0.0));
+        // An unprofiled run carries no kernel records and is not judged.
+        cur.kernels.clear();
         let v = diff(&base(), &cur, &Thresholds::default());
         assert!(v.ok(), "{}", v.render());
     }

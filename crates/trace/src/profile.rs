@@ -340,8 +340,8 @@ mod tests {
     #[test]
     fn re_emitted_kernels_replace_not_accumulate() {
         let trace = parse_trace(concat!(
-            "{\"ts\":0.1,\"level\":\"info\",\"kind\":\"prof.kernel\",\"kernel\":\"sor\",\"calls\":1,\"ns\":10,\"flops\":90,\"bytes_read\":48,\"bytes_written\":8,\"allocs\":0,\"alloc_bytes\":0,\"peak_bytes\":0}\n",
-            "{\"ts\":0.9,\"level\":\"info\",\"kind\":\"prof.kernel\",\"kernel\":\"sor\",\"calls\":3,\"ns\":30,\"flops\":270,\"bytes_read\":144,\"bytes_written\":24,\"allocs\":0,\"alloc_bytes\":0,\"peak_bytes\":0}\n",
+            "{\"ts\":0.1,\"level\":\"info\",\"kind\":\"prof.kernel\",\"kernel\":\"cg\",\"calls\":1,\"ns\":10,\"flops\":90,\"bytes_read\":48,\"bytes_written\":8,\"allocs\":0,\"alloc_bytes\":0,\"peak_bytes\":0}\n",
+            "{\"ts\":0.9,\"level\":\"info\",\"kind\":\"prof.kernel\",\"kernel\":\"cg\",\"calls\":3,\"ns\":30,\"flops\":270,\"bytes_read\":144,\"bytes_written\":24,\"allocs\":0,\"alloc_bytes\":0,\"peak_bytes\":0}\n",
         ));
         let r = ProfileReport::from_trace(&trace);
         assert_eq!(r.kernels.len(), 1);

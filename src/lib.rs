@@ -7,7 +7,7 @@
 //! Re-exports the whole workspace under stable module names:
 //!
 //! * [`grid`] — MAC staggered-grid substrate
-//! * [`solver`] — Poisson solvers (Jacobi, SOR, CG, PCG/MIC(0), multigrid)
+//! * [`solver`] — the exact Poisson solver (MIC(0)-PCG, plain CG)
 //! * [`sim`] — Eulerian smoke simulation (mantaflow substitute)
 //! * [`nn`] — CPU CNN framework
 //! * [`surrogate`] — neural pressure-projection surrogates

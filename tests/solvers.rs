@@ -1,12 +1,11 @@
-//! Cross-crate integration: every Poisson backend drives the same
-//! simulation to (numerically) the same answer, and the projection
-//! abstraction treats exact solvers and neural surrogates uniformly.
+//! Cross-crate integration: plain CG drives the simulation to
+//! (numerically) the same answer as the MICCG(0) reference, MIC(0)
+//! gets there in fewer iterations, and the projection abstraction
+//! treats exact solvers and neural surrogates uniformly.
 
 use smart_fluidnet::grid::{CellFlags, Field2};
 use smart_fluidnet::sim::{quality_loss, ExactProjector, SimConfig, Simulation};
-use smart_fluidnet::solver::{
-    CgSolver, JacobiSolver, MicPreconditioner, MultigridSolver, PcgSolver, SorSolver,
-};
+use smart_fluidnet::solver::{CgSolver, MicPreconditioner, PcgSolver};
 
 const N: usize = 24;
 const STEPS: usize = 12;
@@ -33,26 +32,9 @@ fn all_exact_solvers_agree_on_the_simulation() {
         PcgSolver::new(MicPreconditioner::default(), 1e-9, 100_000),
         "pcg",
     ));
-    let mut cg = ExactProjector::labelled(CgSolver::plain(1e-9, 100_000), "cg");
-    let mut sor = ExactProjector::labelled(SorSolver::new(1.7, 1e-9, 200_000), "sor");
-    let mut jac = ExactProjector::labelled(JacobiSolver::new(2.0 / 3.0, 1e-8, 500_000), "jacobi");
-    let mut mg = ExactProjector::labelled(
-        MultigridSolver {
-            tolerance: 1e-9,
-            max_cycles: 500,
-            ..Default::default()
-        },
-        "mg",
-    );
-    for (name, density) in [
-        ("cg", run_with(&mut cg)),
-        ("sor", run_with(&mut sor)),
-        ("jacobi", run_with(&mut jac)),
-        ("multigrid", run_with(&mut mg)),
-    ] {
-        let q = quality_loss(&density, &reference);
-        assert!(q < 1e-5, "{name} diverged from MICCG(0) reference: Qloss {q}");
-    }
+    let density = run_with(&mut ExactProjector::labelled(CgSolver::plain(1e-9, 100_000), "cg"));
+    let q = quality_loss(&density, &reference);
+    assert!(q < 1e-5, "cg diverged from MICCG(0) reference: Qloss {q}");
 }
 
 #[test]
@@ -72,19 +54,12 @@ fn pcg_is_the_cheapest_exact_backend_in_iterations() {
 
     let (_, s_pcg) = PcgSolver::new(MicPreconditioner::default(), 1e-7, 100_000).solve(&problem, &b);
     let (_, s_cg) = CgSolver::plain(1e-7, 100_000).solve(&problem, &b);
-    let (_, s_jac) = JacobiSolver::new(2.0 / 3.0, 1e-7, 500_000).solve(&problem, &b);
-    assert!(s_pcg.converged && s_cg.converged && s_jac.converged);
+    assert!(s_pcg.converged && s_cg.converged);
     assert!(
         s_pcg.iterations < s_cg.iterations,
         "MICCG(0) {} vs CG {}",
         s_pcg.iterations,
         s_cg.iterations
-    );
-    assert!(
-        s_cg.iterations < s_jac.iterations,
-        "CG {} vs Jacobi {}",
-        s_cg.iterations,
-        s_jac.iterations
     );
 }
 
