@@ -174,12 +174,7 @@ fn render_json(reports: &[PhaseReport]) -> String {
 fn main() {
     sfn_obs::init();
     sfn_faults::init_from_env();
-    let quick = std::env::var("SFN_QUICK").is_ok();
-    let secs = std::env::var("SFN_BENCH_SECS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(if quick { 0.5 } else { 2.0 });
+    let secs = sfn_bench::bench_secs(if sfn_bench::quick() { 0.5 } else { 2.0 });
     let snapshot = std::env::var("SFN_SERVE_SNAPSHOT").ok();
 
     let reports: Vec<PhaseReport> = [1u32, 2, 4]

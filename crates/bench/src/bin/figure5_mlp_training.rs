@@ -2,10 +2,7 @@
 
 fn main() {
     let env = sfn_bench::bench_env();
-    let steps = std::env::var("SFN_MLP_STEPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(env.offline.mlp_steps);
+    let steps = env.offline.mlp_steps;
     println!("== Figure 5: MLP1-MLP5 training losses ({steps} steps) ==\n");
     let f = sfn_bench::experiments::construction::figure5(&env, steps);
     println!("{}", f.render());

@@ -461,7 +461,7 @@ fn main() {
         None
     };
     let summary = RunAllSummary {
-        quick: std::env::var("SFN_QUICK").is_ok(),
+        quick: sfn_bench::quick(),
         sweep_grids: env.grids.clone(),
         steps: env.steps,
         figures: recs,

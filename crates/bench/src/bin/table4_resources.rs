@@ -3,10 +3,7 @@
 
 fn main() {
     let env = sfn_bench::bench_env();
-    let grid = std::env::var("SFN_RESOURCE_GRID")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64usize);
+    let grid = 64;
     println!("== Table 4: resource usage at {grid}x{grid} ==\n");
     let rows = sfn_bench::experiments::resources::table4(&env, grid);
     println!("{}", sfn_bench::experiments::resources::render_table4(&rows, grid));

@@ -1,6 +1,7 @@
 //! Shared benchmark environment: the cached offline pipeline plus the
 //! experiment scale knobs.
 
+use sfn_obs::env::{knob, process, List, Lookup};
 use smart_fluidnet_core::{OfflineConfig, SmartFluidnet};
 
 /// One benchmark session's configuration and offline artifacts.
@@ -19,74 +20,22 @@ pub struct BenchEnv {
     pub steps: usize,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(v) => match v.trim().parse() {
-            Ok(n) => n,
-            Err(_) => {
-                // A malformed knob silently falling back to the default
-                // invalidates the experiment it was meant to scale — warn
-                // loudly, naming the variable.
-                sfn_obs::event(sfn_obs::Level::Warn, "env.invalid")
-                    .field_str("var", name)
-                    .field_str("value", &v)
-                    .field_u64("default", default as u64)
-                    .emit();
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
 impl BenchEnv {
     /// Builds (or loads from cache) the standard benchmark environment.
     pub fn standard() -> Self {
-        let offline = OfflineConfig::default().from_env();
-        let framework = SmartFluidnet::build_cached(&offline);
-        Self::with_framework(framework, offline)
+        Self::build(OfflineConfig::default(), false)
     }
 
     /// A seconds-scale environment for smoke-testing the harness.
     pub fn quick() -> Self {
-        let offline = OfflineConfig::quick().from_env();
-        let framework = SmartFluidnet::build_cached(&offline);
-        let mut env = Self::with_framework(framework, offline);
-        env.grids = vec![16, 24];
-        env.problems_per_grid = env_usize("SFN_BENCH_PROBLEMS", 2);
-        env.steps = env_usize("SFN_BENCH_STEPS", 16);
-        env
+        Self::build(OfflineConfig::quick(), true)
     }
 
-    fn with_framework(framework: SmartFluidnet, offline: OfflineConfig) -> Self {
-        let grids = std::env::var("SFN_BENCH_GRIDS")
-            .ok()
-            .map(|s| {
-                s.split(',')
-                    .filter_map(|t| {
-                        let t = t.trim();
-                        match t.parse::<usize>() {
-                            Ok(n) => Some(n),
-                            Err(_) => {
-                                sfn_obs::event(sfn_obs::Level::Warn, "env.invalid")
-                                    .field_str("var", "SFN_BENCH_GRIDS")
-                                    .field_str("value", t)
-                                    .emit();
-                                None
-                            }
-                        }
-                    })
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|v| !v.is_empty())
-            .unwrap_or_else(|| vec![16, 24, 32, 48, 64]);
-        Self {
-            framework,
-            offline,
-            grids,
-            problems_per_grid: env_usize("SFN_BENCH_PROBLEMS", 4),
-            steps: env_usize("SFN_BENCH_STEPS", 32),
-        }
+    fn build(offline: OfflineConfig, quick: bool) -> Self {
+        let offline = offline.from_env();
+        let framework = SmartFluidnet::build_cached(&offline);
+        let (grids, problems_per_grid, steps) = sweep_scale(&process, quick);
+        Self { framework, offline, grids, problems_per_grid, steps }
     }
 
     /// The paper's grid label corresponding to our `i`-th sweep grid
@@ -96,6 +45,21 @@ impl BenchEnv {
             .get(i)
             .copied()
             .unwrap_or("-")
+    }
+}
+
+/// The sweep scale `(grids, problems per grid, steps)` with the
+/// `SFN_BENCH_{GRIDS,PROBLEMS,STEPS}` overrides applied. Quick runs
+/// always sweep 16² and 24².
+fn sweep_scale(get: Lookup, quick: bool) -> (Vec<usize>, usize, usize) {
+    if quick {
+        (vec![16, 24], knob(get, "SFN_BENCH_PROBLEMS", 2), knob(get, "SFN_BENCH_STEPS", 16))
+    } else {
+        (
+            knob(get, "SFN_BENCH_GRIDS", List(vec![16, 24, 32, 48, 64])).0,
+            knob(get, "SFN_BENCH_PROBLEMS", 4),
+            knob(get, "SFN_BENCH_STEPS", 32),
+        )
     }
 }
 
@@ -119,23 +83,17 @@ mod tests {
     }
 
     #[test]
-    fn env_usize_parses_valid_values() {
-        // Uniquely named to avoid cross-test interference on process env.
-        std::env::set_var("SFN_TEST_ENV_USIZE_VALID", " 42 ");
-        assert_eq!(env_usize("SFN_TEST_ENV_USIZE_VALID", 7), 42);
-        std::env::remove_var("SFN_TEST_ENV_USIZE_VALID");
-    }
-
-    #[test]
-    fn env_usize_falls_back_on_malformed_value() {
-        std::env::set_var("SFN_TEST_ENV_USIZE_BAD", "not-a-number");
-        assert_eq!(env_usize("SFN_TEST_ENV_USIZE_BAD", 7), 7);
-        std::env::remove_var("SFN_TEST_ENV_USIZE_BAD");
-    }
-
-    #[test]
-    fn env_usize_unset_uses_default() {
-        std::env::remove_var("SFN_TEST_ENV_USIZE_UNSET");
-        assert_eq!(env_usize("SFN_TEST_ENV_USIZE_UNSET", 11), 11);
+    fn sweep_scale_applies_the_bench_knobs() {
+        let unset = |_: &str| None;
+        assert_eq!(sweep_scale(&unset, false), (vec![16, 24, 32, 48, 64], 4, 32));
+        assert_eq!(sweep_scale(&unset, true), (vec![16, 24], 2, 16));
+        let set = |name: &str| match name {
+            "SFN_BENCH_GRIDS" => Some("32, 64".to_string()),
+            "SFN_BENCH_PROBLEMS" => Some(" 3 ".to_string()),
+            "SFN_BENCH_STEPS" => Some("not-a-number".to_string()),
+            _ => None,
+        };
+        assert_eq!(sweep_scale(&set, false), (vec![32, 64], 3, 32));
+        assert_eq!(sweep_scale(&set, true), (vec![16, 24], 3, 16), "quick keeps its grids");
     }
 }

@@ -7,17 +7,17 @@
 //! benches (`cargo bench -p sfn-bench`) time the underlying primitives
 //! with the dependency-free [`timing`] harness.
 //!
-//! Scale knobs (environment variables, all optional):
+//! Scale knobs (environment variables, all optional; README
+//! "Environment" lists every knob the workspace reads):
 //!
-//! | variable | meaning | default |
+//! | variable | meaning | default (quick) |
 //! |---|---|---|
-//! | `SFN_EVAL_PROBLEMS` | problems per experiment | 16 |
-//! | `SFN_BENCH_PROBLEMS` | problems per *grid* in sweep experiments | 6 |
-//! | `SFN_BENCH_STEPS` | simulation steps per problem | 48 |
-//! | `SFN_BENCH_GRIDS` | comma-separated grid sizes | `24,32,48,64,96` |
-//! | `SFN_TRAIN_EPOCHS` | offline training epochs per model | 30 |
-//! | `SFN_LOG` | observability verbosity (`off`/`error`/`warn`/`info`/`debug`/`trace`) | `warn` |
-//! | `SFN_TRACE_FILE` | JSONL structured-event sink (see `sfn-obs`) | unset |
+//! | `SFN_QUICK` | `1` runs every experiment at seconds scale | off |
+//! | `SFN_EVAL_PROBLEMS` | measurement problems of the offline stage | 8 (4) |
+//! | `SFN_TRAIN_EPOCHS` | offline training epochs per root model | 30 (60) |
+//! | `SFN_BENCH_PROBLEMS` | problems per *grid* in sweep experiments | 4 (2) |
+//! | `SFN_BENCH_STEPS` | simulation steps per problem | 32 (16) |
+//! | `SFN_BENCH_GRIDS` | comma-separated sweep grid sizes | `16,24,32,48,64` (`16,24`, fixed) |
 //! | `SFN_SUMMARY_FILE` | `run_all`'s machine-readable summary path | `run_all_summary.json` |
 //!
 //! The paper's absolute numbers came from a Titan X GPU against a CPU
@@ -35,10 +35,27 @@ pub mod timing;
 
 pub use env::BenchEnv;
 
+/// True when `SFN_QUICK=1`: experiments and timing benches run at
+/// seconds scale.
+pub fn quick() -> bool {
+    sfn_obs::env::knob(&sfn_obs::env::process, "SFN_QUICK", sfn_obs::env::Flag(false)).0
+}
+
+/// The timing budget in seconds: `SFN_BENCH_SECS` when it is positive,
+/// `default` otherwise.
+pub fn bench_secs(default: f64) -> f64 {
+    let secs = sfn_obs::env::knob(&sfn_obs::env::process, "SFN_BENCH_SECS", default);
+    if secs > 0.0 {
+        secs
+    } else {
+        default
+    }
+}
+
 /// The environment every experiment binary uses: quick (seconds-scale)
 /// when `SFN_QUICK=1`, the standard scale otherwise.
 pub fn bench_env() -> BenchEnv {
-    if std::env::var("SFN_QUICK").map(|v| v == "1").unwrap_or(false) {
+    if quick() {
         BenchEnv::quick()
     } else {
         BenchEnv::standard()

@@ -10,7 +10,7 @@
 //! Knobs (env):
 //! * `SFN_BENCH_SECS`  — measurement time per benchmark (default 1.0;
 //!   Criterion used 3.0).
-//! * `SFN_QUICK`       — shrink warm-up and measurement for smoke runs.
+//! * `SFN_QUICK=1`     — shrink warm-up and measurement for smoke runs.
 
 use sfn_stats::TextTable;
 use std::time::{Duration, Instant};
@@ -48,16 +48,11 @@ fn fmt_duration(d: Duration) -> String {
 impl Suite {
     /// A new suite; reads the env knobs once.
     pub fn new(name: &str) -> Self {
-        let quick = std::env::var("SFN_QUICK").is_ok();
+        let quick = crate::quick();
         let default_secs = if quick { 0.05 } else { 1.0 };
-        let measure_secs = std::env::var("SFN_BENCH_SECS")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|v| *v > 0.0)
-            .unwrap_or(default_secs);
         Self {
             name: name.to_string(),
-            measure_secs,
+            measure_secs: crate::bench_secs(default_secs),
             warmup: if quick { Duration::from_millis(10) } else { WARMUP },
             rows: Vec::new(),
         }

@@ -57,35 +57,20 @@ pub struct CkptEnv {
     pub keep: usize,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(v) => match v.trim().parse() {
-            Ok(n) => n,
-            Err(_) => {
-                sfn_obs::event(sfn_obs::Level::Warn, "env.invalid")
-                    .field_str("var", name)
-                    .field_str("value", &v)
-                    .field_u64("default", default as u64)
-                    .emit();
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
 /// Reads `SFN_CKPT_DIR` / `SFN_CKPT_EVERY` / `SFN_CKPT_KEEP`. Malformed
 /// numeric knobs warn (`env.invalid`) and fall back to their defaults;
-/// an empty `SFN_CKPT_DIR` counts as unset.
+/// both are clamped to at least 1; an empty `SFN_CKPT_DIR` counts as
+/// unset.
 pub fn env_config() -> CkptEnv {
-    let dir = std::env::var("SFN_CKPT_DIR")
-        .ok()
-        .filter(|d| !d.trim().is_empty())
-        .map(std::path::PathBuf::from);
+    config_from(&sfn_obs::env::process)
+}
+
+fn config_from(get: sfn_obs::env::Lookup) -> CkptEnv {
+    use sfn_obs::env::knob;
     CkptEnv {
-        dir,
-        every: env_usize("SFN_CKPT_EVERY", 5).max(1),
-        keep: env_usize("SFN_CKPT_KEEP", DEFAULT_KEEP).max(1),
+        dir: get("SFN_CKPT_DIR").filter(|d| !d.trim().is_empty()).map(std::path::PathBuf::from),
+        every: knob(get, "SFN_CKPT_EVERY", 5usize).max(1),
+        keep: knob(get, "SFN_CKPT_KEEP", DEFAULT_KEEP).max(1),
     }
 }
 
@@ -132,46 +117,32 @@ pub(crate) mod testutil {
 mod tests {
     use super::*;
 
-    // Env tests mutate process-global state; serialise them.
-    fn hold() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    fn vars(pairs: &'static [(&'static str, &'static str)]) -> impl Fn(&str) -> Option<String> {
+        move |name| pairs.iter().find(|(k, _)| *k == name).map(|(_, v)| v.to_string())
     }
 
     #[test]
     fn env_defaults_when_unset() {
-        let _g = hold();
-        std::env::remove_var("SFN_CKPT_DIR");
-        std::env::remove_var("SFN_CKPT_EVERY");
-        std::env::remove_var("SFN_CKPT_KEEP");
-        let cfg = env_config();
+        let cfg = config_from(&vars(&[]));
         assert_eq!(cfg, CkptEnv { dir: None, every: 5, keep: DEFAULT_KEEP });
     }
 
     #[test]
     fn env_parses_and_clamps() {
-        let _g = hold();
-        std::env::set_var("SFN_CKPT_DIR", "/tmp/ckpts");
-        std::env::set_var("SFN_CKPT_EVERY", "10");
-        std::env::set_var("SFN_CKPT_KEEP", "0"); // clamped to 1
-        let cfg = env_config();
+        let cfg = config_from(&vars(&[
+            ("SFN_CKPT_DIR", "/tmp/ckpts"),
+            ("SFN_CKPT_EVERY", "10"),
+            ("SFN_CKPT_KEEP", "0"), // clamped to 1
+        ]));
         assert_eq!(cfg.dir.as_deref(), Some(std::path::Path::new("/tmp/ckpts")));
         assert_eq!(cfg.every, 10);
         assert_eq!(cfg.keep, 1);
-        std::env::remove_var("SFN_CKPT_DIR");
-        std::env::remove_var("SFN_CKPT_EVERY");
-        std::env::remove_var("SFN_CKPT_KEEP");
     }
 
     #[test]
     fn malformed_env_falls_back() {
-        let _g = hold();
-        std::env::set_var("SFN_CKPT_DIR", "  ");
-        std::env::set_var("SFN_CKPT_EVERY", "not-a-number");
-        let cfg = env_config();
+        let cfg = config_from(&vars(&[("SFN_CKPT_DIR", "  "), ("SFN_CKPT_EVERY", "not-a-number")]));
         assert_eq!(cfg.dir, None, "blank dir counts as unset");
         assert_eq!(cfg.every, 5);
-        std::env::remove_var("SFN_CKPT_DIR");
-        std::env::remove_var("SFN_CKPT_EVERY");
     }
 }

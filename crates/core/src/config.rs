@@ -1,13 +1,14 @@
 //! Offline-pipeline configuration.
 
 use sfn_modelgen::{FamilyConfig, SearchConfig};
+use sfn_obs::env::knob;
 
 /// Everything the offline phase needs. The paper-scale values (20,480
 /// problems, 128 steps, grids to 1024²) are impractical on a laptop;
 /// [`OfflineConfig::default`] targets minutes of CPU time and
 /// [`OfflineConfig::quick`] seconds (for tests). All counts scale up
-/// cleanly via the public fields or `SFN_*` environment variables (see
-/// [`OfflineConfig::from_env`]).
+/// cleanly via the public fields; two of them also via `SFN_*`
+/// environment variables (see [`OfflineConfig::from_env`]).
 #[derive(Debug, Clone, Copy)]
 pub struct OfflineConfig {
     /// Grid size for surrogate training data.
@@ -96,56 +97,22 @@ impl OfflineConfig {
         }
     }
 
-    /// Applies `SFN_TRAIN_PROBLEMS`, `SFN_EVAL_PROBLEMS`,
-    /// `SFN_EVAL_GRID`, `SFN_EVAL_STEPS`, `SFN_TRAIN_EPOCHS`,
-    /// `SFN_KNN_PROBLEMS` and `SFN_SEED` environment overrides — the
-    /// scale knobs the bench harness documents.
+    /// Applies the `SFN_EVAL_PROBLEMS` and `SFN_TRAIN_EPOCHS` environment
+    /// overrides — the offline scale knobs the bench harness documents.
     pub fn from_env(self) -> Self {
-        self.with_env_overrides(|name| std::env::var(name).ok())
+        self.with_env_overrides(sfn_obs::env::process)
     }
 
     /// [`OfflineConfig::from_env`] with an injectable variable lookup.
     ///
-    /// Env values are untrusted input: a malformed number is reported
-    /// as an `env.invalid` warning and ignored (falling back to the
-    /// current value), every accepted override is clamped to its sane
-    /// floor, and nothing here can panic — the `sfn-fuzz` `config_env`
-    /// target drives this function with arbitrary byte soup.
+    /// Env values are untrusted input: [`sfn_obs::env::knob`] reports a
+    /// malformed number as an `env.invalid` warning and keeps the
+    /// current value, every override is clamped to its floor, and
+    /// nothing here can panic — the `sfn-fuzz` `config_env` target
+    /// drives this function with arbitrary byte soup.
     pub fn with_env_overrides(mut self, lookup: impl Fn(&str) -> Option<String>) -> Self {
-        let get = |name: &str| -> Option<usize> {
-            let raw = lookup(name)?;
-            match raw.trim().parse() {
-                Ok(n) => Some(n),
-                Err(_) => {
-                    sfn_obs::event(sfn_obs::Level::Warn, "env.invalid")
-                        .field_str("var", name)
-                        .field_str("value", &raw)
-                        .emit();
-                    None
-                }
-            }
-        };
-        if let Some(v) = get("SFN_TRAIN_PROBLEMS") {
-            self.train_problems = v.max(1);
-        }
-        if let Some(v) = get("SFN_EVAL_PROBLEMS") {
-            self.eval_problems = v.max(1);
-        }
-        if let Some(v) = get("SFN_EVAL_GRID") {
-            self.eval_grid = v.max(8);
-        }
-        if let Some(v) = get("SFN_EVAL_STEPS") {
-            self.eval_steps = v.max(8);
-        }
-        if let Some(v) = get("SFN_TRAIN_EPOCHS") {
-            self.train_epochs = v.max(1);
-        }
-        if let Some(v) = get("SFN_KNN_PROBLEMS") {
-            self.knn_problems = v.max(2);
-        }
-        if let Some(v) = get("SFN_SEED") {
-            self.seed = v as u64;
-        }
+        self.eval_problems = knob(&lookup, "SFN_EVAL_PROBLEMS", self.eval_problems).max(1);
+        self.train_epochs = knob(&lookup, "SFN_TRAIN_EPOCHS", self.train_epochs).max(1);
         self
     }
 
@@ -187,10 +154,11 @@ mod tests {
 
     #[test]
     fn env_overrides_apply() {
-        std::env::set_var("SFN_EVAL_PROBLEMS", "99");
-        let c = OfflineConfig::quick().from_env();
-        std::env::remove_var("SFN_EVAL_PROBLEMS");
+        let c = OfflineConfig::quick().with_env_overrides(|name| {
+            (name == "SFN_EVAL_PROBLEMS").then(|| "99".to_string())
+        });
         assert_eq!(c.eval_problems, 99);
+        assert_eq!(c.train_epochs, OfflineConfig::quick().train_epochs, "unset keeps the value");
     }
 
     #[test]
@@ -199,13 +167,13 @@ mod tests {
         let c = defaults.with_env_overrides(|name| {
             Some(match name {
                 "SFN_EVAL_PROBLEMS" => "not-a-number".to_string(),
-                "SFN_EVAL_GRID" => "0".to_string(),     // below the floor
                 "SFN_TRAIN_EPOCHS" => " 7 ".to_string(), // whitespace ok
                 _ => "\u{0}\u{ffff}".to_string(),
             })
         });
         assert_eq!(c.eval_problems, defaults.eval_problems, "malformed ignored");
-        assert_eq!(c.eval_grid, 8, "clamped to floor");
         assert_eq!(c.train_epochs, 7);
+        let zero = defaults.with_env_overrides(|_| Some("0".to_string()));
+        assert_eq!((zero.eval_problems, zero.train_epochs), (1, 1), "clamped to floors");
     }
 }

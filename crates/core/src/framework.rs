@@ -4,7 +4,6 @@ use crate::artifacts::OfflineArtifacts;
 use crate::config::OfflineConfig;
 use crate::pipeline::build_offline;
 use sfn_runtime::{KnnDatabase, RunOutcome, RuntimeConfig, RuntimeError, SmartRuntime};
-use sfn_sim::Simulation;
 use sfn_workload::InputProblem;
 
 /// The Smart-fluidnet framework: offline artifacts plus the online
@@ -102,12 +101,6 @@ impl SmartFluidnet {
     pub fn run_problem(&self, problem: &InputProblem, total_steps: usize) -> RunOutcome {
         let mut rt = self.runtime(total_steps);
         rt.run(problem.simulation())
-    }
-
-    /// Runs a prepared simulation under the adaptive runtime.
-    pub fn run_simulation(&self, sim: Simulation, total_steps: usize) -> RunOutcome {
-        let mut rt = self.runtime(total_steps);
-        rt.run(sim)
     }
 }
 

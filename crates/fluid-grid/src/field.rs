@@ -91,13 +91,6 @@ impl Field2 {
         self.data[self.idx(i, j)]
     }
 
-    /// Mutable element access.
-    #[inline]
-    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
-        let k = self.idx(i, j);
-        &mut self.data[k]
-    }
-
     /// Sets element `(i, j)`.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f64) {

@@ -21,7 +21,6 @@
 pub mod distance;
 pub mod field;
 pub mod flags;
-pub mod io;
 pub mod mac;
 pub mod simd;
 

@@ -34,32 +34,6 @@ pub fn add_buoyancy(vel: &mut MacGrid, density: &Field2, flags: &CellFlags, alph
     }
 }
 
-/// Adds a constant acceleration `(gx, gy)` to every interior fluid face
-/// (e.g. gravity on a dense gas when not absorbed into pressure).
-pub fn add_gravity(vel: &mut MacGrid, flags: &CellFlags, gx: f64, gy: f64, dt: f64) {
-    let (nx, ny) = (vel.nx(), vel.ny());
-    if gx != 0.0 {
-        for j in 0..ny {
-            for i in 1..nx {
-                if flags.is_fluid(i, j) && flags.is_fluid(i - 1, j) {
-                    let u = vel.u.at(i, j) + dt * gx;
-                    vel.u.set(i, j, u);
-                }
-            }
-        }
-    }
-    if gy != 0.0 {
-        for j in 1..ny {
-            for i in 0..nx {
-                if flags.is_fluid(i, j) && flags.is_fluid(i, j - 1) {
-                    let v = vel.v.at(i, j) + dt * gy;
-                    vel.v.set(i, j, v);
-                }
-            }
-        }
-    }
-}
-
 /// Cell-centred vorticity `ω = ∂v/∂x − ∂u/∂y` via central differences
 /// of face velocities.
 pub fn vorticity(vel: &MacGrid) -> Field2 {
@@ -178,17 +152,6 @@ mod tests {
         add_buoyancy(&mut vel, &density, &flags, 3.0, 0.5);
         // v(2,2) between two full-density cells: Δt·α·ρ = 0.5·3·1 = 1.5.
         assert!((vel.v.at(2, 2) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gravity_uniform_pull() {
-        let mut vel = MacGrid::new(6, 6, 1.0);
-        let flags = CellFlags::all_fluid(6, 6);
-        add_gravity(&mut vel, &flags, 0.0, -9.8, 0.1);
-        assert!((vel.v.at(3, 3) + 0.98).abs() < 1e-12);
-        // Boundary faces (j=0, j=ny) untouched: they border the outside.
-        assert_eq!(vel.v.at(3, 0), 0.0);
-        assert_eq!(vel.v.at(3, 6), 0.0);
     }
 
     #[test]

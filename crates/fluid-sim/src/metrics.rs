@@ -1,6 +1,6 @@
 //! Simulation quality metrics: `DivNorm` (Eq. 5) and `Q_loss` (Eq. 3).
 
-use sfn_grid::{distance::divnorm_weights, CellFlags, Field2, MacGrid};
+use sfn_grid::{CellFlags, Field2, MacGrid};
 
 /// `DivNorm = Σ_i w_i {∇·u}²_i` over fluid cells (Eq. 5), where
 /// `w_i = max(1, k − d_i)` and `d_i` is the distance to the nearest
@@ -20,13 +20,6 @@ pub fn div_norm(vel: &MacGrid, flags: &CellFlags, weights: &Field2) -> f64 {
     s
 }
 
-/// Convenience: `div_norm` with freshly computed Eq. 5 weights
-/// (`k = 3`), for callers that do not cache the weight field.
-pub fn div_norm_default(vel: &MacGrid, flags: &CellFlags) -> f64 {
-    let w = divnorm_weights(flags, 3.0);
-    div_norm(vel, flags, &w)
-}
-
 /// Simulation quality loss of Eq. 3: the mean absolute difference
 /// between the approximated smoke density matrix `ρ*` and the reference
 /// density matrix `ρ`, averaged over all cells.
@@ -37,7 +30,7 @@ pub fn quality_loss(approx_density: &Field2, reference_density: &Field2) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfn_grid::CellFlags;
+    use sfn_grid::distance::divnorm_weights;
 
     #[test]
     fn divergence_free_field_has_zero_divnorm() {
@@ -45,7 +38,7 @@ mod tests {
         vel.u.fill(1.0);
         vel.v.fill(-2.0);
         let flags = CellFlags::all_fluid(8, 8);
-        assert_eq!(div_norm_default(&vel, &flags), 0.0);
+        assert_eq!(div_norm(&vel, &flags, &divnorm_weights(&flags, 3.0)), 0.0);
     }
 
     #[test]

@@ -206,15 +206,7 @@ pub fn fault_schedule(rng: &mut StdRng) -> Vec<u8> {
 /// NUL-separated `name=value` list (the `config_env` target's input
 /// encoding). Mixes plausible numbers with near-miss garbage.
 pub fn env_soup(rng: &mut StdRng) -> Vec<u8> {
-    const NAMES: &[&str] = &[
-        "SFN_TRAIN_PROBLEMS",
-        "SFN_EVAL_PROBLEMS",
-        "SFN_EVAL_GRID",
-        "SFN_EVAL_STEPS",
-        "SFN_TRAIN_EPOCHS",
-        "SFN_KNN_PROBLEMS",
-        "SFN_SEED",
-    ];
+    const NAMES: &[&str] = &["SFN_EVAL_PROBLEMS", "SFN_TRAIN_EPOCHS"];
     let mut out = Vec::new();
     for name in NAMES {
         if rng.random_unit() < 0.3 {

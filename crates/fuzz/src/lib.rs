@@ -56,14 +56,6 @@ pub enum Outcome {
     OracleFailure(String),
 }
 
-impl Outcome {
-    /// True for [`Outcome::Accepted`] and [`Outcome::Rejected`] — the
-    /// two acceptable answers to untrusted input.
-    pub fn is_sound(&self) -> bool {
-        !matches!(self, Outcome::OracleFailure(_))
-    }
-}
-
 /// One registered fuzz target: an untrusted-input boundary plus the
 /// seeds and dictionary that make fuzzing it productive.
 pub struct Target {

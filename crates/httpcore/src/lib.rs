@@ -1,14 +1,20 @@
-//! Shared, allocation-bounded HTTP/1.1 request parsing for the
-//! workspace's hand-rolled `std::net` servers (`sfn-metrics` and
-//! `sfn-serve`).
+//! The shared HTTP/1.1 front end of the workspace's hand-rolled
+//! `std::net` servers (`sfn-metrics` and `sfn-serve`).
 //!
 //! Security posture: every byte off the socket is hostile.
 //! [`parse_request`] is the single entry point for raw request heads —
 //! strict, allocation-bounded, and fuzzed as the `http` target.
-//! Servers layer their own connection caps, read deadlines and
-//! `Connection: close` semantics on top; this crate owns only the
-//! pure byte-level contract so both servers (and the fuzzer) agree on
-//! exactly what parses.
+//! [`accept_loop`] is the one accept loop (bounded connection threads,
+//! socket timeouts) and [`read_request`] the one bounded request
+//! reader, so both servers (and the fuzzer) agree on exactly what
+//! parses. Routing, counters, thread names and the overload reply stay
+//! with each server; every response is `Connection: close`.
+
+use std::io::Read;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Hard cap on the bytes of one request head (request line + headers
 /// + terminator). Larger requests are rejected before parsing.
@@ -291,6 +297,93 @@ pub fn write_response(
     let _ = stream.flush();
 }
 
+/// Read and write timeout set on every accepted connection.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How long [`accept_loop`] sleeps when no connection is pending.
+const ACCEPT_POLL: Duration = Duration::from_millis(20);
+
+/// Accepts connections on the non-blocking `listener` until `stop` is
+/// set, polling every 20 ms while idle. Each connection gets 2 s
+/// read/write timeouts and runs `handle` on its own
+/// thread named `conn_name`. Past `max_conns` live connection threads,
+/// `overloaded` answers the connection inline instead; a connection
+/// whose thread cannot be spawned is dropped.
+pub fn accept_loop(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    max_conns: usize,
+    conn_name: &str,
+    overloaded: impl Fn(TcpStream),
+    handle: impl Fn(TcpStream) + Send + Sync + 'static,
+) {
+    let handle = Arc::new(handle);
+    let active = Arc::new(AtomicUsize::new(0));
+    while !stop.load(Ordering::Relaxed) {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                if active.load(Ordering::Relaxed) >= max_conns {
+                    overloaded(stream);
+                    continue;
+                }
+                let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+                active.fetch_add(1, Ordering::Relaxed);
+                let handle = Arc::clone(&handle);
+                let conn_active = Arc::clone(&active);
+                let spawned = std::thread::Builder::new().name(conn_name.into()).spawn(move || {
+                    handle(stream);
+                    conn_active.fetch_sub(1, Ordering::Relaxed);
+                });
+                if spawned.is_err() {
+                    active.fetch_sub(1, Ordering::Relaxed);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(Duration::from_millis(100)),
+        }
+    }
+}
+
+/// Reads one request — the head plus the body its `Content-Length`
+/// declares — under the socket's timeouts. A head that does not parse
+/// is returned as read, so the caller produces the typed refusal.
+/// `Err` carries the status and plain-text body to answer with.
+pub fn read_request(stream: &mut impl Read) -> Result<Vec<u8>, (u16, &'static str)> {
+    let mut buf = Vec::with_capacity(1024);
+    let mut chunk = [0u8; 1024];
+    let head_end = loop {
+        if let Some(n) = head_len(&buf) {
+            break n;
+        }
+        if buf.len() > MAX_REQUEST_BYTES {
+            return Err((431, "request head too large\n"));
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err((400, "incomplete request\n")),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(_) => return Err((408, "request read timed out\n")),
+        }
+    };
+    let declared = match parse_request(&buf[..head_end]) {
+        Ok(head) => match head.content_length() {
+            Ok(n) => n,
+            Err(RequestError::BodyTooLarge) => return Err((413, "body too large\n")),
+            Err(_) => return Err((400, "bad content-length\n")),
+        },
+        Err(_) => return Ok(buf),
+    };
+    while buf.len() < head_end + declared {
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err((400, "body shorter than content-length\n")),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(_) => return Err((408, "body read timed out\n")),
+        }
+    }
+    buf.truncate(head_end + declared);
+    Ok(buf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,6 +443,24 @@ mod tests {
     fn head_len_finds_the_terminator() {
         assert_eq!(head_len(b"GET / HTTP/1.1\r\n\r\nbody"), Some(18));
         assert_eq!(head_len(b"GET / HTTP/1.1\r\n"), None);
+    }
+
+    #[test]
+    fn read_request_reads_the_declared_body_only() {
+        let mut wire: &[u8] = b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcdef";
+        let read = read_request(&mut wire).unwrap();
+        assert_eq!(read, b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc");
+        let mut short: &[u8] = b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc";
+        assert_eq!(read_request(&mut short).unwrap_err().0, 400);
+        let mut cut: &[u8] = b"GET / HTTP/1.1\r\n";
+        assert_eq!(read_request(&mut cut).unwrap_err().0, 400);
+        let mut garbage: &[u8] = b"\x00garbage\r\n\r\n";
+        let read = read_request(&mut garbage).unwrap();
+        assert_eq!(read, b"\x00garbage\r\n\r\n", "returned for the caller to refuse");
+        let huge = vec![b'A'; MAX_REQUEST_BYTES + 2048];
+        assert_eq!(read_request(&mut huge.as_slice()).unwrap_err().0, 431);
+        let mut flood: &[u8] = b"POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n";
+        assert_eq!(read_request(&mut flood).unwrap_err().0, 413);
     }
 
     #[test]

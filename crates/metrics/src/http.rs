@@ -3,19 +3,18 @@
 //!
 //! Security posture: the listener is meant for `127.0.0.1` (or an
 //! otherwise firewalled address) and treats every byte off the socket
-//! as hostile. [`parse_request`] — shared with `sfn-serve` via
-//! `sfn-httpcore`, and fuzzed as the `http` target — is the single
-//! entry point for raw request bytes, and the server itself enforces a
-//! hard request-size cap, a read deadline, a bounded connection count
-//! (excess connections get `503` and are closed, never queued), and
-//! `Connection: close` semantics (one request per connection, no
-//! keep-alive state machine to get wrong).
+//! as hostile. The accept loop, the request reader and
+//! [`parse_request`] (fuzzed as the `http` target) are `sfn-httpcore`'s,
+//! shared with `sfn-serve`: a hard request-size cap, a read deadline, a
+//! bounded connection count (excess connections get `503` and are
+//! closed, never queued), and `Connection: close` semantics (one
+//! request per connection, no keep-alive state machine to get wrong).
 
 use crate::hub::Hub;
 use crate::{expo, snapshot};
-use std::io::Read;
+use sfn_httpcore::{head_len, read_request, write_response};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -69,90 +68,38 @@ pub fn serve(hub: Arc<Hub>, addr: &str) -> std::io::Result<ServerHandle> {
         })?;
 
     let accept_stop = Arc::clone(&shutdown);
-    let active = Arc::new(AtomicUsize::new(0));
     let max_conns = hub.config().max_connections.max(1);
-    std::thread::Builder::new()
-        .name("sfn-metrics-http".into())
-        .spawn(move || loop {
-            if accept_stop.load(Ordering::Relaxed) {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if active.load(Ordering::Relaxed) >= max_conns {
-                        sfn_obs::counter_add("metrics.http.rejected", 1);
-                        respond_overloaded(stream);
-                        continue;
-                    }
-                    active.fetch_add(1, Ordering::Relaxed);
-                    let hub = Arc::clone(&hub);
-                    let conn_active = Arc::clone(&active);
-                    let spawned = std::thread::Builder::new()
-                        .name("sfn-metrics-conn".into())
-                        .spawn(move || {
-                            handle_connection(&hub, stream);
-                            conn_active.fetch_sub(1, Ordering::Relaxed);
-                        });
-                    if spawned.is_err() {
-                        active.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(100)),
-            }
-        })?;
+    std::thread::Builder::new().name("sfn-metrics-http".into()).spawn(move || {
+        sfn_httpcore::accept_loop(
+            &listener,
+            &accept_stop,
+            max_conns,
+            "sfn-metrics-conn",
+            |mut stream| {
+                sfn_obs::counter_add("metrics.http.rejected", 1);
+                write_response(&mut stream, 503, "text/plain; charset=utf-8", &[], b"overload\n");
+            },
+            move |stream| handle_connection(&hub, stream),
+        )
+    })?;
 
     Ok(ServerHandle { addr, shutdown })
 }
 
-fn respond_overloaded(mut stream: TcpStream) {
-    sfn_httpcore::write_response(
-        &mut stream,
-        503,
-        "text/plain; charset=utf-8",
-        &[],
-        b"overload\n",
-    );
-}
-
 fn handle_connection(hub: &Hub, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     sfn_obs::counter_add("metrics.http.requests", 1);
-
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    let head_complete = loop {
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") {
-            break true;
-        }
-        if buf.len() > MAX_REQUEST_BYTES {
-            break false;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break false,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break false,
-        }
-    };
-
-    let (status, content_type, body) = if !head_complete && buf.len() > MAX_REQUEST_BYTES {
-        status_page(431, "request head too large\n")
-    } else if !head_complete {
-        status_page(400, "incomplete request\n")
-    } else {
-        match parse_request(&buf) {
+    let (status, content_type, body) = match read_request(&mut stream) {
+        Err((status, msg)) => status_page(status, msg),
+        Ok(wire) => match parse_request(&wire[..head_len(&wire).unwrap_or(wire.len())]) {
             Ok(req) => route(hub, &req),
             Err(RequestError::TooLarge) => status_page(431, "request head too large\n"),
             Err(e) => {
                 sfn_obs::counter_add("metrics.http.malformed", 1);
                 status_page(400, &format!("{e}\n"))
             }
-        }
+        },
     };
-    sfn_httpcore::write_response(&mut stream, status, content_type, &[], &body);
+    write_response(&mut stream, status, content_type, &[], &body);
 }
 
 fn status_page(status: u16, body: &str) -> (u16, &'static str, Vec<u8>) {

@@ -48,31 +48,15 @@ impl Default for Config {
     }
 }
 
-fn env_millis(var: &str, default: u64) -> u64 {
-    match std::env::var(var) {
-        Ok(v) if !v.is_empty() => match v.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => ms,
-            _ => {
-                sfn_obs::log(
-                    sfn_obs::Level::Warn,
-                    &format!("{var}={v:?} is not a positive millisecond count; keeping {default}"),
-                );
-                default
-            }
-        },
-        _ => default,
-    }
-}
-
 impl Config {
-    /// Defaults overridden by `SFN_METRICS_SLOT_MS` / `SFN_METRICS_TICK_MS`
-    /// and the `SFN_SLO_*` threshold variables.
+    /// Defaults with the `SFN_METRICS_SLOT_MS` slot width applied (a
+    /// zero or malformed value keeps the default).
     pub fn from_env() -> Self {
-        let mut cfg = Config::default();
-        cfg.slot_millis = env_millis("SFN_METRICS_SLOT_MS", cfg.slot_millis);
-        cfg.tick_millis = env_millis("SFN_METRICS_TICK_MS", cfg.tick_millis);
-        cfg.slo = SloConfig::from_env();
-        cfg
+        use std::num::NonZeroU64;
+        let d = Config::default();
+        let default_slot = NonZeroU64::new(d.slot_millis).unwrap_or(NonZeroU64::MIN);
+        let slot = sfn_obs::env::knob(&sfn_obs::env::process, "SFN_METRICS_SLOT_MS", default_slot);
+        Config { slot_millis: slot.get(), ..d }
     }
 
     /// Fast-window span in seconds.

@@ -68,38 +68,17 @@ pub struct SloConfig {
     pub slow_factor: f64,
 }
 
-fn env_threshold_secs(var: &str, default_ms: f64) -> f64 {
-    match std::env::var(var) {
-        Ok(v) if !v.is_empty() => match v.trim().parse::<f64>() {
-            Ok(ms) if ms.is_finite() && ms > 0.0 => ms / 1e3,
-            _ => {
-                sfn_obs::log(
-                    Level::Warn,
-                    &format!("{var}={v:?} is not a positive millisecond count; keeping {default_ms}"),
-                );
-                default_ms / 1e3
-            }
-        },
-        _ => default_ms / 1e3,
-    }
-}
-
 impl Default for SloConfig {
+    /// The four stock objectives: step p99 under 250 ms, checkpoint
+    /// writes under 500 ms, and 1 % budgets for guard trips and
+    /// rollbacks.
     fn default() -> Self {
-        Self::with_thresholds(0.25, 0.5)
-    }
-}
-
-impl SloConfig {
-    /// The four stock objectives with explicit latency targets
-    /// (seconds).
-    pub fn with_thresholds(step_p99_secs: f64, ckpt_p99_secs: f64) -> Self {
         let objectives = vec![
             SloSpec {
                 name: "step-latency".into(),
                 kind: SloKind::LatencyAbove {
                     series: "runtime.step_secs".into(),
-                    threshold_secs: step_p99_secs,
+                    threshold_secs: 0.25,
                 },
                 budget: 0.01,
             },
@@ -123,21 +102,12 @@ impl SloConfig {
                 name: "ckpt-write-latency".into(),
                 kind: SloKind::LatencyAbove {
                     series: "ckpt.write_secs".into(),
-                    threshold_secs: ckpt_p99_secs,
+                    threshold_secs: 0.5,
                 },
                 budget: 0.05,
             },
         ];
         Self { objectives, fast_factor: 2.0, slow_factor: 1.0 }
-    }
-
-    /// Defaults with `SFN_SLO_STEP_P99_MS` / `SFN_SLO_CKPT_P99_MS`
-    /// latency targets applied.
-    pub fn from_env() -> Self {
-        Self::with_thresholds(
-            env_threshold_secs("SFN_SLO_STEP_P99_MS", 250.0),
-            env_threshold_secs("SFN_SLO_CKPT_P99_MS", 500.0),
-        )
     }
 }
 

@@ -107,11 +107,6 @@ impl EvalContext {
         self.reference_times.iter().sum::<f64>() / self.reference_times.len() as f64
     }
 
-    /// PCG projection seconds of problem `i`'s reference run.
-    pub fn reference_time(&self, i: usize) -> f64 {
-        self.reference_times[i]
-    }
-
     /// Number of evaluation problems.
     pub fn len(&self) -> usize {
         self.problems.len()

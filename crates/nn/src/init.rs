@@ -10,15 +10,6 @@ pub fn he_normal(rng: &mut StdRng, fan_in: usize, count: usize) -> Vec<f32> {
     gaussian(rng, count, sigma)
 }
 
-/// Xavier/Glorot uniform initialisation: `U(−a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform(rng: &mut StdRng, fan_in: usize, fan_out: usize, count: usize) -> Vec<f32> {
-    let a = (6.0 / (fan_in + fan_out).max(1) as f64).sqrt();
-    (0..count)
-        .map(|_| rng.random_range(-a..a) as f32)
-        .collect()
-}
-
 /// Zero-mean Gaussian samples with standard deviation `sigma`.
 pub fn gaussian(rng: &mut StdRng, count: usize, sigma: f64) -> Vec<f32> {
     let mut out = Vec::with_capacity(count);
@@ -76,15 +67,6 @@ mod tests {
             (var - target).abs() / target < 0.05,
             "var {var} vs target {target}"
         );
-    }
-
-    #[test]
-    fn xavier_stays_in_bounds() {
-        let a = (6.0f64 / (32 + 64) as f64).sqrt() as f32;
-        let v = xavier_uniform(&mut rng_from_seed(3), 32, 64, 10_000);
-        assert!(v.iter().all(|&x| x.abs() <= a));
-        // And actually exercises the range.
-        assert!(v.iter().any(|&x| x.abs() > a * 0.9));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   serialisable [`spec::NetworkSpec`] (the object the §4 model
 //!   transformations rewrite), with forward, backward and parameter
 //!   update;
-//! * [`optim`] — SGD with momentum and Adam;
-//! * [`loss`] — MSE and weighted-MSE objectives (the DivNorm objective
+//! * [`optim`] — Adam;
+//! * [`loss`] — the MSE objective (the DivNorm objective
 //!   lives in `sfn-surrogate` where the fluid context is available);
 //! * [`flops`] — analytic FLOP accounting per layer (Table 4);
 //! * [`plan::Plan`] — the same model compiled for inference: what a

@@ -20,48 +20,6 @@ pub fn mse(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
     (loss / n, grad)
 }
 
-/// Weighted MSE `L = 1/N Σ w·(p − t)²`; gradient `2w(p − t)/N`.
-///
-/// This is the building block for the DivNorm objective of Eq. 5,
-/// whose per-cell weights emphasise geometry boundaries.
-///
-/// # Panics
-/// Panics on shape mismatch between any pair of arguments.
-pub fn weighted_mse(pred: &Tensor, target: &Tensor, weights: &Tensor) -> (f64, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "loss shape mismatch");
-    assert_eq!(pred.shape(), weights.shape(), "weight shape mismatch");
-    let n = pred.len() as f64;
-    let mut grad = pred.clone();
-    let mut loss = 0.0f64;
-    for ((g, &t), &w) in grad
-        .data_mut()
-        .iter_mut()
-        .zip(target.data())
-        .zip(weights.data())
-    {
-        let d = (*g - t) as f64;
-        let wd = w as f64;
-        loss += wd * d * d;
-        *g = (2.0 * wd * d / n) as f32;
-    }
-    (loss / n, grad)
-}
-
-/// Mean absolute error (L1) `L = 1/N Σ |p − t|` with subgradient
-/// `sign(p − t)/N`.
-pub fn mae(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "loss shape mismatch");
-    let n = pred.len() as f64;
-    let mut grad = pred.clone();
-    let mut loss = 0.0f64;
-    for (g, &t) in grad.data_mut().iter_mut().zip(target.data()) {
-        let d = (*g - t) as f64;
-        loss += d.abs();
-        *g = (d.signum() / n) as f32;
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,36 +39,6 @@ mod tests {
         let (l, g) = mse(&p, &t);
         assert!((l - 2.0).abs() < 1e-12); // (4 + 0)/2
         assert_eq!(g.data(), &[2.0, 0.0]); // 2*2/2, 0
-    }
-
-    #[test]
-    fn weighted_mse_reduces_to_mse_with_unit_weights() {
-        let p = Tensor::from_vec(1, 1, 1, 3, vec![1., 5., -2.]);
-        let t = Tensor::from_vec(1, 1, 1, 3, vec![0., 4., 2.]);
-        let w = p.map(|_| 1.0);
-        let (l1, g1) = mse(&p, &t);
-        let (l2, g2) = weighted_mse(&p, &t, &w);
-        assert!((l1 - l2).abs() < 1e-12);
-        assert_eq!(g1, g2);
-    }
-
-    #[test]
-    fn weighted_mse_emphasises_weighted_cells() {
-        let p = Tensor::from_vec(1, 1, 1, 2, vec![1.0, 1.0]);
-        let t = Tensor::from_vec(1, 1, 1, 2, vec![0.0, 0.0]);
-        let w = Tensor::from_vec(1, 1, 1, 2, vec![3.0, 1.0]);
-        let (l, g) = weighted_mse(&p, &t, &w);
-        assert!((l - 2.0).abs() < 1e-12); // (3 + 1)/2
-        assert_eq!(g.data(), &[3.0, 1.0]); // 2·3·1/2, 2·1·1/2
-    }
-
-    #[test]
-    fn mae_value_and_sign() {
-        let p = Tensor::from_vec(1, 1, 1, 2, vec![2.0, -1.0]);
-        let t = Tensor::from_vec(1, 1, 1, 2, vec![0.0, 0.0]);
-        let (l, g) = mae(&p, &t);
-        assert!((l - 1.5).abs() < 1e-12);
-        assert_eq!(g.data(), &[0.5, -0.5]);
     }
 
     #[test]

@@ -152,30 +152,6 @@ pub fn decode(data: &[u8]) -> Result<SavedModel, ModelIoError> {
     Ok(SavedModel { spec, weights })
 }
 
-/// Writes a snapshot to a file.
-pub fn save_binary(model: &SavedModel, path: &std::path::Path) -> std::io::Result<()> {
-    let bytes = encode(model).map_err(std::io::Error::other)?;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, &bytes)
-}
-
-/// Reads a snapshot from a file. A file that fails to decode is
-/// surfaced as an error *and* logged as a `parser.rejected` event so
-/// hardened rejections are visible in traces.
-pub fn load_binary(path: &std::path::Path) -> std::io::Result<SavedModel> {
-    let bytes = std::fs::read(path)?;
-    decode(&bytes).map_err(|e| {
-        sfn_obs::event(sfn_obs::Level::Warn, "parser.rejected")
-            .field_str("boundary", "model_io")
-            .field_str("path", &path.display().to_string())
-            .field_str("error", &e.0)
-            .emit();
-        std::io::Error::other(e)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,14 +330,5 @@ mod tests {
         wrong_magic[0] = b'X';
         // Checksum covers the magic, so this reports a checksum error.
         assert!(decode(&wrong_magic).is_err());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let m = model();
-        let path = std::env::temp_dir().join("sfn-model-io").join("m.sfnm");
-        save_binary(&m, &path).unwrap();
-        let back = load_binary(&path).unwrap();
-        assert_eq!(m.weights, back.weights);
     }
 }

@@ -150,11 +150,6 @@ impl Network {
         total
     }
 
-    /// Memory footprint of the parameters in bytes (f32 storage).
-    pub fn param_bytes(&self) -> u64 {
-        4 * self.param_count() as u64
-    }
-
     /// Snapshots the architecture and weights.
     pub fn save(&mut self) -> SavedModel {
         let weights = self

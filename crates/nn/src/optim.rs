@@ -1,4 +1,4 @@
-//! Parameter optimizers: SGD with momentum and Adam.
+//! Parameter optimizer: Adam.
 
 use crate::network::Network;
 
@@ -13,57 +13,6 @@ pub trait Optimizer {
 
     /// Overrides the learning rate (e.g. for decay schedules).
     fn set_learning_rate(&mut self, lr: f64);
-}
-
-/// Stochastic gradient descent with classical momentum.
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer; `momentum = 0` disables the velocity
-    /// buffer semantics (but still allocates lazily).
-    pub fn new(lr: f64, momentum: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum in [0, 1)");
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Network) {
-        let mut views = net.params();
-        if self.velocity.len() != views.len() {
-            self.velocity = views.iter().map(|v| vec![0.0; v.values.len()]).collect();
-        }
-        let lr = self.lr as f32;
-        let mu = self.momentum as f32;
-        for (view, vel) in views.iter_mut().zip(&mut self.velocity) {
-            for ((p, &g), v) in view
-                .values
-                .iter_mut()
-                .zip(view.grads.iter())
-                .zip(vel.iter_mut())
-            {
-                *v = mu * *v - lr * g;
-                *p += *v;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba 2015) with bias correction.
@@ -165,13 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_learns_linear_function() {
-        let mut opt = Sgd::new(0.05, 0.9);
-        let loss = train(&mut opt, 300);
-        assert!(loss < 1e-6, "final loss {loss}");
-    }
-
-    #[test]
     fn adam_learns_linear_function() {
         let mut opt = Adam::new(0.05);
         let loss = train(&mut opt, 400);
@@ -179,22 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn adam_adapts_where_small_lr_sgd_crawls() {
-        // With a deliberately tiny learning rate SGD barely moves, while
-        // Adam's per-parameter scaling still makes steady progress.
-        let mut sgd = Sgd::new(0.0005, 0.0);
-        let mut adam = Adam::new(0.02);
-        let l_sgd = train(&mut sgd, 500);
-        let l_adam = train(&mut adam, 500);
-        assert!(l_adam < 0.2, "adam failed to converge: {l_adam}");
-        assert!(l_adam < l_sgd, "adam {l_adam} vs sgd {l_sgd}");
-    }
-
-    #[test]
     fn learning_rate_accessors() {
-        let mut s = Sgd::new(0.1, 0.0);
-        s.set_learning_rate(0.01);
-        assert_eq!(s.learning_rate(), 0.01);
         let mut a = Adam::new(0.001);
         a.set_learning_rate(0.1);
         assert_eq!(a.learning_rate(), 0.1);
@@ -203,6 +130,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate must be positive")]
     fn rejects_zero_lr() {
-        let _ = Sgd::new(0.0, 0.0);
+        let _ = Adam::new(0.0);
     }
 }

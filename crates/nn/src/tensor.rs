@@ -151,14 +151,6 @@ impl Tensor {
         &self.data[start..start + self.h * self.w]
     }
 
-    /// Mutable `(n, c)` image plane.
-    #[inline]
-    pub fn plane_mut(&mut self, n: usize, c: usize) -> &mut [f32] {
-        let hw = self.h * self.w;
-        let start = (n * self.c + c) * hw;
-        &mut self.data[start..start + hw]
-    }
-
     /// Reinterprets the tensor with a new shape of identical length.
     ///
     /// # Panics

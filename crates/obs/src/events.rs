@@ -32,12 +32,6 @@ fn lock_sink() -> MutexGuard<'static, Sink> {
     sink().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// True if a JSONL trace sink is installed.
-pub fn tracing_enabled() -> bool {
-    crate::init();
-    tracing_enabled_raw()
-}
-
 pub(crate) fn tracing_enabled_raw() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
@@ -200,18 +194,6 @@ impl EventBuilder {
 
     /// Adds an unsigned integer field.
     pub fn field_u64(mut self, key: &str, v: u64) -> Self {
-        self.key(key);
-        if let Some(j) = self.json.as_mut() {
-            let _ = write!(j, "{v}");
-        }
-        if let Some(t) = self.text.as_mut() {
-            let _ = write!(t, " {key}={v}");
-        }
-        self
-    }
-
-    /// Adds a signed integer field.
-    pub fn field_i64(mut self, key: &str, v: i64) -> Self {
         self.key(key);
         if let Some(j) = self.json.as_mut() {
             let _ = write!(j, "{v}");
@@ -402,10 +384,10 @@ mod tests {
     #[test]
     fn tracing_flag_follows_writer() {
         let _guard = test_lock::hold();
-        assert!(!tracing_enabled());
+        assert!(!tracing_enabled_raw());
         set_trace_writer(Some(Box::new(SharedBuf::new())));
-        assert!(tracing_enabled());
+        assert!(tracing_enabled_raw());
         set_trace_writer(None);
-        assert!(!tracing_enabled());
+        assert!(!tracing_enabled_raw());
     }
 }

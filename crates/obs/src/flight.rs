@@ -19,7 +19,6 @@
 //! | variable | effect |
 //! |---|---|
 //! | `SFN_CRASH_FILE` | crash-report path; setting it installs the panic hook |
-//! | `SFN_FLIGHT` | `0` disables the recorder entirely |
 //!
 //! The crash path can also be set programmatically with
 //! [`set_crash_file`] / [`install_crash_handler`] (the bench harness
@@ -65,8 +64,7 @@ pub fn flight_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns the recorder on or off (it is on by default; `SFN_FLIGHT=0`
-/// disables it from the environment).
+/// Turns the recorder on or off (it is on by default).
 pub fn set_flight_enabled(on: bool) {
     crate::init();
     ENABLED.store(on, Ordering::Relaxed);
@@ -192,9 +190,6 @@ pub fn install_crash_handler() {
 }
 
 pub(crate) fn init_from_env() {
-    if std::env::var("SFN_FLIGHT").map(|v| v == "0").unwrap_or(false) {
-        ENABLED.store(false, Ordering::Relaxed);
-    }
     if let Ok(path) = std::env::var("SFN_CRASH_FILE") {
         if !path.is_empty() {
             set_crash_file(Some(&path));

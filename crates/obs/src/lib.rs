@@ -20,6 +20,8 @@
 //!   events in a fixed ring even when tracing is off, and dumps a JSONL
 //!   crash report on panic or when the simulation's blow-up guard /
 //!   sanitizer calls [`note_incident`].
+//! * **Knobs** — [`env::knob`] is the one reader of numeric, list and
+//!   on/off `SFN_*` variables for every crate above `sfn-par`.
 //!
 //! # Configuration
 //!
@@ -27,9 +29,7 @@
 //! |---|---|
 //! | `SFN_LOG` | stderr verbosity: `off`, `error`, `warn` (default), `info`, `debug`, `trace`; `info`+ also enables metrics |
 //! | `SFN_TRACE_FILE` | path of the JSONL event trace (created/truncated); setting it enables metrics |
-//! | `SFN_METRICS` | `1` enables span/counter/histogram aggregation without logging |
 //! | `SFN_CRASH_FILE` | crash-report path; setting it installs the panic hook |
-//! | `SFN_FLIGHT` | `0` disables the flight recorder |
 //!
 //! # Overhead
 //!
@@ -44,6 +44,7 @@
 
 #![warn(missing_docs)]
 
+pub mod env;
 pub mod events;
 pub mod flight;
 pub mod json;
@@ -131,8 +132,8 @@ pub fn uptime() -> f64 {
     start_instant().elapsed().as_secs_f64()
 }
 
-/// Applies the `SFN_LOG` / `SFN_TRACE_FILE` / `SFN_METRICS` environment
-/// configuration. Called lazily by every entry point; calling it
+/// Applies the `SFN_LOG` / `SFN_TRACE_FILE` / `SFN_CRASH_FILE`
+/// environment configuration. Called lazily by every entry point; calling it
 /// explicitly (e.g. first thing in `main`) only pins *when* the
 /// environment is read.
 pub fn init() {
@@ -151,9 +152,6 @@ pub fn init() {
                 }
             }
         }
-        if std::env::var("SFN_METRICS").map(|v| v == "1").unwrap_or(false) {
-            METRICS.store(true, Ordering::Relaxed);
-        }
         if let Ok(path) = std::env::var("SFN_TRACE_FILE") {
             if !path.is_empty() {
                 METRICS.store(true, Ordering::Relaxed);
@@ -166,29 +164,10 @@ pub fn init() {
     });
 }
 
-/// The current stderr verbosity.
-pub fn log_level() -> Level {
-    init();
-    match LOG_LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Off,
-        1 => Level::Error,
-        2 => Level::Warn,
-        3 => Level::Info,
-        4 => Level::Debug,
-        _ => Level::Trace,
-    }
-}
-
 /// Overrides the stderr verbosity programmatically.
 pub fn set_log_level(level: Level) {
     init();
     LOG_LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
-/// True if a message at `level` reaches stderr.
-pub fn log_enabled(level: Level) -> bool {
-    init();
-    log_enabled_raw(level)
 }
 
 pub(crate) fn log_enabled_raw(level: Level) -> bool {

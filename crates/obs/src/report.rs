@@ -99,7 +99,7 @@ pub fn render_report() -> String {
     let mut out = String::new();
     out.push_str("== sfn-obs run report ==\n");
     if stages.is_empty() {
-        out.push_str("(no stages recorded — set SFN_LOG=info, SFN_METRICS=1 or SFN_TRACE_FILE)\n");
+        out.push_str("(no stages recorded — set SFN_LOG=info or SFN_TRACE_FILE)\n");
     } else {
         let is_root = |name: &str| {
             !stages

@@ -36,7 +36,6 @@
 //! |---|---|
 //! | `SFN_PROF` | `1` enables kernel accounting (off by default) |
 //! | `SFN_PROF_ALLOC` | `1` additionally tracks allocations (needs [`CountingAlloc`] installed as `#[global_allocator]`) |
-//! | `SFN_PROF_CALIB_MS` | per-phase calibration budget in ms (default 10) |
 //!
 //! # Overhead
 //!
@@ -81,11 +80,12 @@ static REGISTRY: Mutex<BTreeMap<&'static str, KernelTotals>> = Mutex::new(BTreeM
 /// first thing in `main`) only pins *when* the environment is read.
 pub fn init() {
     INIT.call_once(|| {
+        use sfn_obs::env::{knob, process, Flag};
         sfn_obs::init();
-        if std::env::var("SFN_PROF").map(|v| v == "1").unwrap_or(false) {
+        if knob(&process, "SFN_PROF", Flag(false)).0 {
             ENABLED.store(true, Ordering::Relaxed);
         }
-        if std::env::var("SFN_PROF_ALLOC").map(|v| v == "1").unwrap_or(false) {
+        if knob(&process, "SFN_PROF_ALLOC", Flag(false)).0 {
             alloc::set_tracking(true);
         }
     });

@@ -95,14 +95,8 @@ impl Calibration {
     }
 }
 
-fn calib_budget() -> Duration {
-    let ms = std::env::var("SFN_PROF_CALIB_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(10)
-        .clamp(1, 1000);
-    Duration::from_millis(ms)
-}
+/// Time spent in each calibration micro-benchmark.
+const CALIB_BUDGET: Duration = Duration::from_millis(10);
 
 /// Peak FLOP/s estimate: independent multiply–add chains, enough of
 /// them to cover the FPU latency×throughput product.
@@ -146,13 +140,11 @@ fn measure_stream_bandwidth(budget: Duration) -> f64 {
     bytes as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// Runs the calibration micro-benchmarks (`SFN_PROF_CALIB_MS` per
-/// phase, default 10 ms each).
+/// Runs the calibration micro-benchmarks (10 ms each).
 pub fn calibrate() -> Calibration {
-    let budget = calib_budget();
     Calibration {
-        peak_gflops: measure_peak_flops(budget) / 1e9,
-        stream_gbps: measure_stream_bandwidth(budget) / 1e9,
+        peak_gflops: measure_peak_flops(CALIB_BUDGET) / 1e9,
+        stream_gbps: measure_stream_bandwidth(CALIB_BUDGET) / 1e9,
     }
 }
 
@@ -203,9 +195,7 @@ mod tests {
 
     #[test]
     fn calibration_measures_positive_ceilings() {
-        std::env::set_var("SFN_PROF_CALIB_MS", "2");
         let cal = calibrate();
-        std::env::remove_var("SFN_PROF_CALIB_MS");
         assert!(cal.peak_gflops > 0.0, "{cal:?}");
         assert!(cal.stream_gbps > 0.0, "{cal:?}");
         assert!(cal.balance() > 0.0);

@@ -95,27 +95,6 @@ impl MlpVariant {
     }
 }
 
-/// The topology drawn in the paper's Figure 4: a 48-neuron input and
-/// six hidden layers of 32, 32, 16, 16, 8 and 8 neurons (the prose of
-/// §5.2 lists MLP3 as 48-32-32-16-8-1; both are provided — Figure 4
-/// for fidelity, [`MlpVariant::Mlp3`] as the default since it is the
-/// variant Figure 5 evaluates).
-pub fn figure4_topology() -> NetworkSpec {
-    let widths = [48usize, 32, 32, 16, 16, 8, 8, 1];
-    let mut layers = Vec::new();
-    for w in widths.windows(2) {
-        layers.push(LayerSpec::Dense {
-            inputs: w[0],
-            outputs: w[1],
-        });
-        if w[1] != 1 {
-            layers.push(LayerSpec::ReLU);
-        }
-    }
-    layers.push(LayerSpec::Sigmoid);
-    NetworkSpec::new(layers)
-}
-
 /// Builds the dense spec for a variant: ReLU between hidden layers,
 /// sigmoid on the output.
 pub fn mlp_topology(variant: MlpVariant) -> NetworkSpec {
@@ -137,7 +116,7 @@ pub fn mlp_topology(variant: MlpVariant) -> NetworkSpec {
 /// Training configuration for the MLP.
 #[derive(Debug, Clone, Copy)]
 pub struct MlpTrainConfig {
-    /// Mini-batch SGD steps (the paper's Figure 5 plots up to 10k).
+    /// Mini-batch Adam steps (the paper's Figure 5 plots up to 10k).
     pub steps: usize,
     /// Mini-batch size.
     pub batch_size: usize,
@@ -324,24 +303,6 @@ mod tests {
             // Output shape is a single sigmoid scalar.
             assert_eq!(spec.output_shape((48, 1, 1)).unwrap(), (1, 1, 1));
         }
-    }
-
-    #[test]
-    fn figure4_topology_matches_the_figure() {
-        let spec = figure4_topology();
-        let denses: Vec<(usize, usize)> = spec
-            .layers
-            .iter()
-            .filter_map(|l| match l {
-                LayerSpec::Dense { inputs, outputs } => Some((*inputs, *outputs)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            denses,
-            vec![(48, 32), (32, 32), (32, 16), (16, 16), (16, 8), (8, 8), (8, 1)]
-        );
-        assert_eq!(spec.output_shape((48, 1, 1)).unwrap(), (1, 1, 1));
     }
 
     #[test]

@@ -96,14 +96,6 @@ impl ModelRecords {
         }
         self.records.iter().map(|r| r.time).sum::<f64>() / self.records.len() as f64
     }
-
-    /// Mean quality loss over the records.
-    pub fn mean_quality_loss(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().map(|r| r.quality_loss).sum::<f64>() / self.records.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +129,6 @@ mod tests {
     fn aggregates() {
         let r = records();
         assert!((r.mean_time() - 1.25).abs() < 1e-12);
-        assert!((r.mean_quality_loss() - 0.0275).abs() < 1e-12);
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod knn;
 pub mod persist;
 pub mod quarantine;
 pub mod scheduler;
-pub mod telemetry;
 
 pub use cumdiv::CumDivNormTracker;
 pub use error::RuntimeError;
@@ -45,4 +44,3 @@ pub use scheduler::{
     decide, Action, CandidateModel, RunLimits, RunOutcome, RuntimeConfig, SchedulerEvent,
     SmartRuntime, Truncation,
 };
-pub use telemetry::RunSummary;

@@ -23,8 +23,8 @@
 //! * **circuit breakers** ([`breaker`]) — per-tenant doubling-backoff
 //!   breakers isolate a tenant whose models keep corrupting runs.
 //!
-//! Configuration is environment-driven (`SFN_SERVE_*`, see
-//! [`ServeConfig`]); chaos hooks (`slow_client`, `conn_reset`,
+//! Configuration is the [`ServeConfig`] struct (only the bind address
+//! has an environment override, `SFN_SERVE_ADDR`); chaos hooks (`slow_client`, `conn_reset`,
 //! `queue_stall` via `sfn-faults`) target the `serve/conn` and
 //! `serve/queue` sites.
 

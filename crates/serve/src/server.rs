@@ -3,8 +3,9 @@
 //!
 //! Thread model (thread-per-core, no async runtime):
 //!
-//! * **acceptor** — non-blocking accept with a 20 ms poll; over the
-//!   connection cap it answers `503` inline and closes.
+//! * **acceptor** — `sfn-httpcore`'s accept loop (non-blocking accept
+//!   with a 20 ms poll); over the connection cap it answers `503`
+//!   inline and closes.
 //! * **connection threads** (bounded, short-lived) — read one request
 //!   under timeouts, run the admission pipeline, and either enqueue
 //!   the work or answer the refusal immediately. A refused request
@@ -27,7 +28,7 @@ use crate::breaker::{BreakerState, BreakerTable};
 use crate::brownout::{BrownoutConfig, BrownoutController, Rung, Signals};
 use crate::queue::{TenantQueues, WorkItem};
 use sfn_grid::CellFlags;
-use sfn_httpcore::{head_len, parse_request, write_response, RequestError, MAX_REQUEST_BYTES};
+use sfn_httpcore::{head_len, parse_request, read_request, write_response};
 use sfn_nn::Network;
 use sfn_obs::Level;
 use sfn_runtime::{
@@ -36,7 +37,6 @@ use sfn_runtime::{
 use sfn_sim::{SimConfig, Simulation};
 use sfn_surrogate::yang_spec;
 use std::collections::VecDeque;
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,42 +51,38 @@ const LATENCY_RING: usize = 512;
 /// (the longest breaker hold is `base << 6` = 16 s at the default).
 const SWEEP_IDLE: Duration = Duration::from_secs(30);
 
-/// Server tunables; every field has an `SFN_SERVE_*` environment
-/// override (see [`ServeConfig::from_env`]).
+/// Server tunables. Only the bind address has an environment override
+/// (`SFN_SERVE_ADDR`, see [`serve_from_env`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Bind address (`SFN_SERVE_ADDR`, default `127.0.0.1:0`).
+    /// Bind address (default `127.0.0.1:0`).
     pub addr: String,
-    /// Simulation worker threads (`SFN_SERVE_WORKERS`, default =
-    /// available cores, capped at 8).
+    /// Simulation worker threads (default = available cores, capped
+    /// at 8).
     pub workers: usize,
-    /// Global cap on admitted-but-unfinished requests
-    /// (`SFN_SERVE_GLOBAL_CONCURRENCY`, default `workers * 4`).
+    /// Global cap on admitted-but-unfinished requests (default
+    /// `workers * 4`).
     pub global_concurrency: usize,
-    /// Per-tenant queue depth (`SFN_SERVE_QUEUE_DEPTH`, default 8).
+    /// Per-tenant queue depth (default 8).
     pub queue_depth: usize,
     /// Per-tenant sustained admission rate in requests/second
-    /// (`SFN_SERVE_TENANT_RATE`, default 50).
+    /// (default 50).
     pub tenant_rate: f64,
-    /// Per-tenant burst size in requests (`SFN_SERVE_TENANT_BURST`,
-    /// default 20).
+    /// Per-tenant burst size in requests (default 20).
     pub tenant_burst: f64,
-    /// Deadline budget for requests that declare none
-    /// (`SFN_SERVE_DEFAULT_DEADLINE_MS`, default 2000).
+    /// Deadline budget for requests that declare none (default 2000).
     pub default_deadline_ms: u64,
-    /// Brownout controller tick (`SFN_SERVE_TICK_MS`, default 50).
+    /// Brownout controller tick (default 50).
     pub tick_ms: u64,
-    /// Circuit-breaker base hold (`SFN_SERVE_BREAKER_BASE_MS`,
-    /// default 250); strike `n` holds `base << min(n, 6)`.
+    /// Circuit-breaker base hold (default 250); strike `n` holds
+    /// `base << min(n, 6)`.
     pub breaker_base_ms: u64,
     /// Served-latency p99 objective for the brownout controller
-    /// (`SFN_SERVE_P99_TARGET_MS`, default 250).
+    /// (default 250).
     pub p99_target_ms: f64,
-    /// Overloaded ticks before escalating one rung
-    /// (`SFN_SERVE_ESCALATE_AFTER`, default 2).
+    /// Overloaded ticks before escalating one rung (default 2).
     pub escalate_after: u32,
-    /// Healthy ticks before recovering one rung
-    /// (`SFN_SERVE_RECOVER_AFTER`, default 6).
+    /// Healthy ticks before recovering one rung (default 6).
     pub recover_after: u32,
 }
 
@@ -106,35 +102,6 @@ impl Default for ServeConfig {
             p99_target_ms: 250.0,
             escalate_after: 2,
             recover_after: 6,
-        }
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(var: &str, default: T) -> T {
-    std::env::var(var).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
-impl ServeConfig {
-    /// The default configuration with every `SFN_SERVE_*` override
-    /// applied. Unparsable values silently keep the default — serving
-    /// must come up even under a mangled environment.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            addr: std::env::var("SFN_SERVE_ADDR").unwrap_or(d.addr),
-            workers: env_parse("SFN_SERVE_WORKERS", d.workers).max(1),
-            global_concurrency: env_parse("SFN_SERVE_GLOBAL_CONCURRENCY", d.global_concurrency)
-                .max(1),
-            queue_depth: env_parse("SFN_SERVE_QUEUE_DEPTH", d.queue_depth).max(1),
-            tenant_rate: env_parse("SFN_SERVE_TENANT_RATE", d.tenant_rate).max(1e-3),
-            tenant_burst: env_parse("SFN_SERVE_TENANT_BURST", d.tenant_burst).max(1.0),
-            default_deadline_ms: env_parse("SFN_SERVE_DEFAULT_DEADLINE_MS", d.default_deadline_ms)
-                .max(1),
-            tick_ms: env_parse("SFN_SERVE_TICK_MS", d.tick_ms).max(5),
-            breaker_base_ms: env_parse("SFN_SERVE_BREAKER_BASE_MS", d.breaker_base_ms).max(1),
-            p99_target_ms: env_parse("SFN_SERVE_P99_TARGET_MS", d.p99_target_ms).max(1.0),
-            escalate_after: env_parse("SFN_SERVE_ESCALATE_AFTER", d.escalate_after).max(1),
-            recover_after: env_parse("SFN_SERVE_RECOVER_AFTER", d.recover_after).max(1),
         }
     }
 }
@@ -307,57 +274,37 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeHandle> {
     Ok(ServeHandle { addr, shutdown, state, threads })
 }
 
-/// Binds from `SFN_SERVE_ADDR` (all other `SFN_SERVE_*` overrides
-/// applied); `None` when the bind fails.
+/// Binds the default configuration at `SFN_SERVE_ADDR` (when set);
+/// `None` when the bind fails.
 pub fn serve_from_env() -> Option<ServeHandle> {
-    serve(ServeConfig::from_env()).ok()
+    let d = ServeConfig::default();
+    serve(ServeConfig { addr: std::env::var("SFN_SERVE_ADDR").unwrap_or(d.addr), ..d }).ok()
 }
 
 // ------------------------------------------------------------ acceptor
 
-fn accept_loop(listener: &TcpListener, state: &Arc<State>, stop: &Arc<AtomicBool>) {
+fn accept_loop(listener: &TcpListener, state: &Arc<State>, stop: &AtomicBool) {
     // Connection threads are cheap (they only parse + enqueue), but
     // still bounded: past this cap a connection gets 503'd inline.
     let max_conns = state.cfg.global_concurrency * 2 + 16;
-    let active = Arc::new(AtomicUsize::new(0));
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                if active.load(Ordering::Relaxed) >= max_conns {
-                    sfn_obs::counter_add("serve.conn_rejected", 1);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    respond_refusal(&mut stream, &AdmitError::Overloaded);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::Relaxed);
-                let state = Arc::clone(state);
-                let conn_active = Arc::clone(&active);
-                let spawned = std::thread::Builder::new().name("sfn-serve-conn".into()).spawn(
-                    move || {
-                        handle_connection(&state, stream);
-                        conn_active.fetch_sub(1, Ordering::Relaxed);
-                    },
-                );
-                if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
-        }
-    }
+    let conn_state = Arc::clone(state);
+    sfn_httpcore::accept_loop(
+        listener,
+        stop,
+        max_conns,
+        "sfn-serve-conn",
+        |mut stream| {
+            sfn_obs::counter_add("serve.conn_rejected", 1);
+            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+            respond_refusal(&mut stream, &AdmitError::Overloaded);
+        },
+        move |stream| handle_connection(&conn_state, stream),
+    );
 }
 
 // ---------------------------------------------------------- connection
 
 fn handle_connection(state: &Arc<State>, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     sfn_obs::counter_add("serve.connections", 1);
     let conn_no = state.conn_no.fetch_add(1, Ordering::Relaxed);
 
@@ -371,7 +318,7 @@ fn handle_connection(state: &Arc<State>, mut stream: TcpStream) {
         std::thread::sleep(stall.min(Duration::from_secs(1)));
     }
 
-    let wire = match read_wire(&mut stream) {
+    let wire = match read_request(&mut stream) {
         Ok(w) => w,
         Err((status, msg)) => {
             sfn_obs::counter_add("serve.malformed", 1);
@@ -403,43 +350,6 @@ fn handle_connection(state: &Arc<State>, mut stream: TcpStream) {
     };
 
     admit(state, req, stream);
-}
-
-/// Reads one request (head + declared body) under the socket timeouts.
-fn read_wire(stream: &mut TcpStream) -> Result<Vec<u8>, (u16, &'static str)> {
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(n) = head_len(&buf) {
-            break n;
-        }
-        if buf.len() > MAX_REQUEST_BYTES {
-            return Err((431, "request head too large\n"));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err((400, "incomplete request\n")),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err((408, "request read timed out\n")),
-        }
-    };
-    let declared = match parse_request(&buf[..head_end]) {
-        Ok(head) => match head.content_length() {
-            Ok(n) => n,
-            Err(RequestError::BodyTooLarge) => return Err((413, "body too large\n")),
-            Err(_) => return Err((400, "bad content-length\n")),
-        },
-        // Let the API layer produce the typed refusal.
-        Err(_) => return Ok(buf),
-    };
-    while buf.len() < head_end + declared {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err((400, "body shorter than content-length\n")),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err((408, "body read timed out\n")),
-        }
-    }
-    buf.truncate(head_end + declared);
-    Ok(buf)
 }
 
 // ----------------------------------------------------------- admission
@@ -709,7 +619,7 @@ fn control_loop(state: &Arc<State>, stop: &Arc<AtomicBool>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::io::{Read, Write};
 
     fn tiny_cfg() -> ServeConfig {
         ServeConfig {

@@ -90,21 +90,6 @@ pub fn average_ranks(values: &[f64]) -> Vec<f64> {
     ranks
 }
 
-/// Textbook Spearman via squared rank differences (Eq. 11 verbatim).
-///
-/// Only valid for tie-free inputs; exposed for cross-checking against
-/// [`spearman`] and for reproducing the exact formula of the paper.
-pub fn spearman_d2(x: &[f64], y: &[f64]) -> Option<f64> {
-    if x.len() != y.len() || x.len() < 2 {
-        return None;
-    }
-    let rx = average_ranks(x);
-    let ry = average_ranks(y);
-    let n = x.len() as f64;
-    let d2: f64 = rx.iter().zip(&ry).map(|(a, b)| (a - b) * (a - b)).sum();
-    Some(1.0 - 6.0 * d2 / (n * (n * n - 1.0)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +159,11 @@ mod tests {
         let x = [0.3, 1.7, 2.9, 4.1, 5.0, 0.1];
         let y = [2.0, 1.0, 4.0, 3.0, 5.0, 0.5];
         let a = spearman(&x, &y).unwrap();
-        let b = spearman_d2(&x, &y).unwrap();
+        // Eq. 11 verbatim: 1 − 6 Σ d² / (n (n² − 1)), valid without ties.
+        let (rx, ry) = (average_ranks(&x), average_ranks(&y));
+        let n = x.len() as f64;
+        let d2: f64 = rx.iter().zip(&ry).map(|(a, b)| (a - b) * (a - b)).sum();
+        let b = 1.0 - 6.0 * d2 / (n * (n * n - 1.0));
         assert!((a - b).abs() < 1e-12, "{a} vs {b}");
     }
 

@@ -58,15 +58,6 @@ pub fn pareto_front(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
     front
 }
 
-/// Partitions points into (front, dominated) — handy for Figure 3's
-/// red/green scatter rendering.
-pub fn pareto_partition(points: &[ParetoPoint]) -> (Vec<ParetoPoint>, Vec<ParetoPoint>) {
-    let front = pareto_front(points);
-    let in_front = |p: &ParetoPoint| front.iter().any(|f| f.id == p.id);
-    let dominated = points.iter().copied().filter(|p| !in_front(p)).collect();
-    (front, dominated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,8 +110,8 @@ mod tests {
         let pts: Vec<ParetoPoint> = (0..50)
             .map(|i| p(i, ((i * 13) % 50) as f64, ((i * 29) % 50) as f64))
             .collect();
-        let (front, dominated) = pareto_partition(&pts);
-        for d in &dominated {
+        let front = pareto_front(&pts);
+        for d in pts.iter().filter(|q| !front.iter().any(|f| f.id == q.id)) {
             assert!(
                 front.iter().any(|f| f.dominates(d)),
                 "{d:?} not dominated by any front member"

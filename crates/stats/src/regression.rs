@@ -3,8 +3,7 @@
 //! §6.1 of the paper predicts `CumDivNorm` at the final time step by
 //! fitting `f_k(x) = a·x + b` over the last few time steps of a check
 //! interval with the least-squares method. This module provides that
-//! fit, together with goodness-of-fit diagnostics used by the tests.
-
+//! fit.
 
 /// A fitted simple linear regression `y = slope · x + intercept`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,42 +52,10 @@ impl LinearRegression {
         Some(Self { slope, intercept })
     }
 
-    /// Convenience fit over `(index, y)` with x = 0, 1, 2, …
-    pub fn fit_indexed(y: &[f64]) -> Option<Self> {
-        let x: Vec<f64> = (0..y.len()).map(|i| i as f64).collect();
-        Self::fit(&x, y)
-    }
-
     /// Evaluates the fitted line at `x`.
     #[inline]
     pub fn predict(&self, x: f64) -> f64 {
         self.slope * x + self.intercept
-    }
-
-    /// Coefficient of determination R² against the fitting data.
-    ///
-    /// Returns 1.0 for a perfect fit; may be negative for a fit worse
-    /// than the mean predictor (cannot happen for OLS on its own
-    /// training data, but the method accepts arbitrary data).
-    pub fn r_squared(&self, x: &[f64], y: &[f64]) -> Option<f64> {
-        if x.len() != y.len() || x.is_empty() {
-            return None;
-        }
-        let my = y.iter().sum::<f64>() / y.len() as f64;
-        let ss_tot: f64 = y.iter().map(|&yi| (yi - my) * (yi - my)).sum();
-        let ss_res: f64 = x
-            .iter()
-            .zip(y)
-            .map(|(&xi, &yi)| {
-                let e = yi - self.predict(xi);
-                e * e
-            })
-            .sum();
-        if ss_tot == 0.0 {
-            // All y equal: perfect iff residuals vanish.
-            return Some(if ss_res < 1e-24 { 1.0 } else { 0.0 });
-        }
-        Some(1.0 - ss_res / ss_tot)
     }
 }
 
@@ -103,15 +70,6 @@ mod tests {
         let lr = LinearRegression::fit(&x, &y).unwrap();
         assert!((lr.slope + 3.5).abs() < 1e-12);
         assert!((lr.intercept - 0.25).abs() < 1e-12);
-        assert!((lr.r_squared(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fit_indexed_matches_explicit_x() {
-        let y = [3.0, 4.5, 6.1, 7.4];
-        let a = LinearRegression::fit_indexed(&y).unwrap();
-        let b = LinearRegression::fit(&[0.0, 1.0, 2.0, 3.0], &y).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!   (malformed lines are counted, never fatal: a crash can truncate
 //!   the last record mid-write).
 //! * [`analyze`] — reconstructs the run: per-stage latency percentiles,
-//!   per-model time/step shares (the Table-3 analogue, cross-checkable
-//!   against `RunSummary`), scheduler action counts and fault-recovery
-//!   latency from `fault.injected` to the resolving event.
+//!   per-model time/step shares (the Table-3 analogue), scheduler
+//!   action counts and fault-recovery latency from `fault.injected` to
+//!   the resolving event.
 //! * [`audit`] — replays every `scheduler.decision` against the
 //!   Algorithm 2 rule and reports contradictions, so a scheduler bug
 //!   shows up as a non-zero audit instead of a quietly wrong run.

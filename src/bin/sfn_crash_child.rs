@@ -7,10 +7,11 @@
 //! | variable          | meaning                                         |
 //! |-------------------|-------------------------------------------------|
 //! | `SFN_CRASH_STEPS` | total simulation steps (default 24)             |
-//! | `SFN_CRASH_GRID`  | grid edge length (default 16)                   |
 //! | `SFN_CRASH_OUT`   | file for the final state, encoded as SFNC       |
 //! | `SFN_CKPT_*`      | durable checkpointing (see `sfn-ckpt`)          |
 //! | `SFN_FAULTS`      | fault schedule; `crash` faults SIGKILL the run  |
+//!
+//! The grid is 16×16.
 //!
 //! The run is deterministic under `SFN_THREADS=1`: the supervisor
 //! compares the `SFN_CRASH_OUT` bytes of a killed-and-resumed run
@@ -38,15 +39,11 @@ fn candidate(name: &str, width: usize, seed: u64, prob: f64, q: f64) -> Candidat
     }
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
 fn main() {
     obs::init();
     faults::init_from_env();
-    let steps = env_usize("SFN_CRASH_STEPS", 24);
-    let n = env_usize("SFN_CRASH_GRID", 16);
+    let steps = obs::env::knob(&obs::env::process, "SFN_CRASH_STEPS", 24usize);
+    let n = 16;
 
     // The same seeded, untrained candidate family the chaos suite uses:
     // fully deterministic, no model artifacts needed on disk.

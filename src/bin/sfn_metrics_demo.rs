@@ -2,15 +2,16 @@
 //! live metrics endpoint end to end (CI's chaos scrape step drives it).
 //!
 //! Phase 1 (incident): with the `SFN_FAULTS` schedule armed, chaos
-//! runs are repeated until an SLO burns and `/healthz` turns degraded,
-//! then the process holds there for `SFN_METRICS_PHASE_HOLD_SECS`
-//! (default 10) so an external scraper can observe the incident.
+//! runs are repeated (for up to 60 s) until an SLO burns and `/healthz`
+//! turns degraded, then the process holds there for 10 s so an
+//! external scraper can observe the incident.
 //!
 //! Phase 2 (recovery): faults are disarmed and healthy runs continue
-//! until the burn drains out of the fast window and `/healthz` is ok
-//! again, followed by a second hold for the final scrape. Exit code 0
-//! means both transitions were observed; 1 means a phase timed out;
-//! 2 means setup failed (no `SFN_METRICS_ADDR`, bad bind…).
+//! (for up to 120 s) until the burn drains out of the fast window and
+//! `/healthz` is ok again, followed by a second 10 s hold for the final
+//! scrape. Exit code 0 means both transitions were observed; 1 means a
+//! phase timed out; 2 means setup failed (no `SFN_METRICS_ADDR`, bad
+//! bind…).
 
 use smart_fluidnet::grid::CellFlags;
 use smart_fluidnet::nn::Network;
@@ -21,11 +22,12 @@ use smart_fluidnet::{faults, metrics};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-fn env_secs(var: &str, default: u64) -> Duration {
-    Duration::from_secs(
-        std::env::var(var).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default),
-    )
-}
+/// How long each phase's final state is held for an external scraper.
+const HOLD: Duration = Duration::from_secs(10);
+/// Longest wait for the incident to degrade `/healthz`.
+const DEGRADE_TIMEOUT: Duration = Duration::from_secs(60);
+/// Longest wait for the burn to drain after faults are disarmed.
+const RECOVERY_TIMEOUT: Duration = Duration::from_secs(120);
 
 fn candidate(name: &str, width: usize, seed: u64, prob: f64, q: f64) -> CandidateModel {
     let mut net = Network::from_spec(&yang_spec(width), seed).expect("buildable spec");
@@ -85,27 +87,26 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let hold = env_secs("SFN_METRICS_PHASE_HOLD_SECS", 10);
-    println!("serving http://{} (hold {}s per phase)", server.addr, hold.as_secs());
+    println!("serving http://{} (hold {}s per phase)", server.addr, HOLD.as_secs());
 
     println!("phase 1: chaos runs until an SLO burns…");
-    if !drive_until(true, env_secs("SFN_METRICS_DEGRADE_TIMEOUT_SECS", 60)) {
+    if !drive_until(true, DEGRADE_TIMEOUT) {
         eprintln!("sfn_metrics_demo: no SLO burned — is SFN_FAULTS armed?");
         return ExitCode::FAILURE;
     }
     for reason in metrics::global().health().reasons {
         println!("degraded: {reason}");
     }
-    std::thread::sleep(hold);
+    std::thread::sleep(HOLD);
 
     println!("phase 2: faults disarmed, running until /healthz recovers…");
     faults::install(None);
-    if !drive_until(false, env_secs("SFN_METRICS_RECOVERY_TIMEOUT_SECS", 120)) {
+    if !drive_until(false, RECOVERY_TIMEOUT) {
         eprintln!("sfn_metrics_demo: burn never drained out of the fast window");
         return ExitCode::FAILURE;
     }
     println!("recovered; holding for the final scrape");
-    std::thread::sleep(hold);
+    std::thread::sleep(HOLD);
     server.stop();
     ExitCode::SUCCESS
 }

@@ -8,35 +8,28 @@
 //! curl -s http://127.0.0.1:9910/stats.json
 //! ```
 //!
-//! All `SFN_SERVE_*` knobs apply (see the README table); `SFN_FAULTS`
-//! arms serving-path chaos. The process serves until killed, or for
-//! `SFN_SERVE_DEMO_SECS` when set (CI-friendly bounded runs). Exit
-//! code 2 means the bind failed.
+//! `SFN_SERVE_ADDR` picks the bind address (default `127.0.0.1:9910`);
+//! every other tunable is `ServeConfig::default()`. `SFN_FAULTS` arms
+//! serving-path chaos. The process serves until killed. Exit code 2
+//! means the bind failed.
 
-use smart_fluidnet::{faults, serve};
+use smart_fluidnet::serve::{serve, ServeConfig};
+use smart_fluidnet::faults;
 use std::process::ExitCode;
 use std::time::Duration;
 
 fn main() -> ExitCode {
     sfn_obs::init();
     faults::init_from_env();
-    if std::env::var("SFN_SERVE_ADDR").is_err() {
-        // The library default of port 0 is right for tests but useless
-        // for a demo you want to address from another shell.
-        std::env::set_var("SFN_SERVE_ADDR", "127.0.0.1:9910");
-    }
-    let Some(server) = serve::serve_from_env() else {
+    // The library default of port 0 is right for tests but useless for
+    // a demo you want to address from another shell.
+    let addr = std::env::var("SFN_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:9910".into());
+    let Ok(server) = serve(ServeConfig { addr, ..ServeConfig::default() }) else {
         eprintln!("sfn_serve_demo: SFN_SERVE_ADDR must name a bindable address");
         return ExitCode::from(2);
     };
     println!("serving http://{} (POST /simulate, GET /stats.json)", server.addr);
-
-    match std::env::var("SFN_SERVE_DEMO_SECS").ok().and_then(|v| v.trim().parse::<u64>().ok()) {
-        Some(secs) => std::thread::sleep(Duration::from_secs(secs)),
-        None => loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        },
+    loop {
+        std::thread::sleep(Duration::from_secs(3600));
     }
-    server.stop();
-    ExitCode::SUCCESS
 }
