@@ -69,55 +69,17 @@ impl DurabilitySummary {
     }
 }
 
-/// One stage's latency distribution from the `sfn-obs` histograms —
-/// the percentile companion to the scalar stage report.
-struct StageQuantiles {
-    name: String,
-    calls: u64,
-    total_secs: f64,
-    p50_ms: f64,
-    p90_ms: f64,
-    p99_ms: f64,
-}
-
-fn collect_stages() -> Vec<StageQuantiles> {
-    sfn_obs::stage_percentiles()
-        .into_iter()
-        .map(|(name, h)| {
-            let s = StageQuantiles {
-                name,
-                calls: h.count,
-                total_secs: h.sum,
-                p50_ms: 1e3 * h.p50,
-                p90_ms: 1e3 * h.p90,
-                p99_ms: 1e3 * h.p99,
-            };
-            // Mirror each row into the trace so `sfn-trace analyze`
-            // sees the same percentiles as the JSON summary.
-            sfn_obs::event(sfn_obs::Level::Info, "stage.summary")
-                .field_str("stage", &s.name)
-                .field_u64("calls", s.calls)
-                .field_f64("total_secs", s.total_secs)
-                .field_f64("p50_ms", s.p50_ms)
-                .field_f64("p90_ms", s.p90_ms)
-                .field_f64("p99_ms", s.p99_ms)
-                .emit();
-            s
-        })
-        .collect()
-}
-
 struct RunAllSummary {
     quick: bool,
     sweep_grids: Vec<usize>,
     steps: usize,
     figures: Vec<FigureRecord>,
-    stages: Vec<StageQuantiles>,
+    stages: Vec<sfn_obs::StageSummary>,
     faults: FaultsSummary,
     ckpt: DurabilitySummary,
-    /// The `sfn-prof/kernels@1` document (parsed), when the run was
-    /// profiled with `SFN_PROF=1`; `null` otherwise.
-    kernel_summary: Option<Value>,
+    /// The `sfn-prof/kernels@1` document, when the run was profiled
+    /// with `SFN_PROF=1`; `null` otherwise.
+    kernel_summary: Option<sfn_prof::ProfileReport>,
     total_secs: f64,
 }
 
@@ -131,41 +93,16 @@ impl ToJson for FigureRecord {
     }
 }
 
-impl ToJson for FaultsSummary {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("armed", self.armed.to_json_value()),
-            ("injected", self.injected.to_json_value()),
-            ("recovered", self.recovered.to_json_value()),
-            ("rollbacks", self.rollbacks.to_json_value()),
-            ("quarantines", self.quarantines.to_json_value()),
-            ("degraded", self.degraded.to_json_value()),
-        ])
-    }
-}
+sfn_obs::json_record!(FaultsSummary {
+    armed: false,
+    injected: 0,
+    recovered: 0,
+    rollbacks: 0,
+    quarantines: 0,
+    degraded: 0,
+});
 
-impl ToJson for DurabilitySummary {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("writes", self.writes.to_json_value()),
-            ("recovers", self.recovers.to_json_value()),
-            ("rejected", self.rejected.to_json_value()),
-        ])
-    }
-}
-
-impl ToJson for StageQuantiles {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("name", self.name.to_json_value()),
-            ("calls", self.calls.to_json_value()),
-            ("total_secs", self.total_secs.to_json_value()),
-            ("p50_ms", self.p50_ms.to_json_value()),
-            ("p90_ms", self.p90_ms.to_json_value()),
-            ("p99_ms", self.p99_ms.to_json_value()),
-        ])
-    }
-}
+sfn_obs::json_record!(DurabilitySummary { writes: 0, recovers: 0, rejected: 0 });
 
 impl ToJson for RunAllSummary {
     fn to_json_value(&self) -> Value {
@@ -177,10 +114,7 @@ impl ToJson for RunAllSummary {
             ("stages", self.stages.to_json_value()),
             ("faults", self.faults.to_json_value()),
             ("ckpt", self.ckpt.to_json_value()),
-            (
-                "kernel_summary",
-                self.kernel_summary.clone().unwrap_or(Value::Null),
-            ),
+            ("kernel_summary", self.kernel_summary.to_json_value()),
             ("total_secs", self.total_secs.to_json_value()),
         ])
     }
@@ -456,16 +390,22 @@ fn main() {
     // `sfn-prof/kernels@1` document in the JSON summary.
     let kernel_summary = if sfn_prof::enabled() {
         sfn_prof::emit_summary();
-        sfn_obs::json::parse(&sfn_prof::summary_json(total_secs)).ok()
+        Some(sfn_prof::summary(total_secs))
     } else {
         None
     };
+    // Mirror each stage row into the trace so `sfn-trace analyze` sees
+    // the same percentiles as the JSON summary.
+    let stages = sfn_obs::stage_summaries();
+    for stage in &stages {
+        stage.emit();
+    }
     let summary = RunAllSummary {
         quick: sfn_bench::quick(),
         sweep_grids: env.grids.clone(),
         steps: env.steps,
         figures: recs,
-        stages: collect_stages(),
+        stages,
         faults: FaultsSummary::collect(),
         ckpt: DurabilitySummary::collect(),
         kernel_summary,

@@ -63,7 +63,7 @@ pub fn candidate_runs(env: &BenchEnv) -> CandidateRuns {
         env.problems_per_grid,
         env.steps
     );
-    let path = OfflineArtifacts::cache_path(&fnv(&key));
+    let path = OfflineArtifacts::cache_path(&format!("{:016x}", sfn_rng::fnv1a(key.as_bytes())));
     if let Ok(text) = std::fs::read_to_string(&path) {
         if let Ok(c) = sfn_obs::json::from_json_str::<CandidateRuns>(&text) {
             return c;
@@ -128,15 +128,6 @@ pub fn candidate_runs(env: &BenchEnv) -> CandidateRuns {
     }
     std::fs::write(&path, sfn_obs::json::to_json_string(&runs)).ok();
     runs
-}
-
-fn fnv(s: &str) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    format!("{h:016x}")
 }
 
 impl CandidateRuns {

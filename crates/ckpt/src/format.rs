@@ -24,6 +24,7 @@
 //! which is what makes resume bit-identical.
 
 use sfn_grid::{Field2, MacGrid};
+use sfn_rng::fnv1a;
 use sfn_sim::SimSnapshot;
 
 /// File magic.
@@ -47,15 +48,6 @@ impl std::fmt::Display for CkptError {
 }
 
 impl std::error::Error for CkptError {}
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// The `CumDivNorm` tracker state, as plain data (this crate does not
 /// depend on `sfn-runtime`; the runtime converts to/from its own type).

@@ -20,7 +20,8 @@
 //! between the protocol stages so the kill-9 harness can SIGKILL the
 //! process at each one and prove the invariants hold.
 
-use crate::format::{encode, fnv1a, CheckpointDoc};
+use crate::format::{encode, CheckpointDoc};
+use sfn_rng::fnv1a;
 use sfn_obs::Level;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};

@@ -6,24 +6,7 @@
 //! cannot give that, so decisions hash their coordinates instead
 //! (SplitMix64 as the mixer, FNV-1a to fold the site name in).
 
-/// FNV-1a over a byte string (the same hash `sfn-nn`'s model format
-/// uses for checksums; duplicated here to keep this crate leaf-level).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 finaliser: a strong 64-bit mixer.
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use sfn_rng::{fnv1a, splitmix64};
 
 /// Mixes a decision's coordinates into one hash.
 pub fn decision_hash(seed: u64, spec_index: usize, site: &str, step: u64) -> u64 {
@@ -69,11 +52,5 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean} far from uniform");
-    }
-
-    #[test]
-    fn fnv_distinguishes_strings() {
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
-        assert_ne!(fnv1a(b""), fnv1a(b"a"));
     }
 }

@@ -123,7 +123,7 @@ pub fn write_entries(
     std::fs::create_dir_all(&dir)?;
     let mut written = 0;
     for entry in entries {
-        let path = dir.join(format!("{prefix}-{:016x}.bin", crate::fnv1a(entry)));
+        let path = dir.join(format!("{prefix}-{:016x}.bin", sfn_rng::fnv1a(entry)));
         if !path.exists() {
             std::fs::write(&path, entry)?;
             written += 1;
@@ -146,7 +146,7 @@ pub fn forged_tensor_count_blob(tensor_count: u32) -> Vec<u8> {
     buf.extend_from_slice(&(spec.len() as u32).to_le_bytes());
     buf.extend_from_slice(spec);
     buf.extend_from_slice(&tensor_count.to_le_bytes());
-    let checksum = crate::fnv1a(&buf);
+    let checksum = sfn_rng::fnv1a(&buf);
     buf.extend_from_slice(&checksum.to_le_bytes());
     buf
 }
@@ -162,7 +162,7 @@ pub fn forged_tensor_len_blob(len: u32) -> Vec<u8> {
     buf.extend_from_slice(spec);
     buf.extend_from_slice(&1u32.to_le_bytes());
     buf.extend_from_slice(&len.to_le_bytes());
-    let checksum = crate::fnv1a(&buf);
+    let checksum = sfn_rng::fnv1a(&buf);
     buf.extend_from_slice(&checksum.to_le_bytes());
     buf
 }
@@ -180,7 +180,7 @@ pub fn forged_ckpt_section_count_blob(section_count: u32) -> Vec<u8> {
     // Pad past the decoder's minimum-length floor; the count bound must
     // fire before any of this is interpreted.
     buf.resize(52, 0);
-    let checksum = crate::fnv1a(&buf);
+    let checksum = sfn_rng::fnv1a(&buf);
     buf.extend_from_slice(&checksum.to_le_bytes());
     buf
 }
@@ -207,10 +207,10 @@ pub fn forged_ckpt_geometry_blob() -> Vec<u8> {
     // 8..12, tag 12..16, len 16..20): step u64, nx u32 at 28, ny u32,
     // dx f64. Forge nx, then re-seal both checksums.
     bytes[28..32].copy_from_slice(&9u32.to_le_bytes());
-    let section_sum = crate::fnv1a(&bytes[12..44]);
+    let section_sum = sfn_rng::fnv1a(&bytes[12..44]);
     bytes[44..52].copy_from_slice(&section_sum.to_le_bytes());
     let body_len = bytes.len() - 8;
-    let file_sum = crate::fnv1a(&bytes[..body_len]);
+    let file_sum = sfn_rng::fnv1a(&bytes[..body_len]);
     bytes[body_len..].copy_from_slice(&file_sum.to_le_bytes());
     bytes
 }

@@ -349,22 +349,27 @@ pub fn ckpt_blob(rng: &mut StdRng) -> Vec<u8> {
 pub fn kernel_summary_doc(rng: &mut StdRng) -> Vec<u8> {
     const NAMES: &[&str] = &["conv2d", "advect", "forces", "projection", "pcg", "mic0", "cg"];
     let kernels = (0..rng.random_range(0..=6usize))
-        .map(|i| sfn_trace::KernelRow {
-            name: NAMES[(i + rng.random_range(0..NAMES.len())) % NAMES.len()].to_string(),
-            calls: rng.random_range(0..1_000_000u64),
-            ns: rng.random_range(0..10_000_000_000u64),
-            flops: rng.random_range(0..u64::MAX / 2),
-            bytes_read: rng.random_range(0..u64::MAX / 4),
-            bytes_written: rng.random_range(0..u64::MAX / 4),
-            allocs: rng.random_range(0..100_000u64),
-            alloc_bytes: rng.random_range(0..1_000_000_000u64),
-            peak_bytes: rng.random_range(0..1_000_000_000u64),
+        .map(|i| {
+            let name = NAMES[(i + rng.random_range(0..NAMES.len())) % NAMES.len()].to_string();
+            let totals = sfn_prof::KernelTotals {
+                calls: rng.random_range(0..1_000_000u64),
+                ns: rng.random_range(0..10_000_000_000u64),
+                flops: rng.random_range(0..u64::MAX / 2),
+                bytes_read: rng.random_range(0..u64::MAX / 4),
+                bytes_written: rng.random_range(0..u64::MAX / 4),
+                allocs: rng.random_range(0..100_000u64),
+                alloc_bytes: rng.random_range(0..1_000_000_000u64),
+                peak_bytes: rng.random_range(0..1_000_000_000u64),
+            };
+            (name, totals)
         })
         .collect();
-    let report = sfn_trace::ProfileReport {
+    let report = sfn_prof::ProfileReport {
         duration_secs: rng.random_range(0.0..100.0),
-        peak_gflops: rng.random_range(0.0..100.0),
-        stream_gbps: rng.random_range(0.0..100.0),
+        calibration: sfn_prof::Calibration {
+            peak_gflops: rng.random_range(0.0..100.0),
+            stream_gbps: rng.random_range(0.0..100.0),
+        },
         kernels,
     };
     report.to_json().into_bytes()
@@ -501,7 +506,7 @@ mod tests {
             sfn_faults::parse_plan(std::str::from_utf8(&sched).unwrap()).expect("valid schedule");
 
             let ks = kernel_summary_doc(&mut rng);
-            sfn_trace::ProfileReport::from_json(std::str::from_utf8(&ks).unwrap())
+            sfn_prof::ProfileReport::from_json(std::str::from_utf8(&ks).unwrap())
                 .expect("valid kernel summary");
 
             let ck = ckpt_blob(&mut rng);

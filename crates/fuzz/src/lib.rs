@@ -72,14 +72,3 @@ pub struct Target {
     /// Format tokens the mutator splices in (keywords, magics).
     pub dict: &'static [&'static [u8]],
 }
-
-/// FNV-1a over `bytes` — stable content addressing for corpus and
-/// finding filenames.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}

@@ -100,7 +100,7 @@ impl FuzzReport {
                 f.kind.as_str(),
                 truncate(&f.detail, 160),
                 f.input.len(),
-                crate::fnv1a(&f.input)
+                sfn_rng::fnv1a(&f.input)
             ));
         }
         s
@@ -175,7 +175,7 @@ pub fn classify(target: &Target, input: &[u8]) -> String {
 /// executions. Deterministic per `opts`.
 pub fn run_one(target: &Target, corpus: &[Vec<u8>], opts: &FuzzOptions) -> FuzzReport {
     const MAX_POOL: usize = 256;
-    let mut rng = StdRng::seed_from_u64(opts.seed ^ crate::fnv1a(target.name.as_bytes()));
+    let mut rng = StdRng::seed_from_u64(opts.seed ^ sfn_rng::fnv1a(target.name.as_bytes()));
     let mutator = Mutator::new(target.dict);
 
     let mut pool: Vec<Vec<u8>> = seed_pool(target, opts.seed);

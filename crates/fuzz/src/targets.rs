@@ -44,7 +44,7 @@ pub fn all() -> Vec<Target> {
         },
         Target {
             name: "trace",
-            about: "sfn_trace::parse_trace — lenient JSONL flight-recorder reader",
+            about: "sfn_trace::parse_trace + analyze + audit — the JSONL trace read side",
             run: run_trace,
             seeds: |rng| (0..8).map(|_| crate::gen::trace_jsonl(rng)).collect(),
             dict: TRACE_DICT,
@@ -65,7 +65,7 @@ pub fn all() -> Vec<Target> {
         },
         Target {
             name: "kernel_summary",
-            about: "ProfileReport::from_json — sfn-prof/kernels@1 roofline documents",
+            about: "sfn_prof::ProfileReport::from_json — sfn-prof/kernels@1 roofline documents",
             run: run_kernel_summary,
             seeds: |rng| (0..6).map(|_| crate::gen::kernel_summary_doc(rng)).collect(),
             dict: KERNEL_SUMMARY_DICT,
@@ -396,8 +396,11 @@ fn run_faults(input: &[u8]) -> Outcome {
 }
 
 /// The trace reader is lenient by design: it must *count* bad lines,
-/// never fail — so any input is `Accepted` and the oracle checks the
-/// accounting (events + skipped = non-blank lines).
+/// never fail — so any input is `Accepted`. The oracles check the
+/// accounting (events + skipped = non-blank lines), then run every
+/// reader of a trace (`analyze`, which includes the decision audit, and
+/// `audit` itself) and require the `sfn-trace/summary@1` document to
+/// re-serialise to the same bytes after one decode.
 fn run_trace(input: &[u8]) -> Outcome {
     let text = match utf8(input) {
         Ok(t) => t,
@@ -413,7 +416,19 @@ fn run_trace(input: &[u8]) -> Outcome {
             non_blank
         ));
     }
-    Outcome::Accepted
+    let audit = sfn_trace::audit(&trace).to_json();
+    if let Err(e) = json::parse(&audit) {
+        return Outcome::OracleFailure(format!("audit JSON does not parse ({e}): {audit:.200}"));
+    }
+    let s1 = sfn_trace::analyze(&trace).to_json();
+    match sfn_trace::Analysis::from_json(&s1) {
+        Ok(a) if a.to_json() == s1 => Outcome::Accepted,
+        Ok(a) => Outcome::OracleFailure(format!(
+            "summary serialization is not a fixed point: {s1:.200} vs {:.200}",
+            a.to_json()
+        )),
+        Err(e) => Outcome::OracleFailure(format!("summary does not reparse ({e}): {s1:.200}")),
+    }
 }
 
 /// Env values are byte soup by definition (`name=value` pairs split on
@@ -485,12 +500,12 @@ fn run_kernel_summary(input: &[u8]) -> Outcome {
         Ok(t) => t,
         Err(o) => return o,
     };
-    let r1 = match sfn_trace::ProfileReport::from_json(text) {
+    let r1 = match sfn_prof::ProfileReport::from_json(text) {
         Ok(r) => r,
         Err(e) => return Outcome::Rejected(format!("at byte {}: {}", e.at, e.message)),
     };
     let s1 = r1.to_json();
-    let r2 = match sfn_trace::ProfileReport::from_json(&s1) {
+    let r2 = match sfn_prof::ProfileReport::from_json(&s1) {
         Ok(r) => r,
         Err(e) => {
             return Outcome::OracleFailure(format!(
@@ -504,8 +519,8 @@ fn run_kernel_summary(input: &[u8]) -> Outcome {
     }
     // The roofline classification must be total: every accepted row
     // classifies without panicking, whatever the counters.
-    for k in &r1.kernels {
-        let _ = r1.bound(k).as_str();
+    for (_, t) in &r1.kernels {
+        let _ = r1.bound(t).as_str();
     }
     Outcome::Accepted
 }
@@ -620,7 +635,7 @@ fn run_simd_diff(input: &[u8]) -> Outcome {
     for (slot, &v) in b.iter_mut().zip(input) {
         *slot = v;
     }
-    let seed = crate::fnv1a(input);
+    let seed = sfn_rng::fnv1a(input);
     let mut rng = StdRng::seed_from_u64(seed);
 
     const MAX_ULP: u64 = 4;
@@ -839,7 +854,7 @@ fn ulp_distance_f64(a: f64, b: f64) -> u64 {
 /// `gen-corpus`).
 pub fn seed_pool(target: &Target, seed: u64) -> Vec<Vec<u8>> {
     use sfn_rng::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(seed ^ crate::fnv1a(target.name.as_bytes()));
+    let mut rng = StdRng::seed_from_u64(seed ^ sfn_rng::fnv1a(target.name.as_bytes()));
     (target.seeds)(&mut rng)
 }
 

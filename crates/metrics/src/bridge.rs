@@ -96,11 +96,8 @@ fn observe_line(hub: &Hub, handles: &Handles, line: &str) {
             }
         }
         "prof.kernel" => {
-            if let (Some(kernel), Some(calls), Some(ns)) =
-                (str_field("kernel"), f64_field("calls"), f64_field("ns"))
-            {
-                let flops = f64_field("flops").unwrap_or(0.0);
-                hub.note_kernel(kernel, calls as u64, ns as u64, flops);
+            if let Some(kernel) = str_field("kernel") {
+                hub.note_kernel(kernel, sfn_prof::KernelTotals::from_fields(&v));
             }
         }
         _ => {}

@@ -394,7 +394,10 @@ mod tests {
         hub.ingest_at("runtime.step_secs", &h.snapshot(), hub.now_ms());
         hub.set_gauge("scheduler.candidates", 5.0);
         hub.note_model_step("mlp-a", 1);
-        hub.note_kernel("conv2d", 3, 1000, 4000.0);
+        hub.note_kernel(
+            "conv2d",
+            sfn_prof::KernelTotals { calls: 3, ns: 1000, flops: 4000, ..Default::default() },
+        );
         hub.note_fault("nan_output");
         let text = render(&hub);
         let series = validate_exposition(&text).expect("rendered exposition validates");

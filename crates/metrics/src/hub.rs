@@ -12,6 +12,7 @@
 
 use crate::slo::{self, SloConfig, SloState};
 use sfn_obs::{bucket_floor, HistogramSnapshot, BUCKETS};
+use sfn_prof::KernelTotals;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -159,28 +160,6 @@ pub struct ModelStat {
     pub last_seen_ms: u64,
 }
 
-/// Live per-kernel tallies from `prof.kernel` events.
-#[derive(Debug, Clone, Default)]
-pub struct KernelStat {
-    /// Calls accumulated across reported scopes.
-    pub calls: u64,
-    /// Elapsed nanoseconds accumulated.
-    pub ns: u64,
-    /// FLOPs accumulated.
-    pub flops: f64,
-}
-
-impl KernelStat {
-    /// Mean throughput in GFLOP/s over everything reported so far.
-    pub fn gflops(&self) -> f64 {
-        if self.ns == 0 {
-            0.0
-        } else {
-            self.flops / self.ns as f64
-        }
-    }
-}
-
 /// `/healthz` verdict.
 #[derive(Debug, Clone, Default)]
 pub struct Health {
@@ -199,7 +178,7 @@ pub(crate) struct Inner {
     prev_counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     roster: BTreeMap<String, ModelStat>,
-    kernels: BTreeMap<String, KernelStat>,
+    kernels: BTreeMap<String, KernelTotals>,
     faults: BTreeMap<String, u64>,
     pub(crate) slo: Vec<SloState>,
     reasons: Vec<String>,
@@ -312,13 +291,10 @@ impl Hub {
         stat.quarantines = stat.quarantines.saturating_add(1);
     }
 
-    /// Accumulates one `prof.kernel` report.
-    pub fn note_kernel(&self, kernel: &str, calls: u64, ns: u64, flops: f64) {
-        let mut inner = lock(&self.inner);
-        let stat = inner.kernels.entry(kernel.to_string()).or_default();
-        stat.calls = stat.calls.saturating_add(calls);
-        stat.ns = stat.ns.saturating_add(ns);
-        stat.flops += flops;
+    /// Records one `prof.kernel` report. Reports carry cumulative
+    /// totals, so the latest one replaces the kernel's entry.
+    pub fn note_kernel(&self, kernel: &str, totals: KernelTotals) {
+        lock(&self.inner).kernels.insert(kernel.to_string(), totals);
     }
 
     /// Tallies one injected fault of `kind`.
@@ -371,9 +347,9 @@ impl Hub {
         lock(&self.inner).roster.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
-    /// Per-kernel tallies, sorted by name.
-    pub fn kernels(&self) -> Vec<(String, KernelStat)> {
-        lock(&self.inner).kernels.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    /// Latest per-kernel totals, sorted by name.
+    pub fn kernels(&self) -> Vec<(String, KernelTotals)> {
+        lock(&self.inner).kernels.iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
 
     /// Per-fault-kind injection tallies.
@@ -595,8 +571,10 @@ mod tests {
         hub.note_model_step("mlp-a", 10);
         hub.note_model_step("mlp-a", 20);
         hub.note_model_quarantined("mlp-a");
-        hub.note_kernel("conv2d", 4, 2_000, 8_000.0);
-        hub.note_kernel("conv2d", 1, 1_000, 1_000.0);
+        let totals = |calls, ns, flops| KernelTotals { calls, ns, flops, ..Default::default() };
+        hub.note_kernel("conv2d", totals(4, 2_000, 8_000));
+        // A later report carries cumulative totals and replaces the first.
+        hub.note_kernel("conv2d", totals(5, 3_000, 9_000));
         hub.note_fault("nan_output");
         let roster = hub.roster();
         assert_eq!(roster[0].0, "mlp-a");

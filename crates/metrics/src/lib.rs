@@ -38,7 +38,7 @@ pub mod snapshot;
 
 pub use expo::validate_exposition;
 pub use http::{parse_request, serve, Request, RequestError, ServerHandle};
-pub use hub::{Config, Health, Hub, KernelStat, ModelStat, Window};
+pub use hub::{Config, Health, Hub, ModelStat, Window};
 pub use slo::{SloConfig, SloKind, SloSpec, SloState};
 
 use std::sync::atomic::{AtomicBool, Ordering};

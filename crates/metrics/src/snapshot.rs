@@ -75,12 +75,12 @@ pub fn render(hub: &Hub) -> String {
     let kernels = hub
         .kernels()
         .into_iter()
-        .map(|(kernel, stat)| {
+        .map(|(kernel, t)| {
             Value::Obj(vec![
                 ("kernel".into(), Value::Str(kernel)),
-                ("calls".into(), Value::Num(stat.calls as f64)),
-                ("ns".into(), Value::Num(stat.ns as f64)),
-                ("gflops".into(), num(stat.gflops())),
+                ("calls".into(), Value::Num(t.calls as f64)),
+                ("ns".into(), Value::Num(t.ns as f64)),
+                ("gflops".into(), num(t.gflops())),
             ])
         })
         .collect::<Vec<_>>();

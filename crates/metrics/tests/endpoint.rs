@@ -24,7 +24,10 @@ fn seeded_hub() -> Arc<Hub> {
     hub.ingest_at("runtime.step_secs", &h.snapshot(), hub.now_ms());
     hub.ingest_counter_at("runtime.steps", 200, hub.now_ms());
     hub.note_model_step("mlp-a", 1);
-    hub.note_kernel("advect", 10, 10_000, 80_000.0);
+    hub.note_kernel(
+        "advect",
+        sfn_prof::KernelTotals { calls: 10, ns: 10_000, flops: 80_000, ..Default::default() },
+    );
     hub.note_fault("latency_spike");
     hub
 }

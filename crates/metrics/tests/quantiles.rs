@@ -11,7 +11,7 @@
 
 use sfn_metrics::hub::{Config, Hub, Window};
 use sfn_metrics::slo::SloConfig;
-use sfn_obs::{bucket_floor, bucket_index, Histogram};
+use sfn_obs::{bucket_floor, bucket_index, exact_quantile, Histogram};
 use sfn_rng::{RngExt, SeedableRng, StdRng};
 
 fn test_hub() -> Hub {
@@ -22,14 +22,6 @@ fn test_hub() -> Hub {
         slo: SloConfig::default(),
         ..Config::default()
     })
-}
-
-/// Exact empirical quantile with the histogram's rank convention
-/// (smallest value whose rank reaches `ceil(q·n)`).
-fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let target = ((q * sorted.len() as f64).ceil().max(1.0) as usize).min(sorted.len());
-    sorted[target - 1]
 }
 
 fn assert_windowed_quantiles_match(name: &str, samples: &[f64]) {

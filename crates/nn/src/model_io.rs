@@ -14,6 +14,7 @@
 
 use crate::network::SavedModel;
 use crate::spec::NetworkSpec;
+use sfn_rng::fnv1a;
 
 const MAGIC: &[u8; 4] = b"SFNM";
 const VERSION: u32 = 1;
@@ -29,15 +30,6 @@ impl std::fmt::Display for ModelIoError {
 }
 
 impl std::error::Error for ModelIoError {}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Little-endian cursor over a byte slice; each read checks bounds so
 /// truncated input surfaces as an error instead of a panic.

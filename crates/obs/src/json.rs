@@ -55,6 +55,10 @@ pub enum Value {
     Bool(bool),
     /// Any number (parsed as `f64`).
     Num(f64),
+    /// An unsigned integer, written exactly: what [`ToJson`] makes of
+    /// `u32`/`u64`/`usize`, so counters past 2^53 keep every digit. The
+    /// parser never produces it (it reads every number as [`Value::Num`]).
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -77,6 +81,7 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            Value::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -87,6 +92,7 @@ impl Value {
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
                 Some(*n as u64)
             }
+            Value::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -131,6 +137,9 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => push_f64(out, *n),
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Value::Str(s) => {
                 out.push('"');
                 escape_into(out, s);
@@ -246,11 +255,41 @@ pub fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
     Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// Implements [`ToJson`] and a lenient [`FromJson`] for a record
+/// struct, naming each field once: it is written under its own name in
+/// the order listed, and read back with the given default when absent
+/// or mistyped, so a document written before a field existed still
+/// loads. Decoding never fails.
+///
+/// ```
+/// struct Row { name: String, calls: u64 }
+/// sfn_obs::json_record!(Row { name: "?".to_string(), calls: 0 });
+/// let row: Row = sfn_obs::json::from_json_str(r#"{"calls":3}"#).unwrap();
+/// assert_eq!((row.name.as_str(), row.calls), ("?", 3));
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    ($ty:ty { $($field:ident: $default:expr),+ $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json_value(&self) -> $crate::json::Value {
+                $crate::json::obj([
+                    $((stringify!($field), $crate::json::ToJson::to_json_value(&self.$field))),+
+                ])
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json_value(v: &$crate::json::Value) -> Result<Self, $crate::json::JsonError> {
+                Ok(Self { $($field: v.field(stringify!($field)).unwrap_or($default)),+ })
+            }
+        }
+    };
+}
+
 fn type_error(expected: &str, got: &Value) -> JsonError {
     let kind = match got {
         Value::Null => "null",
         Value::Bool(_) => "bool",
-        Value::Num(_) => "number",
+        Value::Num(_) | Value::Int(_) => "number",
         Value::Str(_) => "string",
         Value::Arr(_) => "array",
         Value::Obj(_) => "object",
@@ -350,15 +389,7 @@ macro_rules! int_json {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn to_json_value(&self) -> Value {
-                // All integers the pipeline serialises (ids, seeds,
-                // counters) fit in f64's 53-bit exact range; refuse to
-                // silently round anything bigger.
-                let v = *self as f64;
-                debug_assert!(
-                    v as u128 == *self as u128,
-                    "integer {self} not exactly representable in JSON"
-                );
-                Value::Num(v)
+                Value::Int(*self as u64)
             }
         }
         impl FromJson for $t {
@@ -913,6 +944,8 @@ mod tests {
         assert_eq!(from_json_str::<f64>(&to_json_string(&1.25)), Ok(1.25));
         assert_eq!(from_json_str::<bool>(&to_json_string(&true)), Ok(true));
         assert_eq!(from_json_str::<usize>(&to_json_string(&42usize)), Ok(42));
+        // Integers past f64's 53-bit range keep every digit on the way out.
+        assert_eq!(to_json_string(&3_579_839_769_938_014_778u64), "3579839769938014778");
         assert_eq!(
             from_json_str::<String>(&to_json_string(&"a\"b".to_string())),
             Ok("a\"b".to_string())

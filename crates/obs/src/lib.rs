@@ -6,8 +6,9 @@
 //! progress all flow through this crate:
 //!
 //! * **Spans** — [`span!`] opens a hierarchical RAII timing scope;
-//!   elapsed times aggregate thread-safely into a global per-stage
-//!   table ([`report::render_report`] is the Table-3 analogue).
+//!   elapsed times aggregate thread-safely into one `stage.<path>`
+//!   histogram per stage, read back as [`StageSummary`] rows
+//!   ([`report::render_report`] is the Table-3 analogue).
 //!   [`ScopedTimer`] is the flat variant that also *returns* the
 //!   elapsed [`std::time::Duration`] for callers that need it.
 //! * **Counters & histograms** — [`counter_add`] / [`histogram_record`]
@@ -61,11 +62,11 @@ pub use flight::{
     set_crash_file, set_flight_enabled,
 };
 pub use metrics::{
-    bucket_floor, bucket_index, counter, counter_add, counter_value, counters_snapshot, histogram,
-    histogram_record, histogram_snapshot, histograms_snapshot, Counter, Histogram,
-    HistogramSnapshot, BUCKETS,
+    bucket_floor, bucket_index, counter, counter_add, counter_value, counters_snapshot,
+    exact_quantile, histogram, histogram_record, histogram_snapshot, histograms_snapshot, Counter,
+    Histogram, HistogramSnapshot, BUCKETS,
 };
-pub use report::{render_report, reset, stage_percentiles, stage_snapshot, StageStats};
+pub use report::{render_report, reset, stage_summaries, StageSummary};
 pub use span::{current_path as current_span_path, ScopedTimer, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};

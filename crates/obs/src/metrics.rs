@@ -140,6 +140,25 @@ impl Default for Histogram {
     }
 }
 
+/// The nearest-rank rule: the 1-based rank of quantile `q` among `n`
+/// samples is `ceil(q·n)`, clamped to `[1, n]`. f64-to-u64 casts
+/// saturate, so a huge `n` cannot wrap the rank.
+fn nearest_rank(q: f64, n: u64) -> u64 {
+    ((q * n as f64).ceil().max(1.0) as u64).min(n)
+}
+
+/// Exact quantile `q` of ascending-sorted samples under the same
+/// nearest-rank rule the bucketed estimate uses: the smallest sample
+/// whose rank reaches `ceil(q·n)`.
+///
+/// # Panics
+///
+/// If `sorted` is empty.
+pub fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty(), "quantile of no samples");
+    sorted[nearest_rank(q, sorted.len() as u64) as usize - 1]
+}
+
 /// Builds the summary from raw aggregates. All count arithmetic
 /// saturates: bucket tallies near `u64::MAX` (a counter left running
 /// for months, or a wrapped test fixture) must degrade percentile
@@ -150,9 +169,7 @@ fn snapshot_from(count: u64, sum: f64, min: f64, max: f64, counts: &[u64]) -> Hi
         if finite == 0 {
             return f64::NAN;
         }
-        // f64-to-u64 casts saturate, so a huge `finite` cannot wrap the
-        // target either.
-        let target = ((q * finite as f64).ceil().max(1.0) as u64).min(finite);
+        let target = nearest_rank(q, finite);
         let mut seen = 0u64;
         for (i, &c) in counts.iter().enumerate() {
             seen = seen.saturating_add(c);

@@ -1,90 +1,95 @@
-//! The global per-stage time table and the end-of-run report — the
+//! The per-stage latency summaries and the end-of-run report — the
 //! observable analogue of the paper's Table 3 time distribution.
 
+use crate::json::{FromJson, Value};
 use crate::metrics;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
-
-/// Aggregate timing for one stage path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageStats {
-    /// Number of recorded scopes.
-    pub calls: u64,
-    /// Summed elapsed time.
-    pub total: Duration,
-    /// Fastest single scope.
-    pub min: Duration,
-    /// Slowest single scope.
-    pub max: Duration,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn stages() -> &'static Mutex<BTreeMap<String, StageStats>> {
-    static MAP: OnceLock<Mutex<BTreeMap<String, StageStats>>> = OnceLock::new();
-    MAP.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
 
 /// Prefix of the per-stage latency histograms fed by [`record_stage`]
 /// (`stage.<path>`, samples in seconds).
-pub const STAGE_HISTOGRAM_PREFIX: &str = "stage.";
+const STAGE_HISTOGRAM_PREFIX: &str = "stage.";
 
 pub(crate) fn record_stage(path: &str, elapsed: Duration) {
-    // Per-stage latency distribution, alongside the scalar aggregates:
-    // the percentile source for `run_all_summary.json` and the
-    // `stage.summary` trace events.
     metrics::histogram(&format!("{STAGE_HISTOGRAM_PREFIX}{path}"))
         .record(elapsed.as_secs_f64());
-    let mut map = lock(stages());
-    match map.get_mut(path) {
-        Some(s) => {
-            s.calls += 1;
-            s.total += elapsed;
-            s.min = s.min.min(elapsed);
-            s.max = s.max.max(elapsed);
-        }
-        None => {
-            map.insert(
-                path.to_string(),
-                StageStats {
-                    calls: 1,
-                    total: elapsed,
-                    min: elapsed,
-                    max: elapsed,
-                },
-            );
-        }
+}
+
+/// One stage's latency summary: the row of `run_all_summary.json`'s
+/// `stages` array, of a `stage.summary` trace event and of a saved
+/// `sfn-trace` summary. Percentiles are the histogram's bucket
+/// estimates.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StageSummary {
+    /// Stage path (`runtime/run`, `sim/step/projection`, …).
+    pub name: String,
+    /// Recorded scopes.
+    pub calls: u64,
+    /// Summed time in seconds.
+    pub total_secs: f64,
+    /// Approximate median, milliseconds.
+    pub p50_ms: f64,
+    /// Approximate 90th percentile, milliseconds.
+    pub p90_ms: f64,
+    /// Approximate 99th percentile, milliseconds.
+    pub p99_ms: f64,
+}
+
+crate::json_record!(StageSummary {
+    name: "?".to_string(),
+    calls: 0,
+    total_secs: f64::NAN,
+    p50_ms: f64::NAN,
+    p90_ms: f64::NAN,
+    p99_ms: f64::NAN,
+});
+
+impl StageSummary {
+    /// Decodes the fields of a `stage.summary` trace event, which names
+    /// the stage `stage` where a saved row says `name`.
+    pub fn from_event(fields: &Value) -> StageSummary {
+        let row = StageSummary::from_json_value(fields).expect("lenient decode never fails");
+        StageSummary { name: fields.field("stage").unwrap_or(row.name), ..row }
+    }
+
+    /// Emits the row as a `stage.summary` trace event, so
+    /// `sfn-trace analyze` sees the same percentiles as the JSON
+    /// summary.
+    pub fn emit(&self) {
+        crate::event(crate::Level::Info, "stage.summary")
+            .field_str("stage", &self.name)
+            .field_u64("calls", self.calls)
+            .field_f64("total_secs", self.total_secs)
+            .field_f64("p50_ms", self.p50_ms)
+            .field_f64("p90_ms", self.p90_ms)
+            .field_f64("p99_ms", self.p99_ms)
+            .emit();
     }
 }
 
-/// All recorded stages, sorted by path.
-pub fn stage_snapshot() -> Vec<(String, StageStats)> {
-    lock(stages())
-        .iter()
-        .map(|(k, v)| (k.clone(), *v))
-        .collect()
-}
-
-/// Latency percentile snapshots for every recorded stage, sorted by
-/// path (seconds; the `stage.` histogram prefix is stripped).
-pub fn stage_percentiles() -> Vec<(String, crate::HistogramSnapshot)> {
+/// Every stage recorded since the last [`reset`], sorted by path, from
+/// the `stage.<path>` histograms.
+pub fn stage_summaries() -> Vec<StageSummary> {
     metrics::histograms_snapshot()
         .into_iter()
-        .filter_map(|(name, snap)| {
-            name.strip_prefix(STAGE_HISTOGRAM_PREFIX)
-                .map(|stage| (stage.to_string(), snap))
+        .filter(|(_, h)| h.count > 0)
+        .filter_map(|(name, h)| {
+            let stage = name.strip_prefix(STAGE_HISTOGRAM_PREFIX)?;
+            Some(StageSummary {
+                name: stage.to_string(),
+                calls: h.count,
+                total_secs: h.sum,
+                p50_ms: 1e3 * h.p50,
+                p90_ms: 1e3 * h.p90,
+                p99_ms: 1e3 * h.p99,
+            })
         })
         .collect()
 }
 
-/// Clears every stage aggregate, counter and histogram (tests and
+/// Clears every counter and histogram, stages included (tests and
 /// repeated in-process runs).
 pub fn reset() {
-    lock(stages()).clear();
     metrics::reset_metrics();
 }
 
@@ -95,39 +100,32 @@ pub fn reset() {
 /// (stages with no recorded parent). Nested spans also appear inside
 /// their parents' totals, so shares are a guide, not a partition.
 pub fn render_report() -> String {
-    let stages = stage_snapshot();
+    let stages = stage_summaries();
     let mut out = String::new();
     out.push_str("== sfn-obs run report ==\n");
     if stages.is_empty() {
         out.push_str("(no stages recorded — set SFN_LOG=info or SFN_TRACE_FILE)\n");
     } else {
         let is_root = |name: &str| {
-            !stages
-                .iter()
-                .any(|(p, _)| name != p && name.starts_with(p.as_str()) && name.as_bytes()[p.len()] == b'/')
+            !stages.iter().any(|p| {
+                let p = p.name.as_str();
+                name != p && name.starts_with(p) && name.as_bytes()[p.len()] == b'/'
+            })
         };
-        let grand: f64 = stages
-            .iter()
-            .filter(|(n, _)| is_root(n))
-            .map(|(_, s)| s.total.as_secs_f64())
-            .sum();
+        let grand: f64 = stages.iter().filter(|s| is_root(&s.name)).map(|s| s.total_secs).sum();
         let _ = writeln!(
             out,
             "{:<34} {:>9} {:>12} {:>11} {:>8}",
             "stage", "calls", "total(s)", "mean(ms)", "share"
         );
-        for (name, s) in &stages {
-            let total = s.total.as_secs_f64();
-            let mean_ms = if s.calls > 0 {
-                1e3 * total / s.calls as f64
-            } else {
-                0.0
-            };
+        for s in &stages {
+            let total = s.total_secs;
+            let mean_ms = 1e3 * total / s.calls as f64;
             let share = if grand > 0.0 { 100.0 * total / grand } else { 0.0 };
             let _ = writeln!(
                 out,
                 "{:<34} {:>9} {:>12.4} {:>11.4} {:>7.1}%",
-                name, s.calls, total, mean_ms, share
+                s.name, s.calls, total, mean_ms, share
             );
         }
     }
@@ -187,7 +185,7 @@ mod tests {
         assert!(line.contains("2"), "{line}");
         crate::enable_metrics(false);
         crate::reset();
-        assert!(crate::stage_snapshot().is_empty());
+        assert!(crate::stage_summaries().is_empty());
     }
 
     #[test]

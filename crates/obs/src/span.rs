@@ -136,19 +136,16 @@ mod tests {
             let _inner = crate::span!("inner");
             std::thread::sleep(Duration::from_millis(1));
         }
-        let stages = crate::stage_snapshot();
-        let names: Vec<&str> = stages.iter().map(|(n, _)| n.as_str()).collect();
+        let stages = crate::stage_summaries();
+        let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
         assert!(names.contains(&"test_span_outer"), "stages: {names:?}");
         assert!(
             names.contains(&"test_span_outer/inner"),
             "stages: {names:?}"
         );
-        let outer = stages
-            .iter()
-            .find(|(n, _)| n == "test_span_outer")
-            .unwrap();
-        assert_eq!(outer.1.calls, 1);
-        assert!(outer.1.total >= Duration::from_millis(1));
+        let outer = stages.iter().find(|s| s.name == "test_span_outer").unwrap();
+        assert_eq!(outer.calls, 1);
+        assert!(outer.total_secs >= 1e-3);
         crate::enable_metrics(false);
         crate::reset();
     }
@@ -162,8 +159,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1));
         let d = t.stop();
         assert!(d >= Duration::from_millis(1));
-        let stages = crate::stage_snapshot();
-        assert!(stages.iter().any(|(n, s)| n == "test_span_timer" && s.calls == 1));
+        let stages = crate::stage_summaries();
+        assert!(stages.iter().any(|s| s.name == "test_span_timer" && s.calls == 1));
         crate::enable_metrics(false);
         crate::reset();
     }
@@ -179,7 +176,7 @@ mod tests {
         let t = ScopedTimer::start("test_span_timer_disabled");
         let d = t.stop();
         assert!(d >= Duration::ZERO);
-        assert!(crate::stage_snapshot().is_empty());
+        assert!(crate::stage_summaries().is_empty());
     }
 
     #[test]
@@ -196,11 +193,8 @@ mod tests {
                 });
             }
         });
-        let stages = crate::stage_snapshot();
-        let (_, stats) = stages
-            .iter()
-            .find(|(n, _)| n == "test_span_mt")
-            .expect("stage recorded");
+        let stages = crate::stage_summaries();
+        let stats = stages.iter().find(|s| s.name == "test_span_mt").expect("stage recorded");
         assert_eq!(stats.calls, 200);
         crate::enable_metrics(false);
         crate::reset();

@@ -20,6 +20,9 @@
 //! * [`roofline`] — a startup calibration micro-benchmark estimating
 //!   peak FLOP/s and stream bandwidth, so each kernel can be classified
 //!   compute- or memory-bound against the machine balance.
+//! * [`ProfileReport`] — the `sfn-prof/kernels@1` document: one run's
+//!   [`KernelTotals`] per kernel, with its one JSON codec and the
+//!   roofline table `sfn-trace profile` prints.
 //!
 //! # Kernel naming
 //!
@@ -52,13 +55,16 @@
 #![warn(missing_docs)]
 
 mod alloc;
+mod report;
 mod ring;
 pub mod roofline;
 
 pub use crate::alloc::{alloc_tracking, set_alloc_tracking, CountingAlloc};
+pub use crate::report::{ProfileReport, SCHEMA};
 pub use crate::ring::dropped_records;
 pub use crate::roofline::{calibrate, calibration, classify, intensity, Bound, Calibration};
 
+use sfn_obs::json::Value;
 use sfn_obs::Level;
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -134,6 +140,31 @@ pub struct KernelTotals {
 }
 
 impl KernelTotals {
+    /// `(JSON key, value)` of the raw counters, in the order every
+    /// writer (`prof.kernel` events, `sfn-prof/kernels@1` rows) lays
+    /// them out.
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
+        [
+            ("calls", self.calls),
+            ("ns", self.ns),
+            ("flops", self.flops),
+            ("bytes_read", self.bytes_read),
+            ("bytes_written", self.bytes_written),
+            ("allocs", self.allocs),
+            ("alloc_bytes", self.alloc_bytes),
+            ("peak_bytes", self.peak_bytes),
+        ]
+    }
+
+    /// Reads the raw counters out of an object — a `prof.kernel` trace
+    /// event or one row of an `sfn-prof/kernels@1` document. An absent
+    /// or non-integer counter reads as 0.
+    pub fn from_fields(v: &Value) -> KernelTotals {
+        let [calls, ns, flops, bytes_read, bytes_written, allocs, alloc_bytes, peak_bytes] =
+            KernelTotals::default().fields().map(|(key, _)| v.get(key).and_then(Value::as_u64).unwrap_or(0));
+        KernelTotals { calls, ns, flops, bytes_read, bytes_written, allocs, alloc_bytes, peak_bytes }
+    }
+
     /// Folds another totals record into this one (saturating).
     pub fn merge(&mut self, o: &KernelTotals) {
         self.calls = self.calls.saturating_add(o.calls);
@@ -325,8 +356,9 @@ pub fn reset() {
 
 /// Emits the accumulated totals as `prof.kernel` trace events (one per
 /// kernel) plus one `prof.calibration` event, so a trace file is
-/// self-contained for `sfn-trace profile` / `diff`. A no-op when
-/// profiling is disabled.
+/// self-contained for `sfn-trace profile` / `diff`. Each event carries
+/// cumulative totals, so readers keep the last emission per kernel. A
+/// no-op when profiling is disabled.
 pub fn emit_summary() {
     if !enabled() {
         return;
@@ -337,16 +369,11 @@ pub fn emit_summary() {
         .field_f64("stream_gbps", cal.stream_gbps)
         .emit();
     for (name, t) in snapshot() {
-        sfn_obs::event(Level::Info, "prof.kernel")
-            .field_str("kernel", name)
-            .field_u64("calls", t.calls)
-            .field_u64("ns", t.ns)
-            .field_u64("flops", t.flops)
-            .field_u64("bytes_read", t.bytes_read)
-            .field_u64("bytes_written", t.bytes_written)
-            .field_u64("allocs", t.allocs)
-            .field_u64("alloc_bytes", t.alloc_bytes)
-            .field_u64("peak_bytes", t.peak_bytes)
+        t.fields()
+            .into_iter()
+            .fold(sfn_obs::event(Level::Info, "prof.kernel").field_str("kernel", name), |e, (k, v)| {
+                e.field_u64(k, v)
+            })
             .emit();
     }
     let dropped = dropped_records();
@@ -357,52 +384,15 @@ pub fn emit_summary() {
     }
 }
 
-/// Renders the accumulated totals as the `sfn-prof/kernels@1` JSON
-/// document (the `kernel_summary` section of `run_all_summary.json`,
-/// and the format `sfn-trace profile` re-emits). Derived rates are
-/// recomputed from the raw counters on every serialisation, so
-/// parse → serialise is a fixed point.
-pub fn summary_json(duration_secs: f64) -> String {
-    use sfn_obs::json;
-    let cal = calibration();
-    let mut s = String::from("{\"schema\":\"sfn-prof/kernels@1\",\"duration_secs\":");
-    json::push_f64(&mut s, duration_secs);
-    s.push_str(",\"calibration\":{\"peak_gflops\":");
-    json::push_f64(&mut s, cal.peak_gflops);
-    s.push_str(",\"stream_gbps\":");
-    json::push_f64(&mut s, cal.stream_gbps);
-    s.push_str("},\"kernels\":[");
-    for (i, (name, t)) in snapshot().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"name\":\"");
-        json::escape_into(&mut s, name);
-        s.push_str("\",\"calls\":");
-        let _ = std::fmt::Write::write_fmt(&mut s, format_args!("{}", t.calls));
-        for (key, v) in [
-            ("ns", t.ns),
-            ("flops", t.flops),
-            ("bytes_read", t.bytes_read),
-            ("bytes_written", t.bytes_written),
-            ("allocs", t.allocs),
-            ("alloc_bytes", t.alloc_bytes),
-            ("peak_bytes", t.peak_bytes),
-        ] {
-            let _ = std::fmt::Write::write_fmt(&mut s, format_args!(",\"{key}\":{v}"));
-        }
-        s.push_str(",\"gflops\":");
-        json::push_f64(&mut s, t.gflops());
-        s.push_str(",\"gbps\":");
-        json::push_f64(&mut s, t.gbps());
-        s.push_str(",\"intensity\":");
-        json::push_f64(&mut s, t.intensity());
-        s.push_str(",\"bound\":\"");
-        s.push_str(cal.classify(t.flops, t.bytes()).as_str());
-        s.push_str("\"}");
+/// The accumulated totals as a [`ProfileReport`] over a run of
+/// `duration_secs` (the `kernel_summary` section of
+/// `run_all_summary.json`).
+pub fn summary(duration_secs: f64) -> ProfileReport {
+    ProfileReport {
+        duration_secs,
+        calibration: calibration(),
+        kernels: snapshot().into_iter().map(|(name, t)| (name.to_string(), t)).collect(),
     }
-    s.push_str("]}");
-    s
 }
 
 #[cfg(test)]
@@ -545,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_json_lists_kernels() {
+    fn summary_lists_kernels() {
         let _g = hold();
         set_enabled(true);
         reset();
@@ -553,7 +543,7 @@ mod tests {
             let scope = KernelScope::enter("test_json");
             scope.record(42, 8, 8);
         }
-        let doc = summary_json(1.0);
+        let doc = summary(1.0).to_json();
         set_enabled(false);
         assert!(doc.contains("\"schema\":\"sfn-prof/kernels@1\""), "{doc}");
         assert!(doc.contains("\"name\":\"test_json\""), "{doc}");

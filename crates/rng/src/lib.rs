@@ -36,14 +36,29 @@ pub mod seq {
     pub use crate::SliceRandom;
 }
 
-/// SplitMix64 step: advances `state` and returns the next output.
-/// Used only to expand a 64-bit seed into the xoshiro state.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// The SplitMix64 state increment (the 64-bit golden ratio).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 as a stateless mixer: the output of a SplitMix64
+/// generator whose state is `z`. Seeds the xoshiro state here and
+/// hashes fault-decision coordinates in `sfn-faults`.
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// 64-bit FNV-1a over `bytes`: the checksum of the `SFNM` and `SFNC`
+/// formats, the content address of fuzz corpus files and the artifact
+/// cache keys. Any change breaks every file written with it.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
 }
 
 /// xoshiro256++ — the workspace's standard generator.
@@ -67,12 +82,13 @@ impl SeedableRng for StdRng {
         let mut st = seed;
         let mut s = [0u64; 4];
         for word in &mut s {
-            *word = splitmix64(&mut st);
+            *word = splitmix64(st);
+            st = st.wrapping_add(GOLDEN_GAMMA);
         }
         // SplitMix64 never yields four zero words from any seed, but
         // guard the all-zero fixed point anyway.
         if s == [0; 4] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
+            s[0] = GOLDEN_GAMMA;
         }
         StdRng { s }
     }
@@ -266,6 +282,15 @@ mod tests {
                 18149643915985481100
             ]
         );
+    }
+
+    // FNV-1a reference vectors (the published 64-bit test values): the
+    // model and checkpoint checksums depend on these exact outputs.
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 
 use crate::audit;
 use crate::event::Trace;
-use sfn_obs::json::{self, JsonError, Value};
+use sfn_obs::json::{self, obj, FromJson, JsonError, ToJson, Value};
+use sfn_obs::StageSummary;
+use sfn_prof::KernelTotals;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -34,35 +36,16 @@ impl Quantiles {
         if v.is_empty() {
             return None;
         }
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let n = v.len();
-        let at = |q: f64| v[((q * n as f64).ceil().max(1.0) as usize).min(n) - 1];
+        v.sort_by(f64::total_cmp);
+        let at = |q: f64| sfn_obs::exact_quantile(&v, q);
         Some(Quantiles {
-            count: n as u64,
+            count: v.len() as u64,
             p50: at(0.50),
             p90: at(0.90),
             p99: at(0.99),
-            max: v[n - 1],
+            max: v[v.len() - 1],
         })
     }
-}
-
-/// One stage's latency summary, from the emitter's own histogram
-/// (`stage.summary` events; milliseconds).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageQuantiles {
-    /// Stage path (`runtime/run`, `sim/step/projection`, …).
-    pub name: String,
-    /// Recorded scopes.
-    pub calls: u64,
-    /// Summed time in seconds.
-    pub total_secs: f64,
-    /// Approximate median, milliseconds.
-    pub p50_ms: f64,
-    /// Approximate 90th percentile, milliseconds.
-    pub p90_ms: f64,
-    /// Approximate 99th percentile, milliseconds.
-    pub p99_ms: f64,
 }
 
 /// One kernel's throughput summary (from `prof.kernel` events), the
@@ -109,7 +92,7 @@ pub struct RecoverySummary {
 /// Durable-checkpoint activity (`ckpt.write` / `ckpt.recover` /
 /// `ckpt.rejected` records). All-zero when checkpointing was off; the
 /// latency fields use `0.0` (not NaN) so summaries stay comparable.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CkptSummary {
     /// Durable checkpoint writes.
     pub writes: u64,
@@ -127,7 +110,7 @@ pub struct CkptSummary {
 /// `serve.request` / `serve.brownout` records). All-zero when the
 /// trace has no serving in it; `latency_p99_ms` uses `0.0` (not NaN)
 /// so summaries stay comparable as baselines.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServeSummary {
     /// Requests that passed admission (`serve.admit` with
     /// `decision=admitted`).
@@ -150,19 +133,6 @@ pub struct ServeSummary {
 }
 
 impl ServeSummary {
-    fn zero() -> ServeSummary {
-        ServeSummary {
-            admitted: 0,
-            refused: 0,
-            shed: 0,
-            requests: 0,
-            truncated: 0,
-            brownout_transitions: 0,
-            max_rung_level: 0,
-            latency_p99_ms: 0.0,
-        }
-    }
-
     fn any(&self) -> bool {
         self.admitted + self.refused + self.shed + self.requests + self.brownout_transitions > 0
     }
@@ -183,7 +153,7 @@ pub struct Analysis {
     /// when the trace has no step records, e.g. `SFN_LOG` below trace).
     pub step_latency: Option<Quantiles>,
     /// Per-stage histogram summaries from `stage.summary` records.
-    pub stages: Vec<StageQuantiles>,
+    pub stages: Vec<StageSummary>,
     /// Per-model time/step shares from `runtime.step` records.
     pub models: Vec<ModelShare>,
     /// Per-kernel throughput from `prof.kernel` records (empty when the
@@ -251,17 +221,7 @@ pub fn analyze(trace: &Trace) -> Analysis {
         .collect();
 
     // Stage percentiles as the emitter's histograms saw them.
-    let stages = trace
-        .of_kind("stage.summary")
-        .map(|e| StageQuantiles {
-            name: e.str("stage").unwrap_or("?").to_string(),
-            calls: e.u64("calls").unwrap_or(0),
-            total_secs: e.f64("total_secs").unwrap_or(f64::NAN),
-            p50_ms: e.f64("p50_ms").unwrap_or(f64::NAN),
-            p90_ms: e.f64("p90_ms").unwrap_or(f64::NAN),
-            p99_ms: e.f64("p99_ms").unwrap_or(f64::NAN),
-        })
-        .collect();
+    let stages = trace.of_kind("stage.summary").map(|e| StageSummary::from_event(&e.fields)).collect();
 
     // Kernel throughput from the profiler's end-of-run emission.
     // Dotted per-path names (`conv2d.direct`, `advect.avx2`)
@@ -269,22 +229,19 @@ pub fn analyze(trace: &Trace) -> Analysis {
     // logical kernels, so a dispatch-path difference between the
     // baseline machine and the current one neither skips the
     // comparison nor reads as a missing kernel.
-    let mut kernel_agg: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-    for k in crate::profile::ProfileReport::from_trace(trace).kernels {
-        let base = k.name.split('.').next().unwrap_or(&k.name);
-        let e = kernel_agg.entry(base.to_string()).or_insert((0, 0, 0));
-        e.0 += k.calls;
-        e.1 += k.ns;
-        e.2 += k.flops;
+    let mut kernel_agg: BTreeMap<String, KernelTotals> = BTreeMap::new();
+    for (name, t) in crate::profile::from_trace(trace).kernels {
+        let base = name.split('.').next().unwrap_or(&name);
+        kernel_agg.entry(base.to_string()).or_default().merge(&t);
     }
     let kernels = kernel_agg
         .into_iter()
-        .map(|(name, (calls, ns, flops))| KernelStat {
+        .map(|(name, t)| KernelStat {
             name,
-            calls,
-            secs: ns as f64 / 1e9,
+            calls: t.calls,
+            secs: t.secs(),
             // flops/ns ≡ GFLOP/s (the 1e9 factors cancel).
-            gflops: if ns == 0 { 0.0 } else { flops as f64 / ns as f64 },
+            gflops: if t.ns == 0 { 0.0 } else { t.flops as f64 / t.ns as f64 },
         })
         .collect();
 
@@ -294,27 +251,28 @@ pub fn analyze(trace: &Trace) -> Analysis {
     }
 
     // Recovery latency: each injection pairs with the next resolving
-    // event at or after its timestamp.
+    // event at or after its timestamp. A record without a finite `ts`
+    // has no place on the timeline and pairs with nothing.
     let mut latencies = Vec::new();
-    let mut resolved = 0u64;
-    let injected: Vec<f64> = trace.of_kind("fault.injected").map(|e| e.ts).collect();
+    let injected: Vec<f64> =
+        trace.of_kind("fault.injected").map(|e| e.ts).filter(|t| t.is_finite()).collect();
     let mut resolutions: Vec<f64> = trace
         .events
         .iter()
         .filter(|e| RESOLVING_KINDS.contains(&e.kind.as_str()))
         .map(|e| e.ts)
+        .filter(|t| t.is_finite())
         .collect();
-    resolutions.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    resolutions.sort_by(f64::total_cmp);
     for ts in &injected {
         if let Some(r) = resolutions.iter().find(|&&r| r >= *ts) {
-            resolved += 1;
             latencies.push(r - ts);
         }
     }
     let rq = Quantiles::from_samples(&latencies);
     let recovery = RecoverySummary {
-        injected: injected.len() as u64,
-        resolved,
+        injected: trace.count("fault.injected"),
+        resolved: latencies.len() as u64,
         p50_secs: rq.map_or(f64::NAN, |q| q.p50),
         max_secs: rq.map_or(f64::NAN, |q| q.max),
     };
@@ -337,7 +295,7 @@ pub fn analyze(trace: &Trace) -> Analysis {
             .fold(0.0, f64::max),
     };
 
-    let mut serve = ServeSummary::zero();
+    let mut serve = ServeSummary::default();
     for e in trace.of_kind("serve.admit") {
         match e.str("decision") {
             Some("refused") => serve.refused += 1,
@@ -386,255 +344,121 @@ pub fn analyze(trace: &Trace) -> Analysis {
 }
 
 // ------------------------------------------------------- serialisation
+//
+// Decoding is lenient, so summaries written before a section existed
+// still load: an absent count reads 0, an absent name `"?"`, an absent
+// latency NaN (0 in the `ckpt` and `serve` sections, which are
+// all-zero when inactive).
 
-fn push_kv_f64(out: &mut String, key: &str, v: f64) {
-    let _ = write!(out, "\"{key}\":");
-    json::push_f64(out, v);
+sfn_obs::json_record!(Quantiles {
+    count: 0,
+    p50: f64::NAN,
+    p90: f64::NAN,
+    p99: f64::NAN,
+    max: f64::NAN,
+});
+
+sfn_obs::json_record!(ModelShare { model: "?".to_string(), steps: 0, secs: f64::NAN, share: f64::NAN });
+
+sfn_obs::json_record!(KernelStat { name: "?".to_string(), calls: 0, secs: f64::NAN, gflops: f64::NAN });
+
+sfn_obs::json_record!(RecoverySummary { injected: 0, resolved: 0, p50_secs: f64::NAN, max_secs: f64::NAN });
+
+sfn_obs::json_record!(CkptSummary {
+    writes: 0,
+    recovers: 0,
+    rejected: 0,
+    write_secs: 0.0,
+    recover_max_secs: 0.0,
+});
+
+sfn_obs::json_record!(ServeSummary {
+    admitted: 0,
+    refused: 0,
+    shed: 0,
+    requests: 0,
+    truncated: 0,
+    brownout_transitions: 0,
+    max_rung_level: 0,
+    latency_p99_ms: 0.0,
+});
+
+impl ToJson for Analysis {
+    fn to_json_value(&self) -> Value {
+        let actions = self.actions.iter().map(|(a, n)| (a.clone(), n.to_json_value())).collect();
+        obj([
+            ("schema", SUMMARY_SCHEMA.to_json_value()),
+            ("events", self.events.to_json_value()),
+            ("skipped", self.skipped.to_json_value()),
+            ("duration_secs", self.duration_secs.to_json_value()),
+            ("steps", self.steps.to_json_value()),
+            ("step_latency", self.step_latency.to_json_value()),
+            ("stages", self.stages.to_json_value()),
+            ("models", self.models.to_json_value()),
+            ("kernels", self.kernels.to_json_value()),
+            ("decisions", self.decisions.to_json_value()),
+            ("actions", Value::Obj(actions)),
+            ("contradictions", self.contradictions.to_json_value()),
+            ("blowups", self.blowups.to_json_value()),
+            ("sanitized", self.sanitized.to_json_value()),
+            ("quarantines", self.quarantines.to_json_value()),
+            ("rollbacks", self.rollbacks.to_json_value()),
+            ("degraded", self.degraded.to_json_value()),
+            ("recovery", self.recovery.to_json_value()),
+            ("ckpt", self.ckpt.to_json_value()),
+            ("serve", self.serve.to_json_value()),
+        ])
+    }
+}
+
+impl FromJson for Analysis {
+    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
+        if v.get("schema").and_then(Value::as_str) != Some(SUMMARY_SCHEMA) {
+            return Err(JsonError { at: 0, message: format!("not a {SUMMARY_SCHEMA} summary") });
+        }
+        // Absent sections decode like empty objects: every field at its
+        // default.
+        let section = |key: &str| v.get(key).unwrap_or(&Value::Null);
+        let actions = section("actions")
+            .as_obj()
+            .unwrap_or_default()
+            .iter()
+            .map(|(a, n)| (a.clone(), n.as_u64().unwrap_or(0)))
+            .collect();
+        Ok(Analysis {
+            events: v.field("events").unwrap_or(0),
+            skipped: v.field("skipped").unwrap_or(0),
+            duration_secs: v.field("duration_secs").unwrap_or(f64::NAN),
+            steps: v.field("steps").unwrap_or(0),
+            step_latency: v.field("step_latency").unwrap_or(None),
+            stages: v.field("stages").unwrap_or_default(),
+            models: v.field("models").unwrap_or_default(),
+            kernels: v.field("kernels").unwrap_or_default(),
+            decisions: v.field("decisions").unwrap_or(0),
+            actions,
+            contradictions: v.field("contradictions").unwrap_or(0),
+            blowups: v.field("blowups").unwrap_or(0),
+            sanitized: v.field("sanitized").unwrap_or(0),
+            quarantines: v.field("quarantines").unwrap_or(0),
+            rollbacks: v.field("rollbacks").unwrap_or(0),
+            degraded: v.field("degraded").unwrap_or(0),
+            recovery: RecoverySummary::from_json_value(section("recovery"))?,
+            ckpt: CkptSummary::from_json_value(section("ckpt"))?,
+            serve: ServeSummary::from_json_value(section("serve"))?,
+        })
+    }
 }
 
 impl Analysis {
     /// Serialises the analysis as the `sfn-trace/summary@1` JSON object
     /// (`diff` accepts these as baselines).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        let _ = write!(
-            s,
-            "{{\"schema\":\"{SUMMARY_SCHEMA}\",\"events\":{},\"skipped\":{},",
-            self.events, self.skipped
-        );
-        push_kv_f64(&mut s, "duration_secs", self.duration_secs);
-        let _ = write!(s, ",\"steps\":{},", self.steps);
-        s.push_str("\"step_latency\":");
-        match self.step_latency {
-            None => s.push_str("null"),
-            Some(q) => {
-                let _ = write!(s, "{{\"count\":{},", q.count);
-                push_kv_f64(&mut s, "p50", q.p50);
-                s.push(',');
-                push_kv_f64(&mut s, "p90", q.p90);
-                s.push(',');
-                push_kv_f64(&mut s, "p99", q.p99);
-                s.push(',');
-                push_kv_f64(&mut s, "max", q.max);
-                s.push('}');
-            }
-        }
-        s.push_str(",\"stages\":[");
-        for (i, st) in self.stages.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"name\":\"");
-            json::escape_into(&mut s, &st.name);
-            let _ = write!(s, "\",\"calls\":{},", st.calls);
-            push_kv_f64(&mut s, "total_secs", st.total_secs);
-            s.push(',');
-            push_kv_f64(&mut s, "p50_ms", st.p50_ms);
-            s.push(',');
-            push_kv_f64(&mut s, "p90_ms", st.p90_ms);
-            s.push(',');
-            push_kv_f64(&mut s, "p99_ms", st.p99_ms);
-            s.push('}');
-        }
-        s.push_str("],\"models\":[");
-        for (i, m) in self.models.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"model\":\"");
-            json::escape_into(&mut s, &m.model);
-            let _ = write!(s, "\",\"steps\":{},", m.steps);
-            push_kv_f64(&mut s, "secs", m.secs);
-            s.push(',');
-            push_kv_f64(&mut s, "share", m.share);
-            s.push('}');
-        }
-        s.push_str("],\"kernels\":[");
-        for (i, k) in self.kernels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"name\":\"");
-            json::escape_into(&mut s, &k.name);
-            let _ = write!(s, "\",\"calls\":{},", k.calls);
-            push_kv_f64(&mut s, "secs", k.secs);
-            s.push(',');
-            push_kv_f64(&mut s, "gflops", k.gflops);
-            s.push('}');
-        }
-        let _ = write!(s, "],\"decisions\":{},\"actions\":{{", self.decisions);
-        for (i, (action, n)) in self.actions.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            json::escape_into(&mut s, action);
-            let _ = write!(s, "\":{n}");
-        }
-        let _ = write!(
-            s,
-            "}},\"contradictions\":{},\"blowups\":{},\"sanitized\":{},\"quarantines\":{},\"rollbacks\":{},\"degraded\":{},",
-            self.contradictions, self.blowups, self.sanitized, self.quarantines, self.rollbacks, self.degraded
-        );
-        let _ = write!(
-            s,
-            "\"recovery\":{{\"injected\":{},\"resolved\":{},",
-            self.recovery.injected, self.recovery.resolved
-        );
-        push_kv_f64(&mut s, "p50_secs", self.recovery.p50_secs);
-        s.push(',');
-        push_kv_f64(&mut s, "max_secs", self.recovery.max_secs);
-        let _ = write!(
-            s,
-            "}},\"ckpt\":{{\"writes\":{},\"recovers\":{},\"rejected\":{},",
-            self.ckpt.writes, self.ckpt.recovers, self.ckpt.rejected
-        );
-        push_kv_f64(&mut s, "write_secs", self.ckpt.write_secs);
-        s.push(',');
-        push_kv_f64(&mut s, "recover_max_secs", self.ckpt.recover_max_secs);
-        let _ = write!(
-            s,
-            "}},\"serve\":{{\"admitted\":{},\"refused\":{},\"shed\":{},\"requests\":{},\"truncated\":{},\"brownout_transitions\":{},\"max_rung_level\":{},",
-            self.serve.admitted,
-            self.serve.refused,
-            self.serve.shed,
-            self.serve.requests,
-            self.serve.truncated,
-            self.serve.brownout_transitions,
-            self.serve.max_rung_level
-        );
-        push_kv_f64(&mut s, "latency_p99_ms", self.serve.latency_p99_ms);
-        s.push_str("}}");
-        s
+        self.to_json_value().to_json()
     }
 
     /// Parses a serialised summary back (the `diff` baseline path).
     pub fn from_json(text: &str) -> Result<Analysis, JsonError> {
-        let v = json::parse(text)?;
-        let bad = |message: &str| JsonError { at: 0, message: message.to_string() };
-        if v.get("schema").and_then(Value::as_str) != Some(SUMMARY_SCHEMA) {
-            return Err(bad(&format!("not a {SUMMARY_SCHEMA} summary")));
-        }
-        let num = |key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
-        let int = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
-        let step_latency = match v.get("step_latency") {
-            None | Some(Value::Null) => None,
-            Some(q) => Some(Quantiles {
-                count: q.get("count").and_then(Value::as_u64).unwrap_or(0),
-                p50: q.get("p50").and_then(Value::as_f64).unwrap_or(f64::NAN),
-                p90: q.get("p90").and_then(Value::as_f64).unwrap_or(f64::NAN),
-                p99: q.get("p99").and_then(Value::as_f64).unwrap_or(f64::NAN),
-                max: q.get("max").and_then(Value::as_f64).unwrap_or(f64::NAN),
-            }),
-        };
-        let field = |o: &Value, key: &str| o.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
-        let stages = match v.get("stages").and_then(Value::as_arr) {
-            None => Vec::new(),
-            Some(items) => items
-                .iter()
-                .map(|o| StageQuantiles {
-                    name: o.get("name").and_then(Value::as_str).unwrap_or("?").to_string(),
-                    calls: o.get("calls").and_then(Value::as_u64).unwrap_or(0),
-                    total_secs: field(o, "total_secs"),
-                    p50_ms: field(o, "p50_ms"),
-                    p90_ms: field(o, "p90_ms"),
-                    p99_ms: field(o, "p99_ms"),
-                })
-                .collect(),
-        };
-        let models = match v.get("models").and_then(Value::as_arr) {
-            None => Vec::new(),
-            Some(items) => items
-                .iter()
-                .map(|o| ModelShare {
-                    model: o.get("model").and_then(Value::as_str).unwrap_or("?").to_string(),
-                    steps: o.get("steps").and_then(Value::as_u64).unwrap_or(0),
-                    secs: field(o, "secs"),
-                    share: field(o, "share"),
-                })
-                .collect(),
-        };
-        let kernels = match v.get("kernels").and_then(Value::as_arr) {
-            None => Vec::new(),
-            Some(items) => items
-                .iter()
-                .map(|o| KernelStat {
-                    name: o.get("name").and_then(Value::as_str).unwrap_or("?").to_string(),
-                    calls: o.get("calls").and_then(Value::as_u64).unwrap_or(0),
-                    secs: field(o, "secs"),
-                    gflops: field(o, "gflops"),
-                })
-                .collect(),
-        };
-        let actions = match v.get("actions") {
-            Some(Value::Obj(fields)) => fields
-                .iter()
-                .map(|(k, n)| (k.clone(), n.as_u64().unwrap_or(0)))
-                .collect(),
-            _ => Vec::new(),
-        };
-        let recovery = match v.get("recovery") {
-            Some(r) => RecoverySummary {
-                injected: r.get("injected").and_then(Value::as_u64).unwrap_or(0),
-                resolved: r.get("resolved").and_then(Value::as_u64).unwrap_or(0),
-                p50_secs: field(r, "p50_secs"),
-                max_secs: field(r, "max_secs"),
-            },
-            None => RecoverySummary { injected: 0, resolved: 0, p50_secs: f64::NAN, max_secs: f64::NAN },
-        };
-        // Summaries written before the checkpoint subsystem existed have
-        // no `ckpt` object: default to an all-zero (inactive) summary so
-        // old baselines keep parsing.
-        let zero = |r: &Value, key: &str| r.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-        let ckpt = match v.get("ckpt") {
-            Some(c) => CkptSummary {
-                writes: c.get("writes").and_then(Value::as_u64).unwrap_or(0),
-                recovers: c.get("recovers").and_then(Value::as_u64).unwrap_or(0),
-                rejected: c.get("rejected").and_then(Value::as_u64).unwrap_or(0),
-                write_secs: zero(c, "write_secs"),
-                recover_max_secs: zero(c, "recover_max_secs"),
-            },
-            None => CkptSummary { writes: 0, recovers: 0, rejected: 0, write_secs: 0.0, recover_max_secs: 0.0 },
-        };
-        // Summaries written before the serving subsystem existed have
-        // no `serve` object: default to all-zero (inactive).
-        let serve = match v.get("serve") {
-            Some(sv) => ServeSummary {
-                admitted: sv.get("admitted").and_then(Value::as_u64).unwrap_or(0),
-                refused: sv.get("refused").and_then(Value::as_u64).unwrap_or(0),
-                shed: sv.get("shed").and_then(Value::as_u64).unwrap_or(0),
-                requests: sv.get("requests").and_then(Value::as_u64).unwrap_or(0),
-                truncated: sv.get("truncated").and_then(Value::as_u64).unwrap_or(0),
-                brownout_transitions: sv
-                    .get("brownout_transitions")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-                max_rung_level: sv.get("max_rung_level").and_then(Value::as_u64).unwrap_or(0),
-                latency_p99_ms: zero(sv, "latency_p99_ms"),
-            },
-            None => ServeSummary::zero(),
-        };
-        Ok(Analysis {
-            events: int("events"),
-            skipped: int("skipped"),
-            duration_secs: num("duration_secs"),
-            steps: int("steps"),
-            step_latency,
-            stages,
-            models,
-            kernels,
-            decisions: int("decisions"),
-            actions,
-            contradictions: int("contradictions"),
-            blowups: int("blowups"),
-            sanitized: int("sanitized"),
-            quarantines: int("quarantines"),
-            rollbacks: int("rollbacks"),
-            degraded: int("degraded"),
-            recovery,
-            ckpt,
-            serve,
-        })
+        json::from_json_str(text)
     }
 
     /// Renders the human-readable report.
@@ -880,38 +704,25 @@ mod tests {
         assert_eq!(back.serve, a.serve);
         // A serve-free trace keeps the report quiet but comparable.
         let quiet = analyze(&sample_trace());
-        assert_eq!(quiet.serve, ServeSummary::zero());
+        assert_eq!(quiet.serve, ServeSummary::default());
         assert!(!quiet.render().contains("serving:"), "{}", quiet.render());
     }
 
     #[test]
-    fn pre_serve_summaries_still_parse() {
-        // A baseline serialised before sfn-serve existed must load as
-        // an all-zero (inactive) serving summary.
+    fn summaries_from_before_a_section_existed_still_parse() {
+        // Baselines serialised before profiling, checkpointing or
+        // serving existed load those sections as empty / all-zero.
         let a = analyze(&sample_trace());
         let text = a.to_json();
-        let legacy = text.replace(
-            ",\"serve\":{\"admitted\":0,\"refused\":0,\"shed\":0,\"requests\":0,\"truncated\":0,\"brownout_transitions\":0,\"max_rung_level\":0,\"latency_p99_ms\":0}",
-            "",
-        );
-        assert_ne!(legacy, text, "the serve object must have been stripped: {text}");
-        let back = Analysis::from_json(&legacy).unwrap();
-        assert_eq!(back, a);
-    }
-
-    #[test]
-    fn pre_ckpt_summaries_still_parse() {
-        // A baseline serialised before the `ckpt` section existed must
-        // load as an all-zero (inactive) checkpoint summary.
-        let a = analyze(&sample_trace());
-        let text = a.to_json();
-        let legacy = text.replace(
+        for section in [
+            ",\"kernels\":[]",
             ",\"ckpt\":{\"writes\":0,\"recovers\":0,\"rejected\":0,\"write_secs\":0,\"recover_max_secs\":0}",
-            "",
-        );
-        assert_ne!(legacy, text, "the ckpt object must have been stripped: {text}");
-        let back = Analysis::from_json(&legacy).unwrap();
-        assert_eq!(back, a);
+            ",\"serve\":{\"admitted\":0,\"refused\":0,\"shed\":0,\"requests\":0,\"truncated\":0,\"brownout_transitions\":0,\"max_rung_level\":0,\"latency_p99_ms\":0}",
+        ] {
+            let legacy = text.replace(section, "");
+            assert_ne!(legacy, text, "{section} must have been stripped from {text}");
+            assert_eq!(Analysis::from_json(&legacy).unwrap(), a);
+        }
     }
 
     #[test]
@@ -942,5 +753,19 @@ mod tests {
         assert_eq!(q.max, 5.0);
         assert!(Quantiles::from_samples(&[]).is_none());
         assert!(Quantiles::from_samples(&[f64::NAN]).is_none());
+    }
+
+    #[test]
+    fn recovery_pairing_skips_records_without_a_timestamp() {
+        // A record with no `ts` reads as NaN; sorting the resolving
+        // timestamps must not panic on it.
+        let t = parse_trace(concat!(
+            "{\"kind\":\"fault.recovered\"}\n",
+            "{\"ts\":1.0,\"kind\":\"runtime.rollback\"}\n",
+            "{\"ts\":0.5,\"kind\":\"fault.injected\"}\n",
+        ));
+        let a = analyze(&t);
+        assert_eq!((a.recovery.injected, a.recovery.resolved), (1, 1));
+        assert_eq!(a.recovery.p50_secs, 0.5);
     }
 }

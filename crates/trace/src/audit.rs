@@ -18,6 +18,7 @@
 //! flagged.
 
 use crate::event::{Trace, TraceEvent};
+use sfn_obs::json::{obj, ToJson, Value};
 use std::fmt::Write as _;
 
 /// One decision that contradicts the replayed rule.
@@ -76,6 +77,33 @@ impl AuditReport {
     /// True when no decision contradicted the replay.
     pub fn clean(&self) -> bool {
         self.contradictions.is_empty()
+    }
+
+    /// Machine-readable audit document (`sfn-trace/audit@1`): the
+    /// counts plus every contradiction.
+    pub fn to_json(&self) -> String {
+        let contradictions = self
+            .contradictions
+            .iter()
+            .map(|c| {
+                obj([
+                    ("step", c.step.to_json_value()),
+                    ("model", c.model.to_json_value()),
+                    ("expected", c.expected.to_json_value()),
+                    ("actual", c.actual.to_json_value()),
+                ])
+            })
+            .collect();
+        obj([
+            ("schema", "sfn-trace/audit@1".to_json_value()),
+            ("decisions", self.decisions.to_json_value()),
+            ("full_replays", self.full_replays.to_json_value()),
+            ("skipped", self.skipped.to_json_value()),
+            ("parser_rejected", self.parser_rejected.to_json_value()),
+            ("fuzz_findings", self.fuzz_findings.to_json_value()),
+            ("contradictions", Value::Arr(contradictions)),
+        ])
+        .to_json()
     }
 
     /// Renders the human-readable audit summary.
@@ -287,6 +315,21 @@ mod tests {
         assert_eq!(c.actual, "keep");
         assert_eq!(c.step, 20);
         assert!(r.render().contains("switch_up"), "{}", r.render());
+    }
+
+    #[test]
+    fn json_document_carries_control_characters_intact() {
+        // Strings come from the trace verbatim; ESC and friends must be
+        // escaped so the document parses back to the same text.
+        let line = decision("0.020", "ke\\u001bep", true).replace("\"M7\"", "\"M\\u001b7\\u0001\"");
+        let r = audit(&parse_trace(&line));
+        assert_eq!(r.contradictions.len(), 1);
+        let doc = sfn_obs::json::parse(&r.to_json()).expect("audit JSON parses");
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some("sfn-trace/audit@1"));
+        let c = &doc.get("contradictions").and_then(Value::as_arr).unwrap()[0];
+        assert_eq!(c.get("model").and_then(Value::as_str), Some("M\u{1b}7\u{1}"));
+        assert_eq!(c.get("actual").and_then(Value::as_str), Some("ke\u{1b}ep"));
+        assert_eq!(c.get("expected").and_then(Value::as_str), Some("switch_up"));
     }
 
     #[test]

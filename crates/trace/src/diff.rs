@@ -11,7 +11,7 @@
 //! never flagged, no matter the ratio.
 
 use crate::analyze::Analysis;
-use sfn_obs::json;
+use sfn_obs::json::{obj, ToJson};
 use std::fmt::Write as _;
 
 /// Per-metric regression thresholds.
@@ -62,6 +62,13 @@ pub struct Regression {
     pub limit: f64,
 }
 
+sfn_obs::json_record!(Regression {
+    metric: "?".to_string(),
+    baseline: f64::NAN,
+    current: f64::NAN,
+    limit: f64::NAN,
+});
+
 /// The comparison result.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Verdict {
@@ -75,27 +82,14 @@ impl Verdict {
         self.regressions.is_empty()
     }
 
-    /// Machine-readable verdict document.
+    /// Machine-readable verdict document (`sfn-trace/verdict@1`).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"schema\":\"sfn-trace/verdict@1\",\"ok\":");
-        s.push_str(if self.ok() { "true" } else { "false" });
-        s.push_str(",\"regressions\":[");
-        for (i, r) in self.regressions.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"metric\":\"");
-            json::escape_into(&mut s, &r.metric);
-            s.push_str("\",\"baseline\":");
-            json::push_f64(&mut s, r.baseline);
-            s.push_str(",\"current\":");
-            json::push_f64(&mut s, r.current);
-            s.push_str(",\"limit\":");
-            json::push_f64(&mut s, r.limit);
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
+        obj([
+            ("schema", "sfn-trace/verdict@1".to_json_value()),
+            ("ok", self.ok().to_json_value()),
+            ("regressions", self.regressions.to_json_value()),
+        ])
+        .to_json()
     }
 
     /// Human-readable verdict.
@@ -252,7 +246,8 @@ pub fn diff(baseline: &Analysis, current: &Analysis, thresholds: &Thresholds) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::{CkptSummary, KernelStat, ModelShare, Quantiles, RecoverySummary, ServeSummary, StageQuantiles};
+    use crate::analyze::{CkptSummary, KernelStat, ModelShare, Quantiles, RecoverySummary, ServeSummary};
+    use sfn_obs::StageSummary;
 
     fn base() -> Analysis {
         Analysis {
@@ -261,7 +256,7 @@ mod tests {
             duration_secs: 1.0,
             steps: 50,
             step_latency: Some(Quantiles { count: 50, p50: 0.010, p90: 0.012, p99: 0.015, max: 0.02 }),
-            stages: vec![StageQuantiles {
+            stages: vec![StageSummary {
                 name: "runtime/run".to_string(),
                 calls: 1,
                 total_secs: 1.0,
@@ -283,7 +278,7 @@ mod tests {
             rollbacks: 0,
             degraded: 0,
             recovery: RecoverySummary { injected: 0, resolved: 0, p50_secs: f64::NAN, max_secs: f64::NAN },
-            ckpt: CkptSummary { writes: 0, recovers: 0, rejected: 0, write_secs: 0.0, recover_max_secs: 0.0 },
+            ckpt: CkptSummary::default(),
             serve: ServeSummary {
                 admitted: 20,
                 refused: 2,
@@ -313,16 +308,7 @@ mod tests {
         assert!(v.regressions.iter().any(|r| r.metric == "serve.p99_ms"), "{:?}", v.regressions);
         // A serve-free baseline (pre-serve summary) never gates on it.
         let mut old = base();
-        old.serve = ServeSummary {
-            admitted: 0,
-            refused: 0,
-            shed: 0,
-            requests: 0,
-            truncated: 0,
-            brownout_transitions: 0,
-            max_rung_level: 0,
-            latency_p99_ms: 0.0,
-        };
+        old.serve = ServeSummary::default();
         let v = diff(&old, &cur, &Thresholds::default());
         assert!(v.ok(), "{}", v.render());
     }
@@ -425,7 +411,7 @@ mod tests {
     #[test]
     fn new_stages_and_models_are_not_compared() {
         let mut cur = base();
-        cur.stages.push(StageQuantiles {
+        cur.stages.push(StageSummary {
             name: "brand/new".to_string(),
             calls: 1,
             total_secs: 9.0,

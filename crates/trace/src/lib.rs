@@ -18,18 +18,20 @@
 //! * [`diff`] — compares two runs (raw traces or saved summaries)
 //!   against per-metric thresholds and emits a machine-readable
 //!   regression verdict; CI runs this against a committed baseline.
-//! * [`profile`] — aggregates `sfn-prof`'s `prof.kernel` records into a
-//!   per-kernel roofline table (time share, GFLOP/s, GB/s, arithmetic
-//!   intensity, allocations, compute-/memory-bound) and round-trips the
-//!   `sfn-prof/kernels@1` document.
+//! * [`profile`] — reads `sfn-prof`'s `prof.kernel` records back into
+//!   the `sfn_prof::ProfileReport` a saved `sfn-prof/kernels@1`
+//!   document decodes to, whose roofline table (time share, GFLOP/s,
+//!   GB/s, arithmetic intensity, allocations, compute-/memory-bound)
+//!   `sfn-trace profile` prints.
 //! * [`flame`] — folds per-invocation `prof.span` records into
 //!   collapsed-stack text (flamegraph.pl input) and speedscope JSON.
 //!
 //! The `sfn-trace` binary wraps all of the above as subcommands.
 //!
-//! Like `sfn-obs`, the crate is dependency-free: the JSONL comes back
-//! through [`sfn_obs::json`], the same hand-rolled parser that the
-//! fault-injection config uses.
+//! The JSONL comes back through [`sfn_obs::json`], the same hand-rolled
+//! parser that the fault-injection config uses, and each document is
+//! decoded with the type its writer owns: `sfn_obs::StageSummary`,
+//! `sfn_prof::ProfileReport` and `sfn_metrics`' live snapshot schema.
 
 #![warn(missing_docs)]
 
@@ -42,13 +44,10 @@ pub mod flame;
 pub mod profile;
 pub mod top;
 
-pub use analyze::{
-    analyze, Analysis, KernelStat, ModelShare, Quantiles, RecoverySummary, StageQuantiles,
-};
+pub use analyze::{analyze, Analysis, KernelStat, ModelShare, Quantiles, RecoverySummary};
 pub use audit::{audit, AuditReport, Contradiction};
 pub use chrome::export_chrome;
 pub use diff::{diff, Regression, Thresholds, Verdict};
 pub use event::{load_trace, parse_trace, Trace, TraceEvent};
 pub use flame::{fold, FlameFrame, FlameGraph};
-pub use profile::{KernelRow, ProfileReport, PROFILE_SCHEMA};
 pub use top::{fetch_snapshot, render_top};

@@ -19,7 +19,8 @@
 //! saved `sfn-prof/kernels@1` document. Exit codes: 0 ok, 1 audit/diff
 //! found problems, 2 usage or I/O error.
 
-use sfn_trace::{analyze, audit, diff, export_chrome, Analysis, ProfileReport, Thresholds};
+use sfn_prof::ProfileReport;
+use sfn_trace::{analyze, audit, diff, export_chrome, Analysis, Thresholds};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: sfn-trace <analyze|audit|export|profile|flame|diff|top> <trace...> [options]
@@ -41,18 +42,24 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Loads either a raw JSONL trace or a saved `analyze --json` summary.
-fn load_analysis(path: &str) -> Result<Analysis, String> {
+/// Loads a saved document (`decode`) or, failing that, reduces a raw
+/// JSONL trace with `reduce`; `what` names the document in errors.
+fn load<T, E>(
+    path: &str,
+    what: &str,
+    decode: fn(&str) -> Result<T, E>,
+    reduce: fn(&sfn_trace::Trace) -> T,
+) -> Result<T, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    if let Ok(a) = Analysis::from_json(&text) {
-        return Ok(a);
+    if let Ok(doc) = decode(&text) {
+        return Ok(doc);
     }
     let trace = sfn_trace::parse_trace(&text);
     if trace.events.is_empty() && !text.trim().is_empty() {
-        return Err(format!("{path:?} is neither a summary nor a parseable trace"));
+        return Err(format!("{path:?} is neither a {what} nor a parseable trace"));
     }
-    Ok(analyze(&trace))
+    Ok(reduce(&trace))
 }
 
 fn write_out(out: Option<&str>, content: &str) -> Result<(), String> {
@@ -73,21 +80,6 @@ struct Opts {
     interval_ms: u64,
     out: Option<String>,
     thresholds: Thresholds,
-}
-
-/// Loads either a raw JSONL trace or a saved `sfn-prof/kernels@1`
-/// document and reduces it to a [`ProfileReport`].
-fn load_profile(path: &str) -> Result<ProfileReport, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    if let Ok(r) = ProfileReport::from_json(&text) {
-        return Ok(r);
-    }
-    let trace = sfn_trace::parse_trace(&text);
-    if trace.events.is_empty() && !text.trim().is_empty() {
-        return Err(format!("{path:?} is neither a kernel summary nor a parseable trace"));
-    }
-    Ok(ProfileReport::from_trace(&trace))
 }
 
 fn num_arg(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<f64, String> {
@@ -177,26 +169,7 @@ fn main() -> ExitCode {
             };
             let report = audit(&trace);
             if opts.json {
-                // Minimal machine form: counts plus the contradictions.
-                let mut s = format!(
-                    "{{\"schema\":\"sfn-trace/audit@1\",\"decisions\":{},\"full_replays\":{},\"skipped\":{},\"parser_rejected\":{},\"fuzz_findings\":{},\"contradictions\":[",
-                    report.decisions,
-                    report.full_replays,
-                    report.skipped,
-                    report.parser_rejected,
-                    report.fuzz_findings
-                );
-                for (i, c) in report.contradictions.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!(
-                        "{{\"step\":{},\"model\":{:?},\"expected\":{:?},\"actual\":{:?}}}",
-                        c.step, c.model, c.expected, c.actual
-                    ));
-                }
-                s.push_str("]}\n");
-                print!("{s}");
+                println!("{}", report.to_json());
             } else {
                 print!("{}", report.render());
             }
@@ -223,7 +196,7 @@ fn main() -> ExitCode {
             let [path] = opts.paths.as_slice() else {
                 return fail("profile takes exactly one trace or kernel-summary file");
             };
-            let report = match load_profile(path) {
+            let report = match load(path, "kernel summary", ProfileReport::from_json, sfn_trace::profile::from_trace) {
                 Ok(r) => r,
                 Err(e) => return fail(&e),
             };
@@ -252,11 +225,11 @@ fn main() -> ExitCode {
             let [baseline, current] = opts.paths.as_slice() else {
                 return fail("diff takes a baseline and a current file");
             };
-            let b = match load_analysis(baseline) {
+            let b = match load(baseline, "summary", Analysis::from_json, analyze) {
                 Ok(b) => b,
                 Err(e) => return fail(&e),
             };
-            let c = match load_analysis(current) {
+            let c = match load(current, "summary", Analysis::from_json, analyze) {
                 Ok(c) => c,
                 Err(e) => return fail(&e),
             };

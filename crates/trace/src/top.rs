@@ -70,7 +70,7 @@ fn f64_at(doc: &Value, path: &[&str]) -> Option<f64> {
 /// document. `color` toggles ANSI SGR sequences.
 pub fn render_top(doc: &Value, color: bool) -> Result<String, String> {
     match doc.get("schema").and_then(Value::as_str) {
-        Some("sfn-metrics/live@1") => {}
+        Some(sfn_metrics::snapshot::SCHEMA) => {}
         other => return Err(format!("unsupported snapshot schema {other:?}")),
     }
     let mut out = String::with_capacity(4 * 1024);
