@@ -5,10 +5,11 @@
 //! served requests plus the shed rate (the fraction answered with a
 //! refusal or shed instead of a 200).
 //!
-//! The numbers seed the committed `BENCH_0004.json`; refresh with
+//! The numbers seed the committed `BENCH_0007.json` (`BENCH_0004.json`
+//! is the same sweep before the accept loop blocked); refresh with
 //!
 //! ```text
-//! SFN_BENCH_JSON=$PWD/BENCH_0004.json cargo bench -p sfn-bench --bench serve_load
+//! SFN_BENCH_JSON=$PWD/BENCH_0007.json cargo bench -p sfn-bench --bench serve_load
 //! ```
 //!
 //! Honours `SFN_FAULTS` (the CI matrix injects serving-path chaos) and

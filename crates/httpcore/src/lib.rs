@@ -4,14 +4,15 @@
 //! Security posture: every byte off the socket is hostile.
 //! [`parse_request`] is the single entry point for raw request heads —
 //! strict, allocation-bounded, and fuzzed as the `http` target.
-//! [`accept_loop`] is the one accept loop (bounded connection threads,
-//! socket timeouts) and [`read_request`] the one bounded request
+//! [`accept_loop`] is the one accept loop (blocking accept, bounded
+//! connection threads, socket timeouts; [`wake`] unblocks it for
+//! shutdown) and [`read_request`] the one bounded request
 //! reader, so both servers (and the fuzzer) agree on exactly what
 //! parses. Routing, counters, thread names and the overload reply stay
 //! with each server; every response is `Connection: close`.
 
 use std::io::Read;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -300,15 +301,21 @@ pub fn write_response(
 /// Read and write timeout set on every accepted connection.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// How long [`accept_loop`] sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// How long [`wake`] waits for its connection to be accepted by the
+/// kernel before giving up.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Accepts connections on the non-blocking `listener` until `stop` is
-/// set, polling every 20 ms while idle. Each connection gets 2 s
-/// read/write timeouts and runs `handle` on its own
-/// thread named `conn_name`. Past `max_conns` live connection threads,
-/// `overloaded` answers the connection inline instead; a connection
-/// whose thread cannot be spawned is dropped.
+/// Accepts connections on the blocking `listener` until `stop` is set.
+/// `accept` blocks while idle, so a connection is taken the moment it
+/// arrives; whoever sets `stop` must then call [`wake`] to unblock it.
+/// `stop` is re-checked after every `accept` returns, so the waking
+/// connection (or any other that lands after `stop`) is dropped
+/// unanswered, never handed to `handle`. Each connection gets 2 s
+/// read/write timeouts and runs `handle` on its own thread named
+/// `conn_name`. Past `max_conns` live connection threads, `overloaded`
+/// answers the connection inline instead; a connection whose thread
+/// cannot be spawned is dropped. An `accept` error (`EMFILE` and the
+/// like) backs off 100 ms before the next try.
 pub fn accept_loop(
     listener: &TcpListener,
     stop: &AtomicBool,
@@ -319,8 +326,12 @@ pub fn accept_loop(
 ) {
     let handle = Arc::new(handle);
     let active = Arc::new(AtomicUsize::new(0));
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 if active.load(Ordering::Relaxed) >= max_conns {
                     overloaded(stream);
@@ -339,10 +350,25 @@ pub fn accept_loop(
                     active.fetch_sub(1, Ordering::Relaxed);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
             Err(_) => std::thread::sleep(Duration::from_millis(100)),
         }
     }
+}
+
+/// Unblocks an [`accept_loop`] listening on `addr` by connecting to
+/// it once; call it after setting the loop's `stop` flag. A wildcard
+/// address (`0.0.0.0`, `::`) is reached through loopback. The connect
+/// gives up after 1 s; a loop whose backlog is that full is not idle
+/// and sees `stop` at its next `accept` anyway.
+pub fn wake(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, WAKE_TIMEOUT);
 }
 
 /// Reads one request — the head plus the body its `Content-Length`

@@ -15,7 +15,8 @@ use crate::{expo, snapshot};
 use sfn_httpcore::{head_len, read_request, write_response};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 // The byte-level request contract lives in `sfn-httpcore`; these
@@ -28,21 +29,29 @@ pub use sfn_httpcore::{
 
 // -------------------------------------------------------------- server
 
-/// A running metrics listener. Threads are detached; [`stop`] flips a
-/// flag the accept and collector loops poll, so shutdown completes
-/// within one poll interval.
+/// A running metrics listener. [`stop`] sets the flag the accept and
+/// collector loops check, wakes the blocked acceptor and joins it, so
+/// the port is closed when it returns; the collector thread is detached
+/// and exits at the end of its current tick.
 ///
 /// [`stop`]: ServerHandle::stop
 pub struct ServerHandle {
     /// The bound address (resolves `:0` to the actual port).
     pub addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    acceptor: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl ServerHandle {
-    /// Signals the accept loop and collector to exit.
+    /// Signals the accept loop and collector to exit, wakes the accept
+    /// loop and waits for it to close the listener.
     pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::SeqCst);
+        sfn_httpcore::wake(self.addr);
+        let acceptor = self.acceptor.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some(acceptor) = acceptor {
+            let _ = acceptor.join();
+        }
     }
 }
 
@@ -51,7 +60,6 @@ impl ServerHandle {
 /// + SLO evaluation) every `cfg.tick_millis`.
 pub fn serve(hub: Arc<Hub>, addr: &str) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
 
@@ -69,7 +77,7 @@ pub fn serve(hub: Arc<Hub>, addr: &str) -> std::io::Result<ServerHandle> {
 
     let accept_stop = Arc::clone(&shutdown);
     let max_conns = hub.config().max_connections.max(1);
-    std::thread::Builder::new().name("sfn-metrics-http".into()).spawn(move || {
+    let acceptor = std::thread::Builder::new().name("sfn-metrics-http".into()).spawn(move || {
         sfn_httpcore::accept_loop(
             &listener,
             &accept_stop,
@@ -83,7 +91,7 @@ pub fn serve(hub: Arc<Hub>, addr: &str) -> std::io::Result<ServerHandle> {
         )
     })?;
 
-    Ok(ServerHandle { addr, shutdown })
+    Ok(ServerHandle { addr, shutdown, acceptor: Mutex::new(Some(acceptor)) })
 }
 
 fn handle_connection(hub: &Hub, mut stream: TcpStream) {

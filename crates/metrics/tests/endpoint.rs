@@ -8,7 +8,7 @@ use sfn_metrics::{serve, validate_exposition};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn seeded_hub() -> Arc<Hub> {
     let hub = Arc::new(Hub::new(Config {
@@ -110,4 +110,62 @@ fn collector_ticks_advance_on_the_server_thread() {
         std::thread::sleep(Duration::from_millis(10));
     }
     server.stop();
+}
+
+/// Runs `test` on a thread of its own and fails if it has not finished
+/// within 10 s, so a `stop` that never wakes its acceptor fails the
+/// test instead of hanging the suite.
+fn within_10_s(test: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        test();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the test panicked or hung for 10 s");
+}
+
+/// Binds `addr` and, with no client ever connecting, requires `stop` to
+/// return within 1 s. The acceptor checks the flag only after `accept`
+/// returns, so without the wake it would block for good.
+fn stop_returns_promptly(addr: &str) -> std::net::SocketAddr {
+    let server = serve(seeded_hub(), addr).expect("bind");
+    let t = Instant::now();
+    server.stop();
+    let took = t.elapsed();
+    assert!(took < Duration::from_secs(1), "stop took {took:?}");
+    server.addr
+}
+
+#[test]
+fn stop_wakes_an_idle_acceptor() {
+    within_10_s(|| {
+        let addr = stop_returns_promptly("127.0.0.1:0");
+        // `stop` joined the acceptor, so the listener is closed.
+        assert!(TcpStream::connect(addr).is_err(), "{addr} still accepts after stop");
+    });
+}
+
+#[test]
+fn stop_wakes_an_acceptor_bound_to_the_wildcard_address() {
+    within_10_s(|| {
+        stop_returns_promptly("0.0.0.0:0");
+    });
+}
+
+#[test]
+fn sequential_requests_do_not_wait_for_an_accept_poll() {
+    within_10_s(|| {
+        let server = serve(seeded_hub(), "127.0.0.1:0").expect("bind loopback");
+        let addr = server.addr.to_string();
+        let t = Instant::now();
+        for _ in 0..10 {
+            let (status, body) = get(&addr, "/healthz");
+            assert!(status.contains("200"), "status {status}: {body}");
+        }
+        let took = t.elapsed();
+        server.stop();
+        assert!(took < Duration::from_millis(100), "10 requests took {took:?}");
+    });
 }

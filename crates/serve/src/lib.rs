@@ -1,5 +1,6 @@
 //! sfn-serve: an overload-robust, dependency-free multi-tenant
-//! simulation server (ROADMAP "fluid-as-a-service").
+//! simulation server that answers `POST /simulate` with an Algorithm 2
+//! run under a per-request deadline.
 //!
 //! A hand-rolled HTTP/1.1 front end (via `sfn-httpcore`, shared with
 //! the `sfn-metrics` endpoint) over the Algorithm 2 runtime, designed

@@ -3,9 +3,9 @@
 //!
 //! Thread model (thread-per-core, no async runtime):
 //!
-//! * **acceptor** — `sfn-httpcore`'s accept loop (non-blocking accept
-//!   with a 20 ms poll); over the connection cap it answers `503`
-//!   inline and closes.
+//! * **acceptor** — `sfn-httpcore`'s accept loop (a blocking accept,
+//!   woken by [`ServeHandle::stop`]); over the connection cap it
+//!   answers `503` inline and closes.
 //! * **connection threads** (bounded, short-lived) — read one request
 //!   under timeouts, run the admission pipeline, and either enqueue
 //!   the work or answer the refusal immediately. A refused request
@@ -197,7 +197,8 @@ pub struct ServeHandle {
 impl ServeHandle {
     /// Stops accepting, drains the queues, and joins every thread.
     pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::SeqCst);
+        sfn_httpcore::wake(self.addr);
         self.state.queues.close();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -218,7 +219,6 @@ impl ServeHandle {
 /// Binds `cfg.addr` and starts the full thread set.
 pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
 
@@ -715,5 +715,57 @@ mod tests {
             assert!(resp.starts_with("HTTP/1.1 504 "), "{resp}");
         }
         h.stop();
+    }
+
+    /// Runs `test` on a thread of its own and fails if it has not
+    /// finished within 10 s, so a `stop` that never wakes its acceptor
+    /// fails the test instead of hanging the suite.
+    fn within_10_s(test: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            test();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the test panicked or hung for 10 s");
+    }
+
+    /// Starts a server on `addr` and, with no client ever connecting,
+    /// requires `stop` to return within 1 s. The acceptor checks the
+    /// flag only after `accept` returns, so without the wake it would
+    /// block for good.
+    fn stop_returns_promptly(addr: &str) {
+        let h = serve(ServeConfig { addr: addr.into(), ..tiny_cfg() }).expect("bind");
+        let t = Instant::now();
+        h.stop();
+        let took = t.elapsed();
+        assert!(took < Duration::from_secs(1), "stop took {took:?}");
+    }
+
+    #[test]
+    fn stop_wakes_an_idle_acceptor() {
+        within_10_s(|| stop_returns_promptly("127.0.0.1:0"));
+    }
+
+    #[test]
+    fn stop_wakes_an_acceptor_bound_to_the_wildcard_address() {
+        within_10_s(|| stop_returns_promptly("0.0.0.0:0"));
+    }
+
+    #[test]
+    fn sequential_requests_do_not_wait_for_an_accept_poll() {
+        within_10_s(|| {
+            let h = serve(tiny_cfg()).expect("bind");
+            let wire = sim_request("acme", 1).to_http();
+            let t = Instant::now();
+            for _ in 0..10 {
+                let resp = roundtrip(h.addr, &wire);
+                assert!(resp.starts_with("HTTP/1.1 200 "), "{resp}");
+            }
+            let took = t.elapsed();
+            h.stop();
+            assert!(took < Duration::from_millis(100), "10 requests took {took:?}");
+        });
     }
 }
