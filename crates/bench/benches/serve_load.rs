@@ -17,12 +17,18 @@
 //! `SFN_SERVE_SNAPSHOT` when set.
 
 use sfn_serve::{serve, ServeConfig, SimRequest};
+use sfn_stats::boxplot::percentile_sorted;
 use sfn_stats::TextTable;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Seconds each load phase runs.
+const PHASE_SECS: f64 = 2.0;
+/// Seconds each load phase runs under `SFN_QUICK=1`.
+const QUICK_PHASE_SECS: f64 = 0.5;
 
 struct PhaseReport {
     mult: u32,
@@ -126,13 +132,9 @@ fn run_phase(mult: u32, secs: f64, snapshot: Option<&str>) -> PhaseReport {
     let mut served: Vec<f64> =
         samples.iter().filter(|(s, _)| *s == Some(200)).map(|(_, ms)| *ms).collect();
     served.sort_by(f64::total_cmp);
-    let q = |p: usize| -> f64 {
-        if served.is_empty() {
-            0.0
-        } else {
-            served[(served.len() - 1) * p / 100]
-        }
-    };
+    // A phase that served nothing reports 0 ms (percentile_sorted
+    // rejects an empty slice).
+    let q = |p: f64| if served.is_empty() { 0.0 } else { percentile_sorted(&served, p) };
     let requests = samples.len() as u64;
     let n_served = served.len() as u64;
     PhaseReport {
@@ -140,8 +142,8 @@ fn run_phase(mult: u32, secs: f64, snapshot: Option<&str>) -> PhaseReport {
         clients,
         requests,
         served: n_served,
-        p50_ms: q(50),
-        p99_ms: q(99),
+        p50_ms: q(50.0),
+        p99_ms: q(99.0),
         shed_rate: if requests == 0 {
             0.0
         } else {
@@ -175,7 +177,7 @@ fn render_json(reports: &[PhaseReport]) -> String {
 fn main() {
     sfn_obs::init();
     sfn_faults::init_from_env();
-    let secs = sfn_bench::bench_secs(if sfn_bench::quick() { 0.5 } else { 2.0 });
+    let secs = if sfn_bench::quick() { QUICK_PHASE_SECS } else { PHASE_SECS };
     let snapshot = std::env::var("SFN_SERVE_SNAPSHOT").ok();
 
     let reports: Vec<PhaseReport> = [1u32, 2, 4]

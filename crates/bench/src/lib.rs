@@ -3,9 +3,10 @@
 //!
 //! Each experiment has a binary (`cargo run -p sfn-bench --release
 //! --bin <name>`) that prints the same rows/series the paper reports,
-//! plus the paper's own numbers for comparison; the in-tree timing
-//! benches (`cargo bench -p sfn-bench`) time the underlying primitives
-//! with the dependency-free [`timing`] harness.
+//! plus the paper's own numbers for comparison. The one bench target,
+//! `serve_load` (`cargo bench -p sfn-bench --bench serve_load`), sweeps
+//! the server's saturation point; per-layer kernel timings live in the
+//! repo benchmark (`benchmark/`, `BENCHMARK.json`), not here.
 //!
 //! Scale knobs (environment variables, all optional; README
 //! "Environment" lists every knob the workspace reads):
@@ -31,25 +32,13 @@
 pub mod env;
 pub mod experiments;
 pub mod runners;
-pub mod timing;
 
 pub use env::BenchEnv;
 
-/// True when `SFN_QUICK=1`: experiments and timing benches run at
-/// seconds scale.
+/// True when `SFN_QUICK=1`: experiments and the `serve_load` sweep run
+/// at seconds scale.
 pub fn quick() -> bool {
     sfn_obs::env::knob(&sfn_obs::env::process, "SFN_QUICK", sfn_obs::env::Flag(false)).0
-}
-
-/// The timing budget in seconds: `SFN_BENCH_SECS` when it is positive,
-/// `default` otherwise.
-pub fn bench_secs(default: f64) -> f64 {
-    let secs = sfn_obs::env::knob(&sfn_obs::env::process, "SFN_BENCH_SECS", default);
-    if secs > 0.0 {
-        secs
-    } else {
-        default
-    }
 }
 
 /// The environment every experiment binary uses: quick (seconds-scale)

@@ -170,8 +170,8 @@ pub fn yang_baseline(cfg: &OfflineConfig) -> SavedModel {
 }
 
 /// A realistic pressure right-hand side: the divergence after a few
-/// buoyancy steps (used by the Criterion benches so solver timings see
-/// representative spectra, not white noise).
+/// buoyancy steps (Table 4 solves it, so the PCG FLOP count sees a
+/// representative spectrum, not white noise).
 pub fn representative_divergence(grid: usize) -> (sfn_grid::CellFlags, Field2) {
     let problem = ProblemSet::evaluation(grid, 1).problem(0);
     let mut sim = problem.simulation();

@@ -37,8 +37,9 @@
 //! Everything is off by default. The disabled fast path of a span or a
 //! counter update is a single relaxed atomic load — no allocation, no
 //! locking, no `Instant::now` — so instrumented hot loops run at full
-//! speed (`cargo bench -p sfn-bench --bench runtime_overhead` measures
-//! the instrumented simulation step both ways).
+//! speed (`tests/overhead.rs` holds the disabled probes of a 64²
+//! reference step under 2% of it, and checks that a healthy step puts
+//! nothing into the flight recorder).
 //!
 //! This crate is deliberately dependency-free so the whole workspace
 //! can link it without cost.

@@ -6,7 +6,6 @@
 //! actually develop a plume.
 
 use sfn_grid::CellFlags;
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
 use sfn_rng::rngs::StdRng;
 use sfn_rng::{RngExt, SeedableRng};
 use sfn_sim::SmokeSource;
@@ -30,26 +29,6 @@ impl Default for GeometrySpec {
             min_radius_frac: 0.04,
             max_radius_frac: 0.12,
         }
-    }
-}
-
-impl ToJson for GeometrySpec {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("max_objects", self.max_objects.to_json_value()),
-            ("min_radius_frac", self.min_radius_frac.to_json_value()),
-            ("max_radius_frac", self.max_radius_frac.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for GeometrySpec {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(GeometrySpec {
-            max_objects: v.field("max_objects")?,
-            min_radius_frac: v.field("min_radius_frac")?,
-            max_radius_frac: v.field("max_radius_frac")?,
-        })
     }
 }
 

@@ -9,7 +9,6 @@
 use crate::geometry::GeometrySpec;
 use crate::turbulence::TurbulenceSpec;
 use sfn_grid::{CellFlags, MacGrid};
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
 use sfn_sim::{SimConfig, Simulation};
 
 /// One fluid-simulation input problem.
@@ -35,54 +34,6 @@ impl InputProblem {
             self.flags.clone(),
             self.initial_velocity.clone(),
         )
-    }
-}
-
-impl ToJson for InputProblem {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("id", self.id.to_json_value()),
-            ("seed", self.seed.to_json_value()),
-            ("config", self.config.to_json_value()),
-            ("flags", self.flags.to_json_value()),
-            ("initial_velocity", self.initial_velocity.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for InputProblem {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(InputProblem {
-            id: v.field("id")?,
-            seed: v.field("seed")?,
-            config: v.field("config")?,
-            flags: v.field("flags")?,
-            initial_velocity: v.field("initial_velocity")?,
-        })
-    }
-}
-
-impl ToJson for ProblemSet {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("grid", self.grid.to_json_value()),
-            ("count", self.count.to_json_value()),
-            ("base_seed", self.base_seed.to_json_value()),
-            ("turbulence", self.turbulence.to_json_value()),
-            ("geometry", self.geometry.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for ProblemSet {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(ProblemSet {
-            grid: v.field("grid")?,
-            count: v.field("count")?,
-            base_seed: v.field("base_seed")?,
-            turbulence: v.field("turbulence")?,
-            geometry: v.field("geometry")?,
-        })
     }
 }
 
@@ -153,26 +104,6 @@ impl ProblemSet {
     pub fn iter(&self) -> impl Iterator<Item = InputProblem> + '_ {
         (0..self.count).map(|i| self.problem(i))
     }
-
-    /// Materialises every problem and writes the set to a JSON file —
-    /// the exchange format for reproducing a run elsewhere (the
-    /// deterministic seeds make this redundant on the same build, but
-    /// pinned files survive generator changes).
-    pub fn export(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let problems: Vec<InputProblem> = self.iter().collect();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let json = sfn_obs::json::to_json_string(&problems);
-        std::fs::write(path, json)
-    }
-
-    /// Loads a pinned problem file written by [`ProblemSet::export`].
-    pub fn import(path: &std::path::Path) -> std::io::Result<Vec<InputProblem>> {
-        let text = std::fs::read_to_string(path)?;
-        sfn_obs::json::from_json_str(&text)
-            .map_err(|e| std::io::Error::other(format!("at byte {}: {}", e.at, e.message)))
-    }
 }
 
 #[cfg(test)]
@@ -226,22 +157,6 @@ mod tests {
     fn out_of_range_problem_panics() {
         let set = ProblemSet::evaluation(16, 2);
         let _ = set.problem(2);
-    }
-
-    #[test]
-    fn export_import_round_trip() {
-        let set = ProblemSet::evaluation(16, 3);
-        let path = std::env::temp_dir()
-            .join("sfn-problem-io")
-            .join("set.json");
-        set.export(&path).unwrap();
-        let back = ProblemSet::import(&path).unwrap();
-        assert_eq!(back.len(), 3);
-        for (a, b) in set.iter().zip(&back) {
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.flags, b.flags);
-            assert_eq!(a.initial_velocity, b.initial_velocity);
-        }
     }
 
     #[test]

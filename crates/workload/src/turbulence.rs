@@ -9,7 +9,6 @@
 //! [Kim et al. 2008].
 
 use sfn_grid::MacGrid;
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
 use sfn_rng::rngs::StdRng;
 use sfn_rng::{RngExt, SeedableRng};
 
@@ -42,28 +41,6 @@ struct Mode {
     ky: f64,
     amp: f64,
     phase: f64,
-}
-
-impl ToJson for TurbulenceSpec {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("modes", self.modes.to_json_value()),
-            ("min_wavelength", self.min_wavelength.to_json_value()),
-            ("max_wavelength", self.max_wavelength.to_json_value()),
-            ("rms_velocity", self.rms_velocity.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for TurbulenceSpec {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(TurbulenceSpec {
-            modes: v.field("modes")?,
-            min_wavelength: v.field("min_wavelength")?,
-            max_wavelength: v.field("max_wavelength")?,
-            rms_velocity: v.field("rms_velocity")?,
-        })
-    }
 }
 
 impl TurbulenceSpec {

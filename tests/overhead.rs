@@ -1,20 +1,32 @@
-//! The profiling layer's hot-path contract: with `SFN_TRACE_FILE`
+//! The observability layers' hot-path contract. With `SFN_TRACE_FILE`
 //! unset and profiling disabled (the default), the `KernelScope` /
 //! `record_work` instrumentation threaded through every kernel must
-//! cost under 2% of a 64² reference run. The live-metrics layer gets
-//! the same treatment: with an endpoint serving, the per-step
+//! cost under 2% of a 64² reference step, and so must the disabled
+//! `sfn-obs` span and event probes; a healthy step must leave the
+//! always-on flight recorder empty. The live-metrics layer gets the
+//! same treatment: with an endpoint serving, the per-step
 //! [`sfn_metrics::record_step`] path must stay under 2% of a step —
 //! with no scraper attached and while `/metrics` is being hammered.
 //!
 //! Measured directly rather than by diffing two builds: the per-call
-//! cost of a *disabled* scope times the number of instrumented calls a
-//! real step makes must stay below 2% of that step's wall time. Both
-//! sides come from the same process on the same machine, so the ratio
-//! is stable even on a noisy shared runner.
+//! cost of a *disabled* probe times the number of probes a real step
+//! hits must stay below 2% of that step's wall time. Both sides come
+//! from the same process on the same machine, so the ratio is stable
+//! even on a noisy shared runner.
 
+use sfn_obs::Level;
 use sfn_sim::{ExactProjector, SimConfig, Simulation};
 use sfn_solver::{MicPreconditioner, PcgSolver};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+
+/// The `sfn-obs` switches, event observers and flight ring are
+/// process-global: tests that set or read them hold this lock.
+fn obs_state() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn reference_sim() -> (Simulation, ExactProjector<PcgSolver<MicPreconditioner>>) {
     let n = 64;
@@ -23,6 +35,21 @@ fn reference_sim() -> (Simulation, ExactProjector<PcgSolver<MicPreconditioner>>)
     let sim = Simulation::new(cfg, flags);
     let proj = ExactProjector::new(PcgSolver::new(MicPreconditioner::default(), 1e-6, 10_000));
     (sim, proj)
+}
+
+/// Wall time of one reference step: the median of 5 after a warm-up.
+fn median_step_secs() -> f64 {
+    let (mut sim, mut proj) = reference_sim();
+    sim.step(&mut proj);
+    let mut step_secs: Vec<f64> = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            sim.step(&mut proj);
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    step_secs.sort_by(f64::total_cmp);
+    step_secs[step_secs.len() / 2]
 }
 
 #[test]
@@ -45,18 +72,7 @@ fn disabled_instrumentation_costs_under_two_percent() {
     sfn_prof::reset();
     assert!(calls_per_step > 0, "reference step hit no instrumented kernels");
 
-    // Wall time of a disabled-profiling reference step (median of 5).
-    let (mut sim, mut proj) = reference_sim();
-    sim.step(&mut proj); // warm-up
-    let mut step_secs: Vec<f64> = (0..5)
-        .map(|_| {
-            let t = Instant::now();
-            sim.step(&mut proj);
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    step_secs.sort_by(f64::total_cmp);
-    let step = step_secs[step_secs.len() / 2];
+    let step = median_step_secs();
 
     // Per-call cost of a disabled scope + one disabled record_work —
     // strictly more work than any real disabled call site does.
@@ -82,6 +98,91 @@ fn disabled_instrumentation_costs_under_two_percent() {
         step * 1e3,
         ratio * 100.0
     );
+}
+
+/// Puts `sfn-obs` back in its default state: metrics off, no event
+/// observer (a metrics test may have left its bridge installed).
+fn obs_defaults() {
+    sfn_obs::enable_metrics(false);
+    sfn_obs::clear_event_observers();
+    sfn_obs::reset();
+}
+
+#[test]
+fn disabled_obs_probes_cost_under_two_percent() {
+    let _obs = obs_state();
+
+    // How many span/event probes does one reference step hit? Count
+    // them with everything on: every span (sfn-prof kernel scopes
+    // included) and every histogram_record lands as a histogram sample,
+    // and every event at any level reaches an observer. (The step's
+    // counter updates sit in the same metrics-gated block as its solver
+    // histograms.)
+    sfn_obs::reset();
+    sfn_obs::enable_metrics(true);
+    let events = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&events);
+    sfn_obs::add_event_observer(Box::new(move |_| {
+        seen.fetch_add(1, Ordering::Relaxed);
+    }));
+    let (mut sim, mut proj) = reference_sim();
+    sim.step(&mut proj);
+    let samples: u64 = sfn_obs::histograms_snapshot().iter().map(|(_, h)| h.count).sum();
+    let events = events.load(Ordering::Relaxed);
+    obs_defaults();
+    assert!(
+        samples > 0 && events > 0,
+        "reference step hit no probes ({samples} samples, {events} events)"
+    );
+    let probes = samples + events;
+
+    assert!(
+        !sfn_obs::event_enabled(Level::Trace),
+        "this guard measures the default path; run it without SFN_TRACE_FILE or SFN_LOG=trace"
+    );
+    let step = median_step_secs();
+
+    // Per-probe cost of one disabled span plus one disabled event with
+    // three fields — more work than any single real probe does.
+    const CALLS: u32 = 200_000;
+    let t = Instant::now();
+    for i in 0..CALLS {
+        let _span = sfn_obs::span!("overhead_guard");
+        sfn_obs::event(Level::Trace, "overhead_guard")
+            .field_u64("i", u64::from(i))
+            .field_f64("x", 1.0)
+            .field_str("s", "probe")
+            .emit();
+    }
+    let per_probe = t.elapsed().as_secs_f64() / f64::from(CALLS);
+
+    let overhead = per_probe * probes as f64;
+    let ratio = overhead / step;
+    assert!(
+        ratio < 0.02,
+        "disabled sfn-obs probes too hot: {probes} probes × {:.1} ns = {:.3} ms against a \
+         {:.3} ms step ({:.2}% > 2%)",
+        per_probe * 1e9,
+        overhead * 1e3,
+        step * 1e3,
+        ratio * 100.0
+    );
+}
+
+#[test]
+fn healthy_steps_leave_the_flight_recorder_empty() {
+    let _obs = obs_state();
+    obs_defaults();
+    assert!(sfn_obs::flight_enabled(), "the flight recorder is on by default");
+
+    // Nine steps cross a diagnostics step (every 8th); the recorder
+    // keeps info+ events only, and a healthy step emits none.
+    let (mut sim, mut proj) = reference_sim();
+    sfn_obs::flight::clear();
+    for _ in 0..9 {
+        sim.step(&mut proj);
+    }
+    assert_eq!(sfn_obs::flight::snapshot(), Vec::<String>::new());
 }
 
 /// One `/metrics` scrape against a serving endpoint; panics unless the
@@ -110,25 +211,15 @@ fn record_step_cost(calls: u32) -> f64 {
 
 #[test]
 fn live_metrics_hot_path_costs_under_two_percent() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicBool;
 
+    let _obs = obs_state();
     let server = sfn_metrics::start_global("127.0.0.1:0").expect("bind ephemeral endpoint");
     assert!(sfn_metrics::live());
 
-    // Wall time of a reference step in the metrics-live world (median
-    // of 5) — the event bridge is installed, as in a real run.
-    let (mut sim, mut proj) = reference_sim();
-    sim.step(&mut proj); // warm-up
-    let mut step_secs: Vec<f64> = (0..5)
-        .map(|_| {
-            let t = Instant::now();
-            sim.step(&mut proj);
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    step_secs.sort_by(f64::total_cmp);
-    let step = step_secs[step_secs.len() / 2];
+    // Wall time of a reference step in the metrics-live world — the
+    // event bridge is installed, as in a real run.
+    let step = median_step_secs();
 
     // Phase 1: endpoint live, no scraper attached. One record_step per
     // simulation step is the entire direct-registration hot path.
