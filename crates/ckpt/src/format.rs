@@ -2,9 +2,8 @@
 //!
 //! A checkpoint captures everything the runtime needs to resume a run
 //! bit-identically: the simulation snapshot, the `CumDivNorm` series
-//! and the scheduler's model/quarantine state. The layout follows the
-//! `SFNM` codec discipline (`crates/nn/src/model_io.rs`) — little
-//! endian, length-prefixed, checksummed — but adds *per-section*
+//! and the scheduler's model/quarantine state. The layout is little
+//! endian, length-prefixed and checksummed, with *per-section*
 //! checksums so a torn write can be attributed to the section it
 //! destroyed:
 //!
@@ -61,8 +60,8 @@ pub struct TrackerState {
     pub skip_per_interval: u32,
 }
 
-/// One model's quarantine record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One model's quarantine record; the default is a healthy model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuarantineEntry {
     /// Strikes accumulated.
     pub strikes: u32,

@@ -4,8 +4,6 @@
 //! divergence) and the staggered velocity components (which simply have
 //! different dimensions and sampling offsets).
 
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
-
 /// A dense row-major `w × h` array of `f64`.
 ///
 /// Index `(i, j)` addresses column `i ∈ [0, w)` and row `j ∈ [0, h)`;
@@ -242,34 +240,6 @@ impl Field2 {
     }
 }
 
-impl ToJson for Field2 {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("w", self.w.to_json_value()),
-            ("h", self.h.to_json_value()),
-            ("data", self.data.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for Field2 {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        let w: usize = v.field("w")?;
-        let h: usize = v.field("h")?;
-        let data: Vec<f64> = v.field("data")?;
-        if w == 0 || h == 0 || data.len() != w * h {
-            return Err(JsonError {
-                at: 0,
-                message: format!(
-                    "Field2 shape mismatch: {w}x{h} with {} elements",
-                    data.len()
-                ),
-            });
-        }
-        Ok(Field2 { w, h, data })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,19 +377,5 @@ mod tests {
         assert!(f.all_finite());
         f.set(0, 1, f64::NAN);
         assert!(!f.all_finite());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let f = Field2::from_fn(4, 3, |i, j| (i * 10 + j) as f64 * 0.25);
-        let json = sfn_obs::json::to_json_string(&f);
-        let back: Field2 = sfn_obs::json::from_json_str(&json).expect("decode");
-        assert_eq!(f, back);
-    }
-
-    #[test]
-    fn json_rejects_shape_mismatch() {
-        let bad = r#"{"w":3,"h":2,"data":[0.0,1.0,2.0]}"#;
-        assert!(sfn_obs::json::from_json_str::<Field2>(bad).is_err());
     }
 }

@@ -5,8 +5,6 @@
 //! occupancy and offers rasterisation helpers for the synthetic geometry
 //! generated by `sfn-workload`.
 
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
-
 /// The material occupying a grid cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellType {
@@ -194,65 +192,6 @@ impl CellFlags {
     }
 }
 
-impl ToJson for CellType {
-    fn to_json_value(&self) -> Value {
-        Value::Str(
-            match self {
-                CellType::Fluid => "Fluid",
-                CellType::Solid => "Solid",
-                CellType::Empty => "Empty",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for CellType {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("Fluid") => Ok(CellType::Fluid),
-            Some("Solid") => Ok(CellType::Solid),
-            Some("Empty") => Ok(CellType::Empty),
-            Some(other) => Err(JsonError {
-                at: 0,
-                message: format!("unknown CellType variant `{other}`"),
-            }),
-            None => Err(JsonError {
-                at: 0,
-                message: "expected CellType variant string".to_string(),
-            }),
-        }
-    }
-}
-
-impl ToJson for CellFlags {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("nx", self.nx.to_json_value()),
-            ("ny", self.ny.to_json_value()),
-            ("cells", self.cells.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for CellFlags {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        let nx: usize = v.field("nx")?;
-        let ny: usize = v.field("ny")?;
-        let cells: Vec<CellType> = v.field("cells")?;
-        if nx == 0 || ny == 0 || cells.len() != nx * ny {
-            return Err(JsonError {
-                at: 0,
-                message: format!(
-                    "CellFlags shape mismatch: {nx}x{ny} with {} cells",
-                    cells.len()
-                ),
-            });
-        }
-        Ok(CellFlags { nx, ny, cells })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,21 +269,5 @@ mod tests {
                 assert_eq!(v == 1.0, f.is_solid(i, j));
             }
         }
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut f = CellFlags::smoke_box(6, 5);
-        f.set(2, 3, CellType::Solid);
-        let json = sfn_obs::json::to_json_string(&f);
-        assert!(json.contains("\"Solid\""), "{json}");
-        let back: CellFlags = sfn_obs::json::from_json_str(&json).expect("decode");
-        assert_eq!(f, back);
-    }
-
-    #[test]
-    fn json_rejects_unknown_variant() {
-        let bad = r#"{"nx":1,"ny":1,"cells":["Lava"]}"#;
-        assert!(sfn_obs::json::from_json_str::<CellFlags>(bad).is_err());
     }
 }

@@ -13,7 +13,6 @@
 //! the vertical faces of the grid cell".
 
 use crate::{CellFlags, CellType, Field2};
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
 
 /// Staggered velocity field on an `nx × ny` MAC grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,46 +171,6 @@ impl MacGrid {
     }
 }
 
-impl ToJson for MacGrid {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("nx", self.nx.to_json_value()),
-            ("ny", self.ny.to_json_value()),
-            ("dx", self.dx.to_json_value()),
-            ("u", self.u.to_json_value()),
-            ("v", self.v.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for MacGrid {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        let nx: usize = v.field("nx")?;
-        let ny: usize = v.field("ny")?;
-        let dx: f64 = v.field("dx")?;
-        let u: Field2 = v.field("u")?;
-        let vf: Field2 = v.field("v")?;
-        if nx == 0
-            || ny == 0
-            || !(dx > 0.0 && dx.is_finite())
-            || (u.w(), u.h()) != (nx + 1, ny)
-            || (vf.w(), vf.h()) != (nx, ny + 1)
-        {
-            return Err(JsonError {
-                at: 0,
-                message: format!(
-                    "MacGrid shape mismatch: {nx}x{ny} dx={dx} u={}x{} v={}x{}",
-                    u.w(),
-                    u.h(),
-                    vf.w(),
-                    vf.h()
-                ),
-            });
-        }
-        Ok(MacGrid { nx, ny, dx, u, v: vf })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,24 +305,5 @@ mod tests {
             assert_eq!(g.v.at(i, 0), 0.0);
             assert_eq!(g.v.at(i, 4), 0.0);
         }
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut g = MacGrid::new(4, 3, 0.5);
-        g.u.set(2, 1, 1.25);
-        g.v.set(1, 2, -0.75);
-        let json = sfn_obs::json::to_json_string(&g);
-        let back: MacGrid = sfn_obs::json::from_json_str(&json).expect("decode");
-        assert_eq!(g, back);
-    }
-
-    #[test]
-    fn json_rejects_inconsistent_staggering() {
-        let g = MacGrid::new(4, 3, 0.5);
-        let mut json = sfn_obs::json::to_json_string(&g);
-        // Claim a different cell count than the stored component fields.
-        json = json.replacen("\"nx\":4", "\"nx\":5", 1);
-        assert!(sfn_obs::json::from_json_str::<MacGrid>(&json).is_err());
     }
 }

@@ -1,7 +1,6 @@
 //! Simulation configuration.
 
 use crate::source::SmokeSource;
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
 
 /// The density-advection scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,7 +62,8 @@ impl SimConfig {
         }
     }
 
-    /// Validates invariants; call after deserialising external configs.
+    /// Validates invariants. [`crate::Simulation::try_new`] calls it,
+    /// so a hand-edited config that breaks one is refused there.
     pub fn validate(&self) -> Result<(), String> {
         if self.nx < 4 || self.ny < 4 {
             return Err(format!("grid {}x{} too small", self.nx, self.ny));
@@ -81,71 +81,6 @@ impl SimConfig {
             return Err("divnorm_k must be >= 1".into());
         }
         Ok(())
-    }
-}
-
-impl ToJson for AdvectionScheme {
-    fn to_json_value(&self) -> Value {
-        Value::Str(
-            match self {
-                AdvectionScheme::SemiLagrangian => "SemiLagrangian",
-                AdvectionScheme::Cubic => "Cubic",
-                AdvectionScheme::MacCormack => "MacCormack",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for AdvectionScheme {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("SemiLagrangian") => Ok(AdvectionScheme::SemiLagrangian),
-            Some("Cubic") => Ok(AdvectionScheme::Cubic),
-            Some("MacCormack") => Ok(AdvectionScheme::MacCormack),
-            Some(other) => Err(JsonError {
-                at: 0,
-                message: format!("unknown AdvectionScheme variant `{other}`"),
-            }),
-            None => Err(JsonError {
-                at: 0,
-                message: "expected AdvectionScheme variant string".to_string(),
-            }),
-        }
-    }
-}
-
-impl ToJson for SimConfig {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("nx", self.nx.to_json_value()),
-            ("ny", self.ny.to_json_value()),
-            ("dx", self.dx.to_json_value()),
-            ("dt", self.dt.to_json_value()),
-            ("rho", self.rho.to_json_value()),
-            ("buoyancy", self.buoyancy.to_json_value()),
-            ("vorticity_epsilon", self.vorticity_epsilon.to_json_value()),
-            ("advection", self.advection.to_json_value()),
-            ("divnorm_k", self.divnorm_k.to_json_value()),
-            ("source", self.source.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for SimConfig {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(SimConfig {
-            nx: v.field("nx")?,
-            ny: v.field("ny")?,
-            dx: v.field("dx")?,
-            dt: v.field("dt")?,
-            rho: v.field("rho")?,
-            buoyancy: v.field("buoyancy")?,
-            vorticity_epsilon: v.field("vorticity_epsilon")?,
-            advection: v.field("advection")?,
-            divnorm_k: v.field("divnorm_k")?,
-            source: v.field("source")?,
-        })
     }
 }
 
@@ -172,21 +107,5 @@ mod tests {
         let mut c = SimConfig::plume(32);
         c.nx = 2;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let c = SimConfig::plume(64);
-        let json = sfn_obs::json::to_json_string(&c);
-        let back: SimConfig = sfn_obs::json::from_json_str(&json).expect("deserialise");
-        assert_eq!(c, back);
-    }
-
-    #[test]
-    fn json_rejects_unknown_scheme() {
-        let c = SimConfig::plume(64);
-        let json = sfn_obs::json::to_json_string(&c)
-            .replacen("\"SemiLagrangian\"", "\"Upwind\"", 1);
-        assert!(sfn_obs::json::from_json_str::<SimConfig>(&json).is_err());
     }
 }

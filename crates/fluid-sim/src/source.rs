@@ -3,7 +3,6 @@
 //! paper simulates (§2.1: "we simulate a 2D smoke plume").
 
 use sfn_grid::{CellFlags, Field2, MacGrid};
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
 
 /// A rectangular smoke emitter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,32 +72,6 @@ impl SmokeSource {
                 }
             }
         }
-    }
-}
-
-impl ToJson for SmokeSource {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("x0", self.x0.to_json_value()),
-            ("y0", self.y0.to_json_value()),
-            ("x1", self.x1.to_json_value()),
-            ("y1", self.y1.to_json_value()),
-            ("density", self.density.to_json_value()),
-            ("velocity", self.velocity.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for SmokeSource {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(SmokeSource {
-            x0: v.field("x0")?,
-            y0: v.field("y0")?,
-            x1: v.field("x1")?,
-            y1: v.field("y1")?,
-            density: v.field("density")?,
-            velocity: v.field("velocity")?,
-        })
     }
 }
 

@@ -134,39 +134,6 @@ pub fn write_entries(
 
 // -------------------------------------------------------- regressions
 
-/// A forged `SFNM` blob with a *valid* checksum, an empty spec, and an
-/// attacker-chosen `tensor_count` header but no tensor bytes. Before
-/// this PR, `decode` pre-allocated `tensor_count * 24` bytes of `Vec`
-/// headers (≈ 96 GiB at `u32::MAX`) from this 29-byte file.
-pub fn forged_tensor_count_blob(tensor_count: u32) -> Vec<u8> {
-    let spec = b"{\"layers\":[]}";
-    let mut buf = Vec::new();
-    buf.extend_from_slice(b"SFNM");
-    buf.extend_from_slice(&1u32.to_le_bytes());
-    buf.extend_from_slice(&(spec.len() as u32).to_le_bytes());
-    buf.extend_from_slice(spec);
-    buf.extend_from_slice(&tensor_count.to_le_bytes());
-    let checksum = sfn_rng::fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
-}
-
-/// Like [`forged_tensor_count_blob`] but with one tensor whose length
-/// word promises `len` floats the file does not contain.
-pub fn forged_tensor_len_blob(len: u32) -> Vec<u8> {
-    let spec = b"{\"layers\":[]}";
-    let mut buf = Vec::new();
-    buf.extend_from_slice(b"SFNM");
-    buf.extend_from_slice(&1u32.to_le_bytes());
-    buf.extend_from_slice(&(spec.len() as u32).to_le_bytes());
-    buf.extend_from_slice(spec);
-    buf.extend_from_slice(&1u32.to_le_bytes());
-    buf.extend_from_slice(&len.to_le_bytes());
-    let checksum = sfn_rng::fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
-}
-
 /// An `SFNC` header claiming `section_count` sections over a body far
 /// too small to hold them, with a *valid file checksum* so the count
 /// bound (not the checksum) is what rejects it. Without that bound the
@@ -240,10 +207,6 @@ pub fn regressions(target_name: &str) -> Vec<(&'static str, Vec<u8>)> {
                 doc
             }),
         ],
-        "model_io" => vec![
-            ("regression-forged-tensor-count", forged_tensor_count_blob(u32::MAX)),
-            ("regression-forged-tensor-len", forged_tensor_len_blob(u32::MAX)),
-        ],
         "ckpt" => vec![
             ("regression-forged-section-count", forged_ckpt_section_count_blob(u32::MAX)),
             ("regression-forged-geometry", forged_ckpt_geometry_blob()),
@@ -257,7 +220,7 @@ pub fn regressions(target_name: &str) -> Vec<(&'static str, Vec<u8>)> {
             ("regression-bare-lf-header", b"GET /metrics HTTP/1.1\nHost: a\r\n\r\n".to_vec()),
             ("regression-header-flood", {
                 let mut flood = b"GET /metrics HTTP/1.1\r\n".to_vec();
-                for i in 0..sfn_metrics::http::MAX_HEADERS + 1 {
+                for i in 0..sfn_httpcore::MAX_HEADERS + 1 {
                     flood.extend_from_slice(format!("H{i}: v\r\n").as_bytes());
                 }
                 flood.extend_from_slice(b"\r\n");
@@ -265,7 +228,7 @@ pub fn regressions(target_name: &str) -> Vec<(&'static str, Vec<u8>)> {
             }),
             ("regression-oversize-head", {
                 let mut huge = b"GET /".to_vec();
-                huge.resize(sfn_metrics::http::MAX_REQUEST_BYTES + 1, b'a');
+                huge.resize(sfn_httpcore::MAX_REQUEST_BYTES + 1, b'a');
                 huge
             }),
         ],

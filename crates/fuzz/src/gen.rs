@@ -7,7 +7,6 @@
 //! All of them are deterministic functions of the [`StdRng`] stream.
 
 use sfn_modelgen::{GeneratedModel, ModelMeasurement, Origin};
-use sfn_nn::model_io;
 use sfn_nn::network::SavedModel;
 use sfn_nn::spec::{LayerSpec, NetworkSpec};
 use sfn_obs::json::{obj, to_json_string, Value};
@@ -54,7 +53,7 @@ fn random_string(rng: &mut StdRng) -> String {
 }
 
 /// A small random architecture (not necessarily shape-consistent —
-/// `SFNM` stores the spec verbatim, so the codec must not care).
+/// the JSON codec stores the spec verbatim, so it must not care).
 pub fn network_spec(rng: &mut StdRng) -> NetworkSpec {
     let mut layers = Vec::new();
     for _ in 0..rng.random_range(1..=4usize) {
@@ -81,18 +80,13 @@ pub fn network_spec(rng: &mut StdRng) -> NetworkSpec {
     NetworkSpec::new(layers)
 }
 
-fn weight_tensors(rng: &mut StdRng, nonfinite: bool) -> Vec<Vec<f32>> {
+fn weight_tensors(rng: &mut StdRng) -> Vec<Vec<f32>> {
+    // The JSON codec renders non-finite as `null`, so JSON-borne
+    // models stay finite.
     (0..rng.random_range(0..=4usize))
         .map(|_| {
             (0..rng.random_range(0..24usize))
                 .map(|_| match rng.random_range(0..8u32) {
-                    // The binary codec must round-trip NaN payloads and
-                    // infinities bit-for-bit; the JSON codec renders
-                    // non-finite as `null`, so JSON-borne models stay
-                    // finite.
-                    0 if nonfinite => f32::NAN,
-                    1 if nonfinite => f32::INFINITY,
-                    2 if nonfinite => f32::NEG_INFINITY,
                     3 => -0.0,
                     _ => rng.random_range(-10.0..10.0f32),
                 })
@@ -104,16 +98,8 @@ fn weight_tensors(rng: &mut StdRng, nonfinite: bool) -> Vec<Vec<f32>> {
 /// A random model snapshot (spec + finite weight tensors).
 pub fn saved_model(rng: &mut StdRng) -> SavedModel {
     let spec = network_spec(rng);
-    let weights = weight_tensors(rng, false);
+    let weights = weight_tensors(rng);
     SavedModel { spec, weights }
-}
-
-/// A valid checksummed `SFNM` binary blob (weights may carry NaN and
-/// infinity bit patterns — the binary codec is bit-transparent).
-pub fn sfnm_blob(rng: &mut StdRng) -> Vec<u8> {
-    let spec = network_spec(rng);
-    let weights = weight_tensors(rng, true);
-    model_io::encode(&SavedModel { spec, weights }).expect("generated model encodes")
 }
 
 /// A [`SavedModel`] JSON snapshot.
@@ -378,7 +364,7 @@ pub fn kernel_summary_doc(rng: &mut StdRng) -> Vec<u8> {
 /// A valid-by-construction HTTP/1.x request head for the metrics
 /// endpoint parser: CRLF line endings, uppercase token method,
 /// /-rooted visible-ASCII target, tchar header names — everything
-/// `sfn_metrics::parse_request` demands, so every seed is accepted
+/// `sfn_httpcore::parse_request` demands, so every seed is accepted
 /// before mutation starts breaking it. Sometimes trailed by body bytes
 /// the bodiless-GET parser must ignore.
 pub fn http_request(rng: &mut StdRng) -> Vec<u8> {
@@ -499,9 +485,6 @@ mod tests {
             let doc = json_doc(&mut rng);
             sfn_obs::json::parse(std::str::from_utf8(&doc).unwrap()).expect("valid JSON");
 
-            let blob = sfnm_blob(&mut rng);
-            model_io::decode(&blob).expect("valid SFNM blob");
-
             let sched = fault_schedule(&mut rng);
             sfn_faults::parse_plan(std::str::from_utf8(&sched).unwrap()).expect("valid schedule");
 
@@ -514,7 +497,7 @@ mod tests {
             assert_eq!(sfn_ckpt::encode(&doc).unwrap(), ck, "SFNC fixed point");
 
             let req = http_request(&mut rng);
-            sfn_metrics::parse_request(&req).expect("valid request head");
+            sfn_httpcore::parse_request(&req).expect("valid request head");
 
             let art = artifacts_doc(&mut rng);
             let parsed: OfflineArtifacts =

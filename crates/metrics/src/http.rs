@@ -12,20 +12,12 @@
 
 use crate::hub::Hub;
 use crate::{expo, snapshot};
-use sfn_httpcore::{head_len, read_request, write_response};
+use sfn_httpcore::{head_len, parse_request, read_request, write_response, Request, RequestError};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-// The byte-level request contract lives in `sfn-httpcore`; these
-// re-exports keep the long-standing `sfn_metrics::http::*` paths (and
-// the `http` fuzz target) stable.
-pub use sfn_httpcore::{
-    parse_request, Request, RequestError, MAX_HEADERS, MAX_HEADER_NAME_BYTES,
-    MAX_HEADER_VALUE_BYTES, MAX_REQUEST_BYTES, MAX_TARGET_BYTES,
-};
 
 // -------------------------------------------------------------- server
 
@@ -145,28 +137,5 @@ fn route(hub: &Hub, req: &Request) -> (u16, &'static str, Vec<u8>) {
             snapshot::render(hub).into_bytes(),
         ),
         _ => status_page(404, "not found; try /metrics, /healthz or /snapshot.json\n"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The parser's own behavioural tests live in `sfn-httpcore`; these
-    // pin the re-exported paths this crate has always offered.
-    #[test]
-    fn reexported_parser_paths_still_work() {
-        let r = parse_request(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").expect("parses");
-        assert_eq!(r.method, "GET");
-        assert_eq!(r.target, "/metrics");
-        assert_eq!(crate::parse_request(&r.render()).expect("fixed point"), r);
-        const { assert!(MAX_REQUEST_BYTES >= MAX_TARGET_BYTES) };
-        const { assert!(MAX_HEADER_NAME_BYTES < MAX_HEADER_VALUE_BYTES || MAX_HEADERS > 0) };
-    }
-
-    #[test]
-    fn oversize_heads_still_reject_through_reexport() {
-        let huge = vec![b'A'; MAX_REQUEST_BYTES + 1];
-        assert_eq!(parse_request(&huge), Err(RequestError::TooLarge));
     }
 }

@@ -37,7 +37,7 @@ pub mod slo;
 pub mod snapshot;
 
 pub use expo::validate_exposition;
-pub use http::{parse_request, serve, Request, RequestError, ServerHandle};
+pub use http::{serve, ServerHandle};
 pub use hub::{Config, Health, Hub, ModelStat, Window};
 pub use slo::{SloConfig, SloKind, SloSpec, SloState};
 

@@ -172,34 +172,6 @@ impl FromJson for GeneratedModel {
     }
 }
 
-impl ToJson for FamilyConfig {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("shallow_variants", self.shallow_variants.to_json_value()),
-            ("narrow_per_model", self.narrow_per_model.to_json_value()),
-            ("narrow_fraction", self.narrow_fraction.to_json_value()),
-            ("dropout_variants", self.dropout_variants.to_json_value()),
-            ("dropout_p", self.dropout_p.to_json_value()),
-            ("search_models", self.search_models.to_json_value()),
-            ("seed", self.seed.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for FamilyConfig {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(FamilyConfig {
-            shallow_variants: v.field("shallow_variants")?,
-            narrow_per_model: v.field("narrow_per_model")?,
-            narrow_fraction: v.field("narrow_fraction")?,
-            dropout_variants: v.field("dropout_variants")?,
-            dropout_p: v.field("dropout_p")?,
-            search_models: v.field("search_models")?,
-            seed: v.field("seed")?,
-        })
-    }
-}
-
 impl Default for FamilyConfig {
     fn default() -> Self {
         Self {

@@ -9,7 +9,6 @@
 //! returns the most accurate ones.
 
 use sfn_nn::{LayerSpec, NetworkSpec};
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
 use sfn_rng::rngs::StdRng;
 use sfn_rng::{RngExt, SeedableRng};
 use sfn_surrogate::train::evaluate_divnorm;
@@ -27,28 +26,6 @@ pub struct SearchConfig {
     pub learning_rate: f64,
     /// Seed.
     pub seed: u64,
-}
-
-impl ToJson for SearchConfig {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("candidates", self.candidates.to_json_value()),
-            ("train_epochs", self.train_epochs.to_json_value()),
-            ("learning_rate", self.learning_rate.to_json_value()),
-            ("seed", self.seed.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for SearchConfig {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(SearchConfig {
-            candidates: v.field("candidates")?,
-            train_epochs: v.field("train_epochs")?,
-            learning_rate: v.field("learning_rate")?,
-            seed: v.field("seed")?,
-        })
-    }
 }
 
 impl SearchConfig {

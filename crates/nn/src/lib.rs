@@ -32,7 +32,6 @@ pub mod flops;
 pub mod init;
 pub mod layers;
 pub mod loss;
-pub mod model_io;
 pub mod network;
 pub mod optim;
 pub mod plan;

@@ -2,69 +2,13 @@
 //!
 //! Same contract as `sfn_grid::simd`: an always-compiled scalar
 //! reference defines the semantics, `std::arch` variants dispatch on
-//! [`sfn_par::simd::level`]. The element-wise kernel ([`row_axpy`])
-//! performs plain mul+add in the exact scalar term order —
-//! vectorisation runs across independent output pixels, so results are
-//! *bit-identical* to the scalar reference (comfortably inside the
-//! ≤4-ULP `simd_diff` oracle policy). Only the reduction ([`row_dot`])
-//! reassociates across lanes and is compared with a tolerance.
+//! [`sfn_par::simd::level`]. The row reduction ([`row_dot`])
+//! reassociates across lanes, so it is compared with a tolerance.
+//! [`ulp_distance`] is the metric of the `simd_diff` fuzz oracle's
+//! vector-vs-scalar comparisons. The conv's element-wise inner loop
+//! has its own AVX2 body in `direct_plane`.
 
 use sfn_par::simd::{level, SimdLevel};
-
-/// Scalar reference: `out[i] += a · x[i]` over a row.
-pub fn row_axpy_scalar(out: &mut [f32], x: &[f32], a: f32) {
-    debug_assert_eq!(out.len(), x.len());
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o += a * v;
-    }
-}
-
-/// `out += a·x`, vector-dispatched; bit-identical to the scalar
-/// reference. The conv inner loop: one weight tap broadcast against a
-/// shifted input row.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn row_axpy(out: &mut [f32], x: &[f32], a: f32) {
-    assert_eq!(out.len(), x.len(), "row_axpy length mismatch");
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { row_axpy_avx2(out, x, a) },
-        _ => row_axpy_scalar(out, x, a),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn row_axpy_avx2(out: &mut [f32], x: &[f32], a: f32) {
-    use std::arch::x86_64::*;
-    let n = out.len();
-    let av = _mm256_set1_ps(a);
-    let mut i = 0;
-    // mul + add (not FMA) to match the scalar rounding exactly.
-    while i + 16 <= n {
-        let x0 = _mm256_loadu_ps(x.as_ptr().add(i));
-        let x1 = _mm256_loadu_ps(x.as_ptr().add(i + 8));
-        let o0 = _mm256_loadu_ps(out.as_ptr().add(i));
-        let o1 = _mm256_loadu_ps(out.as_ptr().add(i + 8));
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(o0, _mm256_mul_ps(av, x0)));
-        _mm256_storeu_ps(
-            out.as_mut_ptr().add(i + 8),
-            _mm256_add_ps(o1, _mm256_mul_ps(av, x1)),
-        );
-        i += 16;
-    }
-    while i + 8 <= n {
-        let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-        let ov = _mm256_loadu_ps(out.as_ptr().add(i));
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(ov, _mm256_mul_ps(av, xv)));
-        i += 8;
-    }
-    while i < n {
-        out[i] += a * x[i];
-        i += 1;
-    }
-}
 
 /// Scalar reference: dot product of two rows (FMA accumulation to
 /// match the vector paths' per-step rounding).
@@ -140,21 +84,6 @@ mod tests {
 
     fn ramp(n: usize) -> Vec<f32> {
         (0..n).map(|i| ((i * 29) % 97) as f32 / 7.0 - 6.0).collect()
-    }
-
-    #[test]
-    fn row_axpy_bit_identical_to_scalar() {
-        for n in [1, 7, 8, 16, 33, 255] {
-            let x = ramp(n);
-            let mut o1 = ramp(n);
-            o1.reverse();
-            let mut o2 = o1.clone();
-            row_axpy_scalar(&mut o1, &x, 1.37);
-            row_axpy(&mut o2, &x, 1.37);
-            for (a, b) in o1.iter().zip(&o2) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-            }
-        }
     }
 
     #[test]

@@ -335,8 +335,7 @@ impl NetworkSpec {
 
 // Externally-tagged encoding (what serde's derive produced): unit
 // variants are bare strings, data variants single-key objects. Model
-// files written before the derive removal therefore still decode, and
-// the `model_io` binary format — which embeds this JSON — is unchanged.
+// files written before the derive removal therefore still decode.
 impl ToJson for LayerSpec {
     fn to_json_value(&self) -> Value {
         match *self {
@@ -428,32 +427,6 @@ impl ToJson for NetworkSpec {
 impl FromJson for NetworkSpec {
     fn from_json_value(v: &Value) -> Result<Self, JsonError> {
         Ok(NetworkSpec { layers: v.field("layers")? })
-    }
-}
-
-impl ToJson for ArchFeatures {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("num_layers", self.num_layers.to_json_value()),
-            ("kernel", self.kernel.to_json_value()),
-            ("channels", self.channels.to_json_value()),
-            ("pool", self.pool.to_json_value()),
-            ("unpool", self.unpool.to_json_value()),
-            ("residual", self.residual.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for ArchFeatures {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(ArchFeatures {
-            num_layers: v.field("num_layers")?,
-            kernel: v.field("kernel")?,
-            channels: v.field("channels")?,
-            pool: v.field("pool")?,
-            unpool: v.field("unpool")?,
-            residual: v.field("residual")?,
-        })
     }
 }
 
@@ -579,13 +552,5 @@ mod tests {
             sfn_obs::json::to_json_string(&spec),
             r#"{"layers":[{"Conv2d":{"in_ch":2,"out_ch":8,"kernel":3,"residual":true}},"ReLU",{"MaxPool":{"size":2}},{"Dropout":{"p":0.5}}]}"#
         );
-    }
-
-    #[test]
-    fn arch_features_json_round_trip() {
-        let f = tompson_like().arch_features();
-        let json = sfn_obs::json::to_json_string(&f);
-        let back: ArchFeatures = sfn_obs::json::from_json_str(&json).unwrap();
-        assert_eq!(f, back);
     }
 }

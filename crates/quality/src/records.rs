@@ -6,7 +6,6 @@
 //! `t_n^k`."
 
 use sfn_nn::NetworkSpec;
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
 
 /// One simulation run's outcome for one model on one input problem.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,48 +29,6 @@ pub struct ModelRecords {
     pub spec: NetworkSpec,
     /// Records over the input problems.
     pub records: Vec<ExecutionRecord>,
-}
-
-impl ToJson for ExecutionRecord {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("problem", self.problem.to_json_value()),
-            ("quality_loss", self.quality_loss.to_json_value()),
-            ("time", self.time.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for ExecutionRecord {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(ExecutionRecord {
-            problem: v.field("problem")?,
-            quality_loss: v.field("quality_loss")?,
-            time: v.field("time")?,
-        })
-    }
-}
-
-impl ToJson for ModelRecords {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("model_id", self.model_id.to_json_value()),
-            ("name", self.name.to_json_value()),
-            ("spec", self.spec.to_json_value()),
-            ("records", self.records.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for ModelRecords {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(ModelRecords {
-            model_id: v.field("model_id")?,
-            name: v.field("name")?,
-            spec: v.field("spec")?,
-            records: v.field("records")?,
-        })
-    }
 }
 
 impl ModelRecords {

@@ -33,34 +33,6 @@ pub struct SelectedModel {
     pub expected_time: f64,
 }
 
-impl sfn_obs::json::ToJson for SelectedModel {
-    fn to_json_value(&self) -> sfn_obs::json::Value {
-        sfn_obs::json::obj([
-            ("index", self.index.to_json_value()),
-            ("model_id", self.model_id.to_json_value()),
-            ("name", self.name.to_json_value()),
-            ("probability", self.probability.to_json_value()),
-            ("model_time", self.model_time.to_json_value()),
-            ("expected_time", self.expected_time.to_json_value()),
-        ])
-    }
-}
-
-impl sfn_obs::json::FromJson for SelectedModel {
-    fn from_json_value(
-        v: &sfn_obs::json::Value,
-    ) -> Result<Self, sfn_obs::json::JsonError> {
-        Ok(SelectedModel {
-            index: v.field("index")?,
-            model_id: v.field("model_id")?,
-            name: v.field("name")?,
-            probability: v.field("probability")?,
-            model_time: v.field("model_time")?,
-            expected_time: v.field("expected_time")?,
-        })
-    }
-}
-
 /// Applies Eq. 8: keeps models whose expected total time beats the
 /// requirement `t`, ordered by descending predicted success rate.
 ///

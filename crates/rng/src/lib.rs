@@ -49,8 +49,8 @@ pub fn splitmix64(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// 64-bit FNV-1a over `bytes`: the checksum of the `SFNM` and `SFNC`
-/// formats, the content address of fuzz corpus files and the artifact
+/// 64-bit FNV-1a over `bytes`: the checksum of the `SFNC` checkpoint
+/// format, the content address of fuzz corpus files and the artifact
 /// cache keys. Any change breaks every file written with it.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -20,30 +20,6 @@ pub struct KnnDatabase {
     k: usize,
 }
 
-impl sfn_obs::json::ToJson for KnnDatabase {
-    fn to_json_value(&self) -> sfn_obs::json::Value {
-        sfn_obs::json::obj([
-            ("pairs", self.pairs.to_json_value()),
-            ("k", self.k.to_json_value()),
-        ])
-    }
-}
-
-impl sfn_obs::json::FromJson for KnnDatabase {
-    fn from_json_value(
-        v: &sfn_obs::json::Value,
-    ) -> Result<Self, sfn_obs::json::JsonError> {
-        let pairs: Vec<(f64, f64)> = v.field("pairs")?;
-        let k: usize = v.field("k")?;
-        // Re-validate through the constructor so a hand-edited artifact
-        // cannot smuggle in NaN pairs or k = 0.
-        KnnDatabase::with_k(pairs, k).map_err(|e| sfn_obs::json::JsonError {
-            at: 0,
-            message: format!("invalid KnnDatabase: {e}"),
-        })
-    }
-}
-
 impl KnnDatabase {
     /// Builds a database from unsorted pairs with the paper's `k = 4`.
     ///

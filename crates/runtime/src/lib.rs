@@ -39,7 +39,7 @@ pub use cumdiv::CumDivNormTracker;
 pub use error::RuntimeError;
 pub use knn::KnnDatabase;
 pub use persist::DurableCheckpointer;
-pub use quarantine::{QuarantineDecision, QuarantineEntryState, QuarantineTable, MAX_STRIKES};
+pub use quarantine::{QuarantineDecision, QuarantineTable, MAX_STRIKES};
 pub use scheduler::{
     decide, Action, CandidateModel, RunLimits, RunOutcome, RuntimeConfig, SchedulerEvent,
     SmartRuntime, Truncation,

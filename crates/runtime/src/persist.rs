@@ -7,17 +7,17 @@
 //! * **cadence** — [`DurableCheckpointer`] wraps a
 //!   [`CheckpointStore`] and decides *when* a durable write is due
 //!   (at healthy check intervals, at least `every` steps apart);
-//! * **conversion** — live scheduler state ([`CumDivNormTracker`],
-//!   [`QuarantineTable`]) to and from the checkpoint's plain-data
-//!   mirror types.
+//! * **conversion** — the live [`CumDivNormTracker`] to and from the
+//!   checkpoint's plain-data [`TrackerState`]. The
+//!   [`QuarantineTable`](crate::QuarantineTable) needs none: it stores
+//!   the checkpoint's own `QuarantineEntry` records.
 //!
 //! Durable writes are best-effort: a full disk degrades the run to
 //! in-RAM-only resilience with a `ckpt.write_failed` warning, it never
 //! aborts the simulation.
 
 use crate::cumdiv::CumDivNormTracker;
-use crate::quarantine::{QuarantineEntryState, QuarantineTable};
-use sfn_ckpt::{recover_latest, CheckpointDoc, CheckpointStore, QuarantineEntry, Recovery, TrackerState};
+use sfn_ckpt::{recover_latest, CheckpointDoc, CheckpointStore, Recovery, TrackerState};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -106,35 +106,10 @@ pub fn tracker_from_state(state: &TrackerState) -> CumDivNormTracker {
     )
 }
 
-/// Captures a quarantine table as checkpoint plain data.
-pub fn quarantine_state(table: &QuarantineTable) -> Vec<QuarantineEntry> {
-    table
-        .export_state()
-        .iter()
-        .map(|e| QuarantineEntry {
-            strikes: e.strikes,
-            until_interval: e.until_interval,
-            ejected: e.ejected,
-        })
-        .collect()
-}
-
-/// Rebuilds a quarantine table from checkpoint plain data.
-pub fn quarantine_from_state(entries: &[QuarantineEntry]) -> QuarantineTable {
-    let states: Vec<QuarantineEntryState> = entries
-        .iter()
-        .map(|e| QuarantineEntryState {
-            strikes: e.strikes,
-            until_interval: e.until_interval,
-            ejected: e.ejected,
-        })
-        .collect();
-    QuarantineTable::from_state(&states)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QuarantineTable;
     use std::fs;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -177,7 +152,25 @@ mod tests {
         q.strike(1, 2);
         q.strike(1, 3);
         q.strike(1, 4); // third strike ejects
-        let back = quarantine_from_state(&quarantine_state(&q));
+        // Through the SFNC bytes a resume reads.
+        let doc = CheckpointDoc {
+            step: 4,
+            snapshot: sfn_sim::SimSnapshot::from_parts(
+                sfn_grid::MacGrid::new(4, 4, 1.0),
+                sfn_grid::Field2::new(4, 4),
+                4,
+                false,
+            ),
+            tracker: tracker_state(&CumDivNormTracker::new()),
+            scheduler: Some(sfn_ckpt::SchedulerState {
+                current: 0,
+                model_names: vec!["a".into(), "b".into(), "c".into()],
+                quarantine: q.export_state(),
+                rollbacks: 0,
+            }),
+        };
+        let decoded = sfn_ckpt::decode(&sfn_ckpt::encode(&doc).unwrap()).unwrap();
+        let back = QuarantineTable::from_state(&decoded.scheduler.unwrap().quarantine);
         assert_eq!(back.export_state(), q.export_state());
         assert!(!back.is_available(1, 100), "ejection must survive");
     }

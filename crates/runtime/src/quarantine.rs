@@ -8,6 +8,8 @@
 //! the step counter also rewinds the clock, which keeps a corruption
 //! storm from re-admitting models mid-storm.
 
+use sfn_ckpt::QuarantineEntry;
+
 /// Strikes after which a model is permanently ejected.
 pub const MAX_STRIKES: u32 = 3;
 
@@ -28,77 +30,18 @@ pub enum QuarantineDecision {
     },
 }
 
-impl sfn_obs::json::ToJson for QuarantineDecision {
-    fn to_json_value(&self) -> sfn_obs::json::Value {
-        use sfn_obs::json::obj;
-        match *self {
-            QuarantineDecision::Quarantined { strikes, until_interval } => obj([(
-                "Quarantined",
-                obj([
-                    ("strikes", strikes.to_json_value()),
-                    ("until_interval", until_interval.to_json_value()),
-                ]),
-            )]),
-            QuarantineDecision::Ejected { strikes } => {
-                obj([("Ejected", obj([("strikes", strikes.to_json_value())]))])
-            }
-        }
-    }
-}
-
-impl sfn_obs::json::FromJson for QuarantineDecision {
-    fn from_json_value(
-        v: &sfn_obs::json::Value,
-    ) -> Result<Self, sfn_obs::json::JsonError> {
-        let err = |m: String| sfn_obs::json::JsonError { at: 0, message: m };
-        let fields = v
-            .as_obj()
-            .ok_or_else(|| err("expected QuarantineDecision object".to_string()))?;
-        let [(tag, body)] = fields else {
-            return Err(err(format!(
-                "expected single-variant object, got {} keys",
-                fields.len()
-            )));
-        };
-        match tag.as_str() {
-            "Quarantined" => Ok(QuarantineDecision::Quarantined {
-                strikes: body.field("strikes")?,
-                until_interval: body.field("until_interval")?,
-            }),
-            "Ejected" => Ok(QuarantineDecision::Ejected { strikes: body.field("strikes")? }),
-            other => Err(err(format!("unknown QuarantineDecision variant `{other}`"))),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    strikes: u32,
-    until_interval: u64,
-    ejected: bool,
-}
-
-/// One model's quarantine state, as exported for durable checkpointing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QuarantineEntryState {
-    /// Strikes accumulated so far.
-    pub strikes: u32,
-    /// First check interval at which the model is eligible again.
-    pub until_interval: u64,
-    /// True when the model was permanently ejected.
-    pub ejected: bool,
-}
-
-/// Strike bookkeeping for an indexed model set.
+/// Strike bookkeeping for an indexed model set. Each model's record is
+/// the checkpoint's own [`QuarantineEntry`], so durable checkpointing
+/// stores the table as it is.
 #[derive(Debug, Clone)]
 pub struct QuarantineTable {
-    entries: Vec<Entry>,
+    entries: Vec<QuarantineEntry>,
 }
 
 impl QuarantineTable {
     /// A table over `n` models, all healthy.
     pub fn new(n: usize) -> Self {
-        Self { entries: vec![Entry::default(); n] }
+        Self { entries: vec![QuarantineEntry::default(); n] }
     }
 
     /// Number of tracked models.
@@ -153,32 +96,16 @@ impl QuarantineTable {
         (0..self.entries.len()).filter(|&m| !self.is_available(m, now)).collect()
     }
 
-    /// Exports the per-model state for durable checkpointing.
-    pub fn export_state(&self) -> Vec<QuarantineEntryState> {
-        self.entries
-            .iter()
-            .map(|e| QuarantineEntryState {
-                strikes: e.strikes,
-                until_interval: e.until_interval,
-                ejected: e.ejected,
-            })
-            .collect()
+    /// The per-model records, for durable checkpointing.
+    pub fn export_state(&self) -> Vec<QuarantineEntry> {
+        self.entries.clone()
     }
 
-    /// Rebuilds a table from exported state — the resume path. Strikes,
-    /// backoff deadlines and ejections carry over so a crash cannot
-    /// launder a misbehaving model back into rotation.
-    pub fn from_state(entries: &[QuarantineEntryState]) -> Self {
-        Self {
-            entries: entries
-                .iter()
-                .map(|s| Entry {
-                    strikes: s.strikes,
-                    until_interval: s.until_interval,
-                    ejected: s.ejected,
-                })
-                .collect(),
-        }
+    /// Rebuilds a table from exported records — the resume path.
+    /// Strikes, backoff deadlines and ejections carry over so a crash
+    /// cannot launder a misbehaving model back into rotation.
+    pub fn from_state(entries: &[QuarantineEntry]) -> Self {
+        Self { entries: entries.to_vec() }
     }
 
     /// The nearest available model to `from`, preferring more accurate

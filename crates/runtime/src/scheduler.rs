@@ -296,124 +296,6 @@ impl FromJson for CandidateModel {
     }
 }
 
-impl ToJson for RuntimeConfig {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("check_interval", self.check_interval.to_json_value()),
-            ("total_steps", self.total_steps.to_json_value()),
-            ("quality_target", self.quality_target.to_json_value()),
-            ("tolerance", self.tolerance.to_json_value()),
-            ("use_mlp", self.use_mlp.to_json_value()),
-            ("adaptive", self.adaptive.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for RuntimeConfig {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(RuntimeConfig {
-            check_interval: v.field("check_interval")?,
-            total_steps: v.field("total_steps")?,
-            quality_target: v.field("quality_target")?,
-            tolerance: v.field("tolerance")?,
-            use_mlp: v.field("use_mlp")?,
-            adaptive: v.field("adaptive")?,
-        })
-    }
-}
-
-impl ToJson for SchedulerEvent {
-    fn to_json_value(&self) -> Value {
-        match self {
-            SchedulerEvent::Switch { step, from, to, predicted_loss } => obj([(
-                "Switch",
-                obj([
-                    ("step", step.to_json_value()),
-                    ("from", from.to_json_value()),
-                    ("to", to.to_json_value()),
-                    ("predicted_loss", predicted_loss.to_json_value()),
-                ]),
-            )]),
-            SchedulerEvent::Restart { step, predicted_loss } => obj([(
-                "Restart",
-                obj([
-                    ("step", step.to_json_value()),
-                    ("predicted_loss", predicted_loss.to_json_value()),
-                ]),
-            )]),
-            SchedulerEvent::Quarantine { step, model, strikes, until_interval } => obj([(
-                "Quarantine",
-                obj([
-                    ("step", step.to_json_value()),
-                    ("model", model.to_json_value()),
-                    ("strikes", strikes.to_json_value()),
-                    ("until_interval", until_interval.to_json_value()),
-                ]),
-            )]),
-            SchedulerEvent::Rollback { step, to_step, from, to } => obj([(
-                "Rollback",
-                obj([
-                    ("step", step.to_json_value()),
-                    ("to_step", to_step.to_json_value()),
-                    ("from", from.to_json_value()),
-                    ("to", to.to_json_value()),
-                ]),
-            )]),
-            SchedulerEvent::Degrade { step, barred } => obj([(
-                "Degrade",
-                obj([
-                    ("step", step.to_json_value()),
-                    ("barred", barred.to_json_value()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for SchedulerEvent {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        let err = |m: String| JsonError { at: 0, message: m };
-        let fields = v
-            .as_obj()
-            .ok_or_else(|| err("expected SchedulerEvent object".to_string()))?;
-        let [(tag, body)] = fields else {
-            return Err(err(format!(
-                "expected single-variant object, got {} keys",
-                fields.len()
-            )));
-        };
-        match tag.as_str() {
-            "Switch" => Ok(SchedulerEvent::Switch {
-                step: body.field("step")?,
-                from: body.field("from")?,
-                to: body.field("to")?,
-                predicted_loss: body.field("predicted_loss")?,
-            }),
-            "Restart" => Ok(SchedulerEvent::Restart {
-                step: body.field("step")?,
-                predicted_loss: body.field("predicted_loss")?,
-            }),
-            "Quarantine" => Ok(SchedulerEvent::Quarantine {
-                step: body.field("step")?,
-                model: body.field("model")?,
-                strikes: body.field("strikes")?,
-                until_interval: body.field("until_interval")?,
-            }),
-            "Rollback" => Ok(SchedulerEvent::Rollback {
-                step: body.field("step")?,
-                to_step: body.field("to_step")?,
-                from: body.field("from")?,
-                to: body.field("to")?,
-            }),
-            "Degrade" => Ok(SchedulerEvent::Degrade {
-                step: body.field("step")?,
-                barred: body.field("barred")?,
-            }),
-            other => Err(err(format!("unknown SchedulerEvent variant `{other}`"))),
-        }
-    }
-}
-
 /// The outcome of one scheduled simulation.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -609,7 +491,7 @@ impl SmartRuntime {
             return None;
         }
         *tracker = persist::tracker_from_state(&doc.tracker);
-        *quarantine = persist::quarantine_from_state(&sched.quarantine);
+        *quarantine = QuarantineTable::from_state(&sched.quarantine);
         *current = sched.current as usize;
         *rollbacks = sched.rollbacks as usize;
         sfn_obs::event(Level::Info, "runtime.resume")
@@ -811,7 +693,7 @@ impl SmartRuntime {
                         scheduler: Some(SchedulerState {
                             current: current as u32,
                             model_names: roster.clone(),
-                            quarantine: persist::quarantine_state(&quarantine),
+                            quarantine: quarantine.export_state(),
                             rollbacks: rollbacks as u64,
                         }),
                     };

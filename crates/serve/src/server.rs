@@ -16,7 +16,12 @@
 //!   response on the connection they were handed.
 //! * **brownout control** — one thread ticking the
 //!   [`BrownoutController`] on queue fill, in-flight fill, SLO burn
-//!   (from `sfn-metrics`) and the served-latency p99.
+//!   (from `sfn-metrics`) and the served-latency p99. The SLO burn is
+//!   live only while the metrics endpoint runs (`SFN_METRICS_ADDR`
+//!   set): `sfn_metrics::worst_burn` reads the hub's SLO states as of
+//!   its last collector tick, and only that endpoint's collector ticks
+//!   it. Without it the burn reads `(0.0, false)` and the other three
+//!   signals alone move the rungs.
 //!
 //! Admission order: circuit breaker → brownout priority shed →
 //! per-tenant token bucket → global in-flight limit → bounded queue.

@@ -46,8 +46,8 @@ pub struct AuditReport {
     /// Records audited with the full enriched rule (vs. coarse band
     /// consistency only).
     pub full_replays: u64,
-    /// `parser.rejected` records — untrusted inputs (artifacts, model
-    /// blobs, fault schedules, env values) a hardened boundary refused.
+    /// `parser.rejected` records — untrusted inputs (offline
+    /// artifacts, `SFN_FAULTS` schedules) a hardened boundary refused.
     pub parser_rejected: u64,
     /// `fuzz.finding` records — crashes/oracle divergences an `sfn-fuzz`
     /// run reported into this trace.
@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn hardened_rejections_are_counted_not_flagged() {
         let t = parse_trace(
-            "{\"ts\":0.5,\"level\":\"warn\",\"kind\":\"parser.rejected\",\"boundary\":\"model_io\",\"error\":\"bad magic\"}\n\
+            "{\"ts\":0.5,\"level\":\"warn\",\"kind\":\"parser.rejected\",\"boundary\":\"sfn_faults\",\"error\":\"at byte 0: expected value\"}\n\
              {\"ts\":0.6,\"level\":\"warn\",\"kind\":\"parser.rejected\",\"boundary\":\"artifacts\",\"error\":\"at byte 3: x\"}\n\
              {\"ts\":0.7,\"level\":\"warn\",\"kind\":\"fuzz.finding\",\"target\":\"json\",\"finding\":\"panic\"}\n",
         );
