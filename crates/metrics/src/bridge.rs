@@ -1,12 +1,17 @@
 //! The obs→metrics bridge: a fanout sink turning the event stream the
 //! codebase already emits (`runtime.step`, `scheduler.decision`,
 //! `fault.injected`, `ckpt.write`, `prof.kernel`, …) into live series
-//! — zero new instrumentation call sites.
+//! — zero new instrumentation call sites, and the only route from an
+//! event to a live series: the emitting crates do not depend on this
+//! one, so each series has exactly one feeder.
 //!
 //! The bridge registers an [`sfn_obs::add_event_observer`] callback;
 //! installing it makes `sfn_obs::event_enabled` true at every level,
 //! so even Trace-gated emitters (the per-step `runtime.step` record)
-//! keep firing when nothing but the live endpoint is listening.
+//! keep firing when nothing but the live endpoint is listening. Each
+//! `runtime.step` feeds the `runtime.step_secs` latency series (from
+//! its `secs` field), the `runtime.steps` rate counter and the model
+//! roster; the runtime records `runtime.div_norm` itself.
 //!
 //! Value-carrying fields are fed into sfn-obs histograms through
 //! handles interned once at install time (lock-free per event);
@@ -24,7 +29,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 struct Handles {
-    div_norm: &'static Histogram,
+    step_secs: &'static Histogram,
+    steps: &'static Counter,
     predicted_loss: &'static Histogram,
     ckpt_write_secs: &'static Histogram,
     events_observed: &'static Counter,
@@ -41,7 +47,8 @@ pub fn install(hub: Arc<Hub>) {
     // histograms actually record.
     sfn_obs::enable_metrics(true);
     let handles = Handles {
-        div_norm: histogram("runtime.div_norm"),
+        step_secs: histogram("runtime.step_secs"),
+        steps: counter("runtime.steps"),
         predicted_loss: histogram("scheduler.predicted_loss"),
         ckpt_write_secs: histogram("ckpt.write_secs"),
         events_observed: counter("metrics.events_observed"),
@@ -61,8 +68,9 @@ fn observe_line(hub: &Hub, handles: &Handles, line: &str) {
     let str_field = |key: &str| v.get(key).and_then(Value::as_str);
     match kind {
         "runtime.step" => {
-            if let Some(dn) = f64_field("div_norm") {
-                handles.div_norm.record(dn);
+            handles.steps.add(1);
+            if let Some(secs) = f64_field("secs") {
+                handles.step_secs.record(secs);
             }
             if let Some(model) = str_field("model") {
                 hub.note_model_step(model, hub.now_ms());
@@ -113,7 +121,8 @@ mod tests {
     // directly: feed canned lines through `observe_line`.
     fn test_handles() -> Handles {
         Handles {
-            div_norm: histogram("test.bridge.div_norm"),
+            step_secs: histogram("test.bridge.step_secs"),
+            steps: counter("test.bridge.steps"),
             predicted_loss: histogram("test.bridge.predicted_loss"),
             ckpt_write_secs: histogram("test.bridge.ckpt_write_secs"),
             events_observed: counter("test.bridge.events_observed"),
@@ -139,7 +148,9 @@ mod tests {
             observe_line(&hub, &handles, line);
         }
         assert_eq!(handles.events_observed.get() - before, lines.len() as u64);
-        assert_eq!(handles.div_norm.snapshot().count, 1);
+        assert_eq!(handles.steps.get(), 1);
+        assert_eq!(handles.step_secs.snapshot().count, 1);
+        assert_eq!(handles.step_secs.snapshot().sum, 0.002);
         assert_eq!(handles.predicted_loss.snapshot().count, 1);
         assert_eq!(handles.ckpt_write_secs.snapshot().count, 1);
         let roster = hub.roster();

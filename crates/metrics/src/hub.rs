@@ -4,10 +4,9 @@
 //!
 //! The hot path never touches this module. Samples are recorded into
 //! `sfn-obs`'s lock-free counters and histograms (by existing
-//! instrumentation, the event bridge, and [`crate::record_step`]); the
-//! collector tick ([`Hub::collect_now`]) diffs those cumulative
-//! aggregates once a second and files the per-tick deltas into ring
-//! slots here. A window is then just the [`HistogramSnapshot::merge`]
+//! instrumentation and the event bridge); the collector tick
+//! ([`Hub::collect_now`]) diffs those cumulative aggregates once a
+//! second and files the per-tick deltas into ring slots here. A window is then just the [`HistogramSnapshot::merge`]
 //! of its live slots, computed at read (scrape) time.
 
 use crate::slo::{self, SloConfig, SloState};

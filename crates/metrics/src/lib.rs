@@ -19,13 +19,16 @@
 //!   `sfn-metrics/live@1` document rendered by [`snapshot`], which
 //!   `sfn-trace top` consumes).
 //!
-//! Hot-path cost model: simulation threads only touch sfn-obs's
-//! lock-free atomics (and only when metrics are live — see
-//! [`record_step`]); the hub's mutex is taken by the once-a-second
-//! collector tick, by event-rate bridge updates, and by scrapes.
+//! Hot-path cost model: the emitting crates never call into this one —
+//! they emit events, and the bridge turns each into lock-free sfn-obs
+//! atomics plus, for roster/kernel/fault tallies, one short hub update;
+//! the hub's mutex is otherwise taken only by the once-a-second
+//! collector tick and by scrapes.
 //!
-//! Enable by setting `SFN_METRICS_ADDR` (e.g. `127.0.0.1:9900`) and
-//! calling [`serve_from_env`], which the runtime does at run start.
+//! Enable by setting `SFN_METRICS_ADDR` (e.g. `127.0.0.1:9900`) in a
+//! process whose entry point calls [`serve_from_env`]: `run_all`,
+//! `sfn_metrics_demo`, and every `sfn_serve::serve` server. The
+//! runtime, single-figure binaries and examples never start it.
 
 #![warn(missing_docs)]
 
@@ -45,7 +48,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 static GLOBAL: OnceLock<Arc<Hub>> = OnceLock::new();
-static LIVE: AtomicBool = AtomicBool::new(false);
 
 /// The process-wide hub, created from [`Config::from_env`] on first
 /// use (or by an earlier [`init_global`] call).
@@ -65,23 +67,14 @@ pub fn init_global(cfg: Config) -> bool {
     installed
 }
 
-/// True once a metrics endpoint is serving in this process. Gates the
-/// direct-registration hot paths ([`record_step`] and the runtime's
-/// step timers) so a run without metrics pays nothing.
-#[inline]
-pub fn live() -> bool {
-    LIVE.load(Ordering::Relaxed)
-}
-
 /// Starts serving the global hub on `addr`: installs the event
-/// bridge, binds the listener, spawns the collector, and flips
-/// [`live`]. The returned handle's threads are detached — dropping it
-/// keeps the endpoint alive; call [`ServerHandle::stop`] to shut down.
+/// bridge, binds the listener and spawns the collector. The returned
+/// handle's threads are detached — dropping it keeps the endpoint
+/// alive; call [`ServerHandle::stop`] to shut down.
 pub fn start_global(addr: &str) -> std::io::Result<ServerHandle> {
     let hub = global();
     bridge::install(Arc::clone(&hub));
     let handle = http::serve(hub, addr)?;
-    LIVE.store(true, Ordering::Relaxed);
     sfn_obs::event(sfn_obs::Level::Info, "metrics.serving")
         .field_str("addr", &handle.addr.to_string())
         .emit();
@@ -159,49 +152,9 @@ pub fn worst_burn() -> (f64, bool) {
     (worst, burning)
 }
 
-/// Direct registration of one simulation step: feeds the
-/// `runtime.step_secs` latency series, the `runtime.steps` rate
-/// counter, and the model roster. No-op unless [`live`] — callers
-/// gate their `Instant::now()` on `live()` too, so a metrics-off run
-/// pays a single relaxed atomic load per step.
-///
-/// This is the **only** feeder of the step-latency series: the event
-/// bridge deliberately does not histogram `runtime.step` durations, so
-/// latency samples are never double-counted.
-pub fn record_step(model: &str, secs: f64) {
-    if !live() {
-        return;
-    }
-    struct Handles {
-        step_secs: &'static sfn_obs::Histogram,
-        steps: &'static sfn_obs::Counter,
-    }
-    static HANDLES: OnceLock<Handles> = OnceLock::new();
-    let handles = HANDLES.get_or_init(|| Handles {
-        step_secs: sfn_obs::histogram("runtime.step_secs"),
-        steps: sfn_obs::counter("runtime.steps"),
-    });
-    handles.step_secs.record(secs);
-    handles.steps.add(1);
-    let hub = global();
-    hub.note_model_step(model, hub.now_ms());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_step_is_inert_until_live() {
-        // LIVE is process-global; this test only checks the off state
-        // (endpoint tests flip it in their own process).
-        if live() {
-            return;
-        }
-        let before = sfn_obs::counter_value("runtime.steps");
-        record_step("mlp-a", 0.001);
-        assert_eq!(sfn_obs::counter_value("runtime.steps"), before);
-    }
 
     #[test]
     fn init_global_first_call_wins() {

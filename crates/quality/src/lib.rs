@@ -16,14 +16,12 @@
 
 #![warn(missing_docs)]
 
-pub mod calibration;
 pub mod features;
 pub mod mlp;
 pub mod records;
 pub mod samples;
 pub mod selection;
 
-pub use calibration::{calibration_report, CalibrationReport};
 pub use features::feature_vector;
 pub use mlp::{mlp_topology, MlpVariant, SuccessPredictor};
 pub use records::{ExecutionRecord, ModelRecords};

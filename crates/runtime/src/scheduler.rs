@@ -528,10 +528,6 @@ impl SmartRuntime {
     ) -> (RunOutcome, Simulation) {
         let cfg = self.config;
         let n_models = self.candidates.len();
-        // Live observability: if `SFN_METRICS_ADDR` is set, the first
-        // run in the process brings up the /metrics endpoint (listener
-        // + collector stay alive for the process lifetime).
-        let _metrics = sfn_metrics::serve_from_env();
         let timer = ScopedTimer::start("runtime/run");
         let mut tracker = CumDivNormTracker::new();
         let mut events = Vec::new();
@@ -591,7 +587,6 @@ impl SmartRuntime {
             let name = &self.candidates[current].name;
             let stats =
                 timed_step(&mut sim, &mut self.projectors[current], name, step + 1, inv_cells, &mut tracker);
-            sfn_obs::histogram_record("runtime.div_norm", stats.div_norm * inv_cells);
             time_per_model[current] += stats.projection_time.as_secs_f64();
             steps_per_model[current] += 1;
             step += 1;
@@ -854,10 +849,12 @@ fn emit_shed(t: &Truncation, executed: usize) {
 }
 
 /// Takes simulation step number `step` (1-based) under `projector`,
-/// pushes its cell-normalised `DivNorm` onto `tracker` and reports it
-/// under `model` to the live metrics and as one `runtime.step` record
-/// (Trace level) — the raw material for `sfn-trace analyze` / `export`.
-/// Timing is only taken when something would record the event.
+/// pushes its cell-normalised `DivNorm` onto `tracker` and the
+/// `runtime.div_norm` histogram, and reports it under `model` as one
+/// `runtime.step` record (Trace level) — the raw material for
+/// `sfn-trace analyze` / `export` and, through the `sfn-metrics`
+/// bridge, for the live step series. Timing is only taken when
+/// something would record the event.
 fn timed_step(
     sim: &mut Simulation,
     projector: &mut dyn PressureProjector,
@@ -866,14 +863,13 @@ fn timed_step(
     inv_cells: f64,
     tracker: &mut CumDivNormTracker,
 ) -> StepStats {
-    let t0 =
-        (sfn_obs::event_enabled(Level::Trace) || sfn_metrics::live()).then(std::time::Instant::now);
+    let t0 = sfn_obs::event_enabled(Level::Trace).then(std::time::Instant::now);
     let stats = sim.step(projector);
     let div_norm = stats.div_norm * inv_cells;
     tracker.push(div_norm);
+    sfn_obs::histogram_record("runtime.div_norm", div_norm);
     if let Some(t0) = t0 {
         let secs = t0.elapsed().as_secs_f64();
-        sfn_metrics::record_step(model, secs);
         sfn_obs::event(Level::Trace, "runtime.step")
             .field_u64("step", step as u64)
             .field_str("model", model)

@@ -17,11 +17,11 @@
 //! * **brownout control** — one thread ticking the
 //!   [`BrownoutController`] on queue fill, in-flight fill, SLO burn
 //!   (from `sfn-metrics`) and the served-latency p99. The SLO burn is
-//!   live only while the metrics endpoint runs (`SFN_METRICS_ADDR`
-//!   set): `sfn_metrics::worst_burn` reads the hub's SLO states as of
-//!   its last collector tick, and only that endpoint's collector ticks
-//!   it. Without it the burn reads `(0.0, false)` and the other three
-//!   signals alone move the rungs.
+//!   live whenever [`serve`] runs with `SFN_METRICS_ADDR` set: `serve`
+//!   starts the metrics endpoint, whose collector ticks the hub, and
+//!   `sfn_metrics::worst_burn` reads the hub's SLO states as of that
+//!   tick. Without it the burn reads `(0.0, false)` and the other
+//!   three signals alone move the rungs.
 //!
 //! Admission order: circuit breaker → brownout priority shed →
 //! per-tenant token bucket → global in-flight limit → bounded queue.
@@ -221,8 +221,11 @@ impl ServeHandle {
     }
 }
 
-/// Binds `cfg.addr` and starts the full thread set.
+/// Binds `cfg.addr` and starts the full thread set. With
+/// `SFN_METRICS_ADDR` set, the process's live metrics endpoint starts
+/// first (once per process), which keeps the SLO-burn input live.
 pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeHandle> {
+    let _metrics = sfn_metrics::serve_from_env();
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));

@@ -455,7 +455,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn live_metrics_observe_a_chaos_incident_end_to_end() {
-    use smart_fluidnet::metrics;
+    use smart_fluidnet::{metrics, obs};
     let _g = hold();
 
     // Short windows so the burn drains within the test, and an
@@ -471,6 +471,26 @@ fn live_metrics_observe_a_chaos_incident_end_to_end() {
     });
     let server = metrics::start_global("127.0.0.1:0").expect("bind ephemeral endpoint");
     let hub = metrics::global();
+
+    // Each live series has one feeder: a healthy run of N steps raises
+    // the step counter, the step-latency and DivNorm sample counts and
+    // the roster's step tally by exactly N.
+    let step_counts = || {
+        let samples = |name| obs::histogram_snapshot(name).map_or(0, |h| h.count);
+        [
+            obs::counter_value("runtime.steps"),
+            samples("runtime.step_secs"),
+            samples("runtime.div_norm"),
+            hub.roster().iter().map(|(_, stat)| stat.steps).sum(),
+        ]
+    };
+    faults::install(None);
+    let before = step_counts();
+    let out = runtime(12).run(simulation());
+    assert_survived(&out, 12);
+    assert_eq!((out.rollbacks, out.degraded), (0, false), "a fault-free run stays healthy");
+    let raised: Vec<u64> = step_counts().iter().zip(before).map(|(after, b)| after - b).collect();
+    assert_eq!(raised, [12; 4], "steps, step_secs, div_norm and roster steps per 12-step run");
 
     // Incident: every model in the family corrupts on every inference.
     // The runtime quarantines the whole roster and finishes on the

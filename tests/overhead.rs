@@ -4,9 +4,11 @@
 //! cost under 2% of a 64² reference step, and so must the disabled
 //! `sfn-obs` span and event probes; a healthy step must leave the
 //! always-on flight recorder empty. The live-metrics layer gets the
-//! same treatment: with an endpoint serving, the per-step
-//! [`sfn_metrics::record_step`] path must stay under 2% of a step —
-//! with no scraper attached and while `/metrics` is being hammered.
+//! same treatment: with an endpoint serving, the per-step path — the
+//! runtime's `runtime.div_norm` record plus one `runtime.step` event,
+//! rendered and fed through the installed `sfn-metrics` bridge — must
+//! stay under 2% of a step, with no scraper attached and while
+//! `/metrics` is being hammered.
 //!
 //! Measured directly rather than by diffing two builds: the per-call
 //! cost of a *disabled* probe times the number of probes a real step
@@ -198,15 +200,33 @@ fn scrape_metrics(addr: std::net::SocketAddr) -> String {
     body.to_string()
 }
 
-/// Measures the per-call cost of the whole per-step metrics hot path
-/// ([`sfn_metrics::record_step`]: histogram + counter atomics plus the
-/// roster update) over `calls` iterations.
-fn record_step_cost(calls: u32) -> f64 {
+/// Measures the per-step cost of the whole live-metrics hot path over
+/// `calls` iterations: what the runtime's `timed_step` does once the
+/// bridge is installed — one `runtime.div_norm` sample and one
+/// `runtime.step` event, which the bridge parses into the step-latency
+/// histogram, the step counter and the roster. Asserts that every
+/// event reached the bridge, so the measured path is the live one.
+fn live_step_cost(calls: u32) -> f64 {
+    let steps_before = sfn_obs::counter_value("runtime.steps");
     let t = Instant::now();
     for i in 0..calls {
-        sfn_metrics::record_step("overhead-guard", 1e-3 + f64::from(i % 7) * 1e-4);
+        let secs = 1e-3 + f64::from(i % 7) * 1e-4;
+        sfn_obs::histogram_record("runtime.div_norm", secs * 1e-3);
+        sfn_obs::event(Level::Trace, "runtime.step")
+            .field_u64("step", u64::from(i) + 1)
+            .field_str("model", "overhead-guard")
+            .field_f64("secs", secs)
+            .field_f64("proj_secs", secs * 0.5)
+            .field_f64("div_norm", secs * 1e-3)
+            .emit();
     }
-    t.elapsed().as_secs_f64() / f64::from(calls)
+    let per_call = t.elapsed().as_secs_f64() / f64::from(calls);
+    assert_eq!(
+        sfn_obs::counter_value("runtime.steps") - steps_before,
+        u64::from(calls),
+        "every runtime.step event must reach the metrics bridge"
+    );
+    per_call
 }
 
 #[test]
@@ -215,15 +235,16 @@ fn live_metrics_hot_path_costs_under_two_percent() {
 
     let _obs = obs_state();
     let server = sfn_metrics::start_global("127.0.0.1:0").expect("bind ephemeral endpoint");
-    assert!(sfn_metrics::live());
+    assert!(sfn_obs::event_enabled(Level::Trace), "the endpoint installs the event bridge");
 
     // Wall time of a reference step in the metrics-live world — the
     // event bridge is installed, as in a real run.
     let step = median_step_secs();
 
-    // Phase 1: endpoint live, no scraper attached. One record_step per
-    // simulation step is the entire direct-registration hot path.
-    let per_call = record_step_cost(100_000);
+    // Phase 1: endpoint live, no scraper attached. One div_norm sample
+    // and one bridged runtime.step event per simulation step is the
+    // entire live-metrics hot path.
+    let per_call = live_step_cost(100_000);
     let ratio = per_call / step;
     assert!(
         ratio < 0.02,
@@ -252,7 +273,7 @@ fn live_metrics_hot_path_costs_under_two_percent() {
             scrapes
         })
     };
-    let per_call_scraped = record_step_cost(100_000);
+    let per_call_scraped = live_step_cost(100_000);
     stop.store(true, Ordering::Relaxed);
     let scrapes = scraper.join().expect("scraper thread");
     assert!(scrapes > 0, "scraper never completed a scrape during the load window");
