@@ -381,6 +381,17 @@ fn main() {
         );
     });
     section(&mut recs, "durability", exercise_durability);
+    let runs = env.table.counts();
+    println!(
+        "runs: computed {} PCG references, {} fixed-model and {} Smart runs; \
+         {} read from {}, {} unreadable lines skipped\n",
+        runs.references,
+        runs.fixed,
+        runs.smart,
+        runs.logged,
+        env.table.path().display(),
+        runs.rejected
+    );
 
     // Stop the run timer before collecting stages so bench/total's own
     // sample is part of the collected percentiles.

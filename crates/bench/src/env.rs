@@ -1,8 +1,10 @@
-//! Shared benchmark environment: the cached offline pipeline plus the
-//! experiment scale knobs.
+//! Shared benchmark environment: the cached offline pipeline, the
+//! experiment scale knobs and the run table every experiment queries.
 
+use crate::runs::{Method, RunRecord, RunTable};
 use sfn_obs::env::{knob, process, List, Lookup};
-use smart_fluidnet_core::{OfflineConfig, SmartFluidnet};
+use sfn_runtime::RuntimeConfig;
+use smart_fluidnet_core::{OfflineArtifacts, OfflineConfig, SmartFluidnet};
 
 /// One benchmark session's configuration and offline artifacts.
 pub struct BenchEnv {
@@ -18,6 +20,9 @@ pub struct BenchEnv {
     pub problems_per_grid: usize,
     /// Simulation steps per problem (the paper runs 128).
     pub steps: usize,
+    /// Every (method, problem) run the experiments share, logged next
+    /// to the artifact cache.
+    pub table: RunTable,
 }
 
 impl BenchEnv {
@@ -35,7 +40,30 @@ impl BenchEnv {
         let offline = offline.from_env();
         let framework = SmartFluidnet::build_cached(&offline);
         let (grids, problems_per_grid, steps) = sweep_scale(&process, quick);
-        Self { framework, offline, grids, problems_per_grid, steps }
+        let table = RunTable::open(&OfflineArtifacts::cache_dir(), framework.artifacts());
+        Self { framework, offline, grids, problems_per_grid, steps, table }
+    }
+
+    /// `method`'s runs on evaluation problems `0..count` at `grid`, for
+    /// [`Self::steps`] steps each.
+    pub fn runs(&self, method: &Method, grid: usize, count: usize) -> Vec<RunRecord> {
+        sfn_par::map_range(count, |i| self.table.run(&self.framework, method, grid, i, self.steps))
+    }
+
+    /// The base (Tompson) model as a fixed method.
+    pub fn tompson(&self) -> Method<'_> {
+        let art = self.framework.artifacts();
+        Method::Fixed { name: "tompson", model: &art.measurements[art.base_index].saved }
+    }
+
+    /// The adaptive runtime's default configuration for these runs: the
+    /// paper's defaults at the framework's quality requirement.
+    pub fn smart(&self) -> RuntimeConfig {
+        RuntimeConfig {
+            total_steps: self.steps,
+            quality_target: self.framework.requirement().0,
+            ..Default::default()
+        }
     }
 
     /// The paper's grid label corresponding to our `i`-th sweep grid

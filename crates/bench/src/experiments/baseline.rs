@@ -2,8 +2,12 @@
 //! distribution of the Tompson model).
 
 use crate::env::BenchEnv;
-use crate::runners::{problems_at, references_for, run_fixed, yang_baseline, RunRecord};
+use crate::runs::Method;
+use sfn_nn::network::SavedModel;
 use sfn_stats::{Histogram, Summary, TextTable};
+use sfn_surrogate::{train_projection_model, yang_default, ProjectionDataset, TrainConfig};
+use sfn_workload::ProblemSet;
+use smart_fluidnet_core::{OfflineArtifacts, OfflineConfig};
 
 /// Table 1 rows: per-method mean projection seconds and quality loss.
 pub struct Table1 {
@@ -14,30 +18,18 @@ pub struct Table1 {
 /// Runs Table 1: PCG vs the Tompson-style base model vs the
 /// Yang-style baseline, over the standard evaluation problems.
 pub fn table1(env: &BenchEnv) -> Table1 {
-    let grid = env.offline.eval_grid;
-    let steps = env.steps;
-    let problems = problems_at(grid, env.offline.eval_problems);
-    let references = references_for(&problems, steps);
-    let pcg_secs: f64 =
-        references.iter().map(|r| r.1).sum::<f64>() / references.len() as f64;
-
-    let art = env.framework.artifacts();
-    let tompson = &art.measurements[art.base_index].saved;
     let yang = yang_baseline(&env.offline);
-
-    let run_model = |saved: &sfn_nn::network::SavedModel, name: &str| -> (f64, f64) {
-        let indexed: Vec<usize> = (0..problems.len()).collect();
-        let recs: Vec<RunRecord> = sfn_par::map(&indexed, |&i| {
-            run_fixed(saved, name, &problems[i], steps, &references[i].0)
-        });
+    let means = |method: Method| -> (f64, f64) {
+        let recs = env.runs(&method, env.offline.eval_grid, env.offline.eval_problems);
         let n = recs.len() as f64;
         (
             recs.iter().map(|r| r.secs).sum::<f64>() / n,
             recs.iter().map(|r| r.qloss).sum::<f64>() / n,
         )
     };
-    let (t_secs, t_q) = run_model(tompson, "tompson");
-    let (y_secs, y_q) = run_model(&yang, "yang");
+    let (pcg_secs, _) = means(Method::Pcg);
+    let (t_secs, t_q) = means(env.tompson());
+    let (y_secs, y_q) = means(Method::Fixed { name: "yang", model: &yang });
 
     Table1 {
         rows: vec![
@@ -93,17 +85,12 @@ pub struct Figure1 {
 /// evaluation grid (more problems = smoother histogram; scale with
 /// `SFN_EVAL_PROBLEMS`).
 pub fn figure1(env: &BenchEnv) -> Figure1 {
-    let grid = env.offline.eval_grid;
-    let steps = env.steps;
     let count = env.offline.eval_problems.max(8);
-    let problems = problems_at(grid, count);
-    let references = references_for(&problems, steps);
-    let art = env.framework.artifacts();
-    let tompson = &art.measurements[art.base_index].saved;
-    let indexed: Vec<usize> = (0..problems.len()).collect();
-    let losses: Vec<f64> = sfn_par::map(&indexed, |&i| {
-        run_fixed(tompson, "tompson", &problems[i], steps, &references[i].0).qloss
-    });
+    let losses: Vec<f64> = env
+        .runs(&env.tompson(), env.offline.eval_grid, count)
+        .iter()
+        .map(|r| r.qloss)
+        .collect();
     let max = losses.iter().cloned().fold(0.0f64, f64::max).max(1e-9);
     let mut histogram = Histogram::new(0.0, max * 1.001, 18);
     histogram.extend(losses.iter().copied());
@@ -136,4 +123,35 @@ impl Figure1 {
             (1.0 - below) * 100.0
         )
     }
+}
+
+/// Trains (and caches) the Yang-style baseline on the same dataset the
+/// pipeline used, for Table 1.
+fn yang_baseline(cfg: &OfflineConfig) -> SavedModel {
+    let path = OfflineArtifacts::cache_path(&format!("yang-{}", cfg.cache_key()));
+    if let Ok(text) = std::fs::read_to_string(&path) {
+        if let Ok(saved) = sfn_obs::json::from_json_str::<SavedModel>(&text) {
+            return saved;
+        }
+    }
+    let set = ProblemSet::training(cfg.train_grid, cfg.train_problems);
+    let dataset = ProjectionDataset::generate(&set, cfg.train_steps, cfg.capture_every);
+    let (mut net, _) = train_projection_model(
+        &yang_default(),
+        &dataset,
+        &TrainConfig {
+            epochs: cfg.train_epochs,
+            learning_rate: cfg.learning_rate,
+            seed: cfg.seed ^ 0xFA46,
+            ..Default::default()
+        },
+    );
+    let saved = net.save();
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).ok();
+    }
+    if let Err(e) = std::fs::write(&path, sfn_obs::json::to_json_string(&saved)) {
+        OfflineArtifacts::write_failed(&path, &e);
+    }
+    saved
 }

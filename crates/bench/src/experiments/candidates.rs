@@ -2,10 +2,8 @@
 //! (runtime time distribution over the selected models).
 
 use crate::env::BenchEnv;
-use crate::runners::{problems_at, references_for, run_fixed, run_smart, RunRecord};
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
+use crate::runs::{Method, RunRecord};
 use sfn_stats::{BoxplotSummary, TextTable};
-use smart_fluidnet_core::OfflineArtifacts;
 
 /// Results of running every Pareto candidate solo plus Smart-fluidnet.
 #[derive(Debug, Clone)]
@@ -16,118 +14,35 @@ pub struct CandidateRuns {
     pub per_candidate: Vec<Vec<RunRecord>>,
     /// Fixed Tompson (base) runs.
     pub tompson: Vec<RunRecord>,
-    /// Smart-fluidnet adaptive runs.
+    /// Smart-fluidnet adaptive runs, each with its per-model split.
     pub smart: Vec<RunRecord>,
     /// PCG projection seconds per problem.
     pub pcg_secs: Vec<f64>,
-    /// Per-problem adaptive time distribution: `(model names, seconds,
-    /// steps)` in scheduler order.
-    pub smart_distribution: Vec<(Vec<String>, Vec<f64>, Vec<usize>)>,
     /// MLP probability per *selected* runtime model (name, prob).
     pub selected_probabilities: Vec<(String, f64)>,
 }
 
-impl ToJson for CandidateRuns {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("names", self.names.to_json_value()),
-            ("per_candidate", self.per_candidate.to_json_value()),
-            ("tompson", self.tompson.to_json_value()),
-            ("smart", self.smart.to_json_value()),
-            ("pcg_secs", self.pcg_secs.to_json_value()),
-            ("smart_distribution", self.smart_distribution.to_json_value()),
-            ("selected_probabilities", self.selected_probabilities.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for CandidateRuns {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(CandidateRuns {
-            names: v.field("names")?,
-            per_candidate: v.field("per_candidate")?,
-            tompson: v.field("tompson")?,
-            smart: v.field("smart")?,
-            pcg_secs: v.field("pcg_secs")?,
-            smart_distribution: v.field("smart_distribution")?,
-            selected_probabilities: v.field("selected_probabilities")?,
-        })
-    }
-}
-
-/// Runs (or loads) the candidate comparison at the evaluation grid.
+/// Queries the candidate comparison at the evaluation grid.
 pub fn candidate_runs(env: &BenchEnv) -> CandidateRuns {
-    let key = format!(
-        "candidates-{}-{}-{}",
-        env.offline.cache_key(),
-        env.problems_per_grid,
-        env.steps
-    );
-    let path = OfflineArtifacts::cache_path(&format!("{:016x}", sfn_rng::fnv1a(key.as_bytes())));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(c) = sfn_obs::json::from_json_str::<CandidateRuns>(&text) {
-            return c;
-        }
-    }
     let art = env.framework.artifacts();
     let grid = env.offline.eval_grid;
-    let steps = env.steps;
-    let problems = problems_at(grid, env.problems_per_grid.max(4));
-    let references = references_for(&problems, steps);
-    let pcg_secs: Vec<f64> = references.iter().map(|r| r.1).collect();
-
+    let count = env.problems_per_grid.max(4);
     let candidates = art.candidates();
-    let names: Vec<String> = candidates.iter().map(|m| m.name.clone()).collect();
-    let per_candidate: Vec<Vec<RunRecord>> = sfn_par::map(&candidates, |m| {
-        problems
+    CandidateRuns {
+        names: candidates.iter().map(|m| m.name.clone()).collect(),
+        per_candidate: candidates
             .iter()
-            .zip(&references)
-            .map(|(p, (reference, _))| run_fixed(&m.saved, &m.name, p, steps, reference))
-            .collect()
-    });
-    let indexed: Vec<usize> = (0..problems.len()).collect();
-    let tompson: Vec<RunRecord> = sfn_par::map(&indexed, |&i| {
-        run_fixed(
-            &art.measurements[art.base_index].saved,
-            "tompson",
-            &problems[i],
-            steps,
-            &references[i].0,
-        )
-    });
-    let smart_full: Vec<(RunRecord, sfn_runtime::RunOutcome)> = sfn_par::map(&indexed, |&i| {
-        run_smart(&env.framework, &problems[i], steps, &references[i].0, None)
-    });
-    let smart: Vec<RunRecord> = smart_full.iter().map(|(r, _)| *r).collect();
-    let smart_distribution = smart_full
-        .iter()
-        .map(|(_, out)| {
-            (
-                out.model_names.clone(),
-                out.time_per_model.clone(),
-                out.steps_per_model.clone(),
-            )
-        })
-        .collect();
-    let selected_probabilities = art
-        .selected
-        .iter()
-        .map(|c| (c.name.clone(), c.probability))
-        .collect();
-    let runs = CandidateRuns {
-        names,
-        per_candidate,
-        tompson,
-        smart,
-        pcg_secs,
-        smart_distribution,
-        selected_probabilities,
-    };
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).ok();
+            .map(|m| env.runs(&Method::Fixed { name: &m.name, model: &m.saved }, grid, count))
+            .collect(),
+        tompson: env.runs(&env.tompson(), grid, count),
+        smart: env.runs(&Method::Smart(env.smart()), grid, count),
+        pcg_secs: env.runs(&Method::Pcg, grid, count).iter().map(|r| r.secs).collect(),
+        selected_probabilities: art
+            .selected
+            .iter()
+            .map(|c| (c.name.clone(), c.probability))
+            .collect(),
     }
-    std::fs::write(&path, sfn_obs::json::to_json_string(&runs)).ok();
-    runs
 }
 
 impl CandidateRuns {
@@ -178,13 +93,16 @@ impl CandidateRuns {
     /// models, aggregated across problems, with their MLP
     /// probabilities.
     pub fn render_table3(&self) -> String {
-        // Aggregate seconds per model name across problems.
-        let mut total: std::collections::BTreeMap<String, f64> = Default::default();
-        let mut grand = 0.0;
-        for (names, secs, _) in &self.smart_distribution {
-            for (n, &s) in names.iter().zip(secs) {
-                *total.entry(n.clone()).or_insert(0.0) += s;
-                grand += s;
+        // Aggregate seconds and steps per model name across problems.
+        let mut total: std::collections::BTreeMap<&str, (f64, usize)> = Default::default();
+        let (mut secs, mut steps) = (0.0, 0);
+        for run in &self.smart {
+            for ((n, &s), &k) in run.models.iter().zip(&run.model_secs).zip(&run.model_steps) {
+                let entry = total.entry(n).or_default();
+                entry.0 += s;
+                entry.1 += k;
+                secs += s;
+                steps += k;
             }
         }
         let prob: std::collections::BTreeMap<&str, f64> = self
@@ -192,17 +110,22 @@ impl CandidateRuns {
             .iter()
             .map(|(n, p)| (n.as_str(), *p))
             .collect();
-        let mut rows: Vec<(String, f64, f64)> = total
+        let mut rows: Vec<(&str, f64, f64, f64)> = total
             .into_iter()
-            .map(|(n, s)| {
-                let p = prob.get(n.as_str()).copied().unwrap_or(f64::NAN);
-                (n, p, 100.0 * s / grand.max(1e-12))
+            .map(|(n, (s, k))| {
+                let p = prob.get(n).copied().unwrap_or(f64::NAN);
+                (n, p, 100.0 * s / secs.max(1e-12), 100.0 * k as f64 / steps.max(1) as f64)
             })
             .collect();
         rows.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let mut t = TextTable::new(["Model", "Prob. (MLP)", "Time share"]);
-        for (n, p, share) in rows {
-            t.row([n, format!("{:.1}%", p * 100.0), format!("{share:.1}%")]);
+        let mut t = TextTable::new(["Model", "Prob. (MLP)", "Time share", "Step share"]);
+        for (n, p, time, step) in rows {
+            t.row([
+                n.to_string(),
+                format!("{:.1}%", p * 100.0),
+                format!("{time:.1}%"),
+                format!("{step:.1}%"),
+            ]);
         }
         format!(
             "{}\n(paper Table 3: the highest-probability model takes the \

@@ -6,10 +6,11 @@
 //! parameters + activations) at a configurable grid.
 
 use crate::env::BenchEnv;
-use crate::runners::{pcg_projector, representative_divergence};
+use sfn_grid::{CellFlags, Field2};
 use sfn_nn::flops::model_bytes;
 use sfn_sim::PressureProjector;
 use sfn_stats::TextTable;
+use sfn_workload::{reference_projector, ProblemSet};
 
 /// One Table 4 row.
 pub struct ResourceRow {
@@ -25,7 +26,7 @@ pub struct ResourceRow {
 pub fn table4(env: &BenchEnv, grid: usize) -> Vec<ResourceRow> {
     // PCG: measure an actual solve to get the iteration-dependent FLOPs.
     let (flags, div) = representative_divergence(grid);
-    let mut pcg = pcg_projector();
+    let mut pcg = reference_projector();
     let outcome = pcg.solve_pressure(&div, &flags, 1.0, 0.5);
     // PCG memory: x, r, z, s, As, precon + rhs ≈ 7 grid fields of f64.
     let pcg_bytes = 7 * (grid * grid * 8) as u64;
@@ -97,4 +98,31 @@ pub fn render_table4(rows: &[ResourceRow], grid: usize) -> String {
          every selected model resident, so its memory exceeds both)",
         t.render()
     )
+}
+
+/// A realistic pressure right-hand side: the divergence after a few
+/// buoyancy steps (Table 4 solves it, so the PCG FLOP count sees a
+/// representative spectrum, not white noise).
+pub fn representative_divergence(grid: usize) -> (CellFlags, Field2) {
+    let problem = ProblemSet::evaluation(grid, 1).problem(0);
+    let mut sim = problem.simulation();
+    sim.run(4, &mut reference_projector());
+    // One more un-projected force step to get a non-trivial divergence.
+    let flags = sim.flags().clone();
+    let mut vel = sim.velocity().clone();
+    sfn_sim::forces::add_buoyancy(&mut vel, sim.density(), &flags, 1.0, 0.5);
+    let div = vel.divergence(&flags);
+    (flags, div)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn representative_divergence_is_nontrivial() {
+        let (flags, div) = representative_divergence(16);
+        assert_eq!(flags.nx(), 16);
+        assert!(div.max_abs() > 1e-9, "divergence {:.3e}", div.max_abs());
+    }
 }

@@ -3,10 +3,10 @@
 //! Q_loss^ts (paper: r_p = 0.61, r_s = 0.79).
 
 use crate::env::BenchEnv;
-use crate::runners::{pcg_projector, problems_at};
 use sfn_sim::quality_loss;
 use sfn_stats::{pearson, spearman, TextTable};
 use sfn_surrogate::NeuralProjector;
+use sfn_workload::{reference_projector, ProblemSet};
 
 /// One problem's per-step trace.
 pub struct Trace {
@@ -21,13 +21,12 @@ pub struct Trace {
 /// Runs the base Tompson model and a PCG reference in lock-step,
 /// recording the three Figure 6 series.
 pub fn trace_problem(env: &BenchEnv, problem_idx: usize, steps: usize) -> Trace {
-    let grid = env.offline.eval_grid;
-    let problems = problems_at(grid, problem_idx + 1);
-    let problem = &problems[problem_idx];
+    let problem =
+        ProblemSet::evaluation(env.offline.eval_grid, problem_idx + 1).problem(problem_idx);
     let art = env.framework.artifacts();
     let base = &art.measurements[art.base_index].saved;
     let mut nn = NeuralProjector::try_from_saved(base, "tompson").expect("base loads");
-    let mut pcg = pcg_projector();
+    let mut pcg = reference_projector();
 
     let mut nn_sim = problem.simulation();
     let mut ref_sim = problem.simulation();

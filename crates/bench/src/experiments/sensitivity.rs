@@ -2,7 +2,7 @@
 //! ablations (layers pruned, pooling fraction, dropout rate).
 
 use crate::env::BenchEnv;
-use crate::runners::{problems_at, references_for, run_smart};
+use crate::runs::{success_rate, Method, RunRecord};
 use sfn_modelgen::transform::{dropout, narrow, pooling, shallow};
 use sfn_modelgen::EvalContext;
 use sfn_nn::Network;
@@ -11,38 +11,21 @@ use sfn_stats::TextTable;
 use sfn_surrogate::{damp_output_layer, tompson_default, train_network, ProjectionDataset, TrainConfig};
 use sfn_workload::ProblemSet;
 
+/// The adaptive runs under `cfg` on the shared evaluation problems.
+fn smart_runs(env: &BenchEnv, cfg: RuntimeConfig) -> Vec<RunRecord> {
+    env.runs(&Method::Smart(cfg), env.offline.eval_grid, env.problems_per_grid.max(4))
+}
+
 /// Figure 13: adaptive success rate as a function of the check
 /// interval.
 pub fn figure13(env: &BenchEnv, intervals: &[usize]) -> String {
-    let grid = env.offline.eval_grid;
-    let steps = env.steps;
-    let q = env.framework.requirement().0;
-    let problems = problems_at(grid, env.problems_per_grid.max(4));
-    let references = references_for(&problems, steps);
+    let smart = env.smart();
     let mut t = TextTable::new(["Check interval", "Success rate"]);
     for &interval in intervals {
-        let indexed: Vec<usize> = (0..problems.len()).collect();
-        let hits: usize = sfn_par::map(&indexed, |&i| {
-            let (p, reference) = (&problems[i], &references[i].0);
-                let (rec, _) = run_smart(
-                    &env.framework,
-                    p,
-                    steps,
-                    reference,
-                    Some(RuntimeConfig {
-                        total_steps: steps,
-                        quality_target: q,
-                        check_interval: interval,
-                        ..Default::default()
-                    }),
-                );
-                usize::from(rec.qloss <= q)
-        })
-        .into_iter()
-        .sum();
+        let runs = smart_runs(env, RuntimeConfig { check_interval: interval, ..smart });
         t.row([
             format!("{interval}"),
-            format!("{:.1}%", 100.0 * hits as f64 / problems.len() as f64),
+            format!("{:.1}%", success_rate(&runs, smart.quality_target)),
         ]);
     }
     format!(
@@ -57,57 +40,20 @@ pub fn figure13(env: &BenchEnv, intervals: &[usize]) -> String {
 /// implicitly uses: "static best" (MLP-chosen start, never switch) and
 /// "static fastest" (cheapest model, never switch).
 pub fn scheduler_ablation(env: &BenchEnv) -> String {
-    let grid = env.offline.eval_grid;
-    let steps = env.steps;
-    let q = env.framework.requirement().0;
-    let problems = problems_at(grid, env.problems_per_grid.max(4));
-    let references = references_for(&problems, steps);
-    let policies: Vec<(&str, RuntimeConfig)> = vec![
-        (
-            "adaptive (Alg. 2)",
-            RuntimeConfig {
-                total_steps: steps,
-                quality_target: q,
-                ..Default::default()
-            },
-        ),
-        (
-            "static best (MLP pick)",
-            RuntimeConfig {
-                total_steps: steps,
-                quality_target: q,
-                adaptive: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "static fastest",
-            RuntimeConfig {
-                total_steps: steps,
-                quality_target: q,
-                adaptive: false,
-                use_mlp: false,
-                ..Default::default()
-            },
-        ),
+    let smart = env.smart();
+    let policies = [
+        ("adaptive (Alg. 2)", smart),
+        ("static best (MLP pick)", RuntimeConfig { adaptive: false, ..smart }),
+        ("static fastest", RuntimeConfig { adaptive: false, use_mlp: false, ..smart }),
     ];
     let mut t = TextTable::new(["Policy", "Success rate", "Total projection (s)", "Restarts"]);
     for (name, cfg) in policies {
-        let indexed: Vec<usize> = (0..problems.len()).collect();
-        let results: Vec<(bool, f64, bool)> = sfn_par::map(&indexed, |&i| {
-            let (rec, _) =
-                run_smart(&env.framework, &problems[i], steps, &references[i].0, Some(cfg));
-            (rec.qloss <= q, rec.secs, rec.restarted)
-        });
-        let n = results.len() as f64;
+        let runs = smart_runs(env, cfg);
         t.row([
             name.to_string(),
-            format!(
-                "{:.1}%",
-                100.0 * results.iter().filter(|r| r.0).count() as f64 / n
-            ),
-            format!("{:.3}", results.iter().map(|r| r.1).sum::<f64>()),
-            format!("{}", results.iter().filter(|r| r.2).count()),
+            format!("{:.1}%", success_rate(&runs, smart.quality_target)),
+            format!("{:.3}", runs.iter().map(|r| r.secs).sum::<f64>()),
+            format!("{}", runs.iter().filter(|r| r.restarted).count()),
         ]);
     }
     format!(
@@ -120,39 +66,16 @@ pub fn scheduler_ablation(env: &BenchEnv) -> String {
 /// Ablation: the Algorithm 2 tolerance band ("close to q"). A zero
 /// band switches on every checkpoint; a huge band never switches.
 pub fn tolerance_ablation(env: &BenchEnv, tolerances: &[f64]) -> String {
-    let grid = env.offline.eval_grid;
-    let steps = env.steps;
-    let q = env.framework.requirement().0;
-    let problems = problems_at(grid, env.problems_per_grid.max(4));
-    let references = references_for(&problems, steps);
+    let smart = env.smart();
     let mut t = TextTable::new(["Tolerance band", "Success rate", "Mean switches", "Restarts"]);
-    for &tol in tolerances {
-        let indexed: Vec<usize> = (0..problems.len()).collect();
-        let results: Vec<(bool, usize, bool)> = sfn_par::map(&indexed, |&i| {
-            let (p, reference) = (&problems[i], &references[i].0);
-                let (rec, out) = run_smart(
-                    &env.framework,
-                    p,
-                    steps,
-                    reference,
-                    Some(RuntimeConfig {
-                        total_steps: steps,
-                        quality_target: q,
-                        tolerance: tol,
-                        ..Default::default()
-                    }),
-                );
-                (rec.qloss <= q, out.events.len(), rec.restarted)
-        });
-        let n = results.len() as f64;
+    for &tolerance in tolerances {
+        let runs = smart_runs(env, RuntimeConfig { tolerance, ..smart });
+        let n = runs.len() as f64;
         t.row([
-            format!("±{:.0}%", tol * 100.0),
-            format!(
-                "{:.1}%",
-                100.0 * results.iter().filter(|r| r.0).count() as f64 / n
-            ),
-            format!("{:.1}", results.iter().map(|r| r.1).sum::<usize>() as f64 / n),
-            format!("{}", results.iter().filter(|r| r.2).count()),
+            format!("±{:.0}%", tolerance * 100.0),
+            format!("{:.1}%", success_rate(&runs, smart.quality_target)),
+            format!("{:.1}", runs.iter().map(|r| r.events).sum::<usize>() as f64 / n),
+            format!("{}", runs.iter().filter(|r| r.restarted).count()),
         ]);
     }
     t.render()

@@ -1,14 +1,14 @@
 //! The grid-size sweep shared by Figure 8 (speedup), Figure 9 (quality
 //! box-plots), Table 2 (success rates) and Figure 12 (MLP effect).
 //!
-//! Expensive, so results are cached under `target/sfn-artifacts`.
+//! Every run is a query of the run table ([`crate::runs`]): the sweep
+//! reuses the runs the other experiments made at the evaluation grid,
+//! and a killed sweep resumes from the runs it logged.
 
 use crate::env::BenchEnv;
-use crate::runners::{problems_at, references_for, run_fixed, run_smart, RunRecord};
-use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
+use crate::runs::{success_rate, Method, RunRecord};
 use sfn_runtime::RuntimeConfig;
 use sfn_stats::{BoxplotSummary, Summary, TextTable};
-use smart_fluidnet_core::OfflineArtifacts;
 
 /// Per-grid sweep results.
 #[derive(Debug, Clone)]
@@ -30,122 +30,29 @@ pub struct SweepGrid {
 pub struct Sweep {
     /// One entry per grid size.
     pub grids: Vec<SweepGrid>,
-    /// Steps per simulation.
-    pub steps: usize,
     /// The quality requirement used.
     pub quality_target: f64,
 }
 
-impl ToJson for SweepGrid {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("grid", self.grid.to_json_value()),
-            ("pcg_secs", self.pcg_secs.to_json_value()),
-            ("tompson", self.tompson.to_json_value()),
-            ("smart", self.smart.to_json_value()),
-            ("smart_no_mlp", self.smart_no_mlp.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for SweepGrid {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(SweepGrid {
-            grid: v.field("grid")?,
-            pcg_secs: v.field("pcg_secs")?,
-            tompson: v.field("tompson")?,
-            smart: v.field("smart")?,
-            smart_no_mlp: v.field("smart_no_mlp")?,
-        })
-    }
-}
-
-impl ToJson for Sweep {
-    fn to_json_value(&self) -> Value {
-        obj([
-            ("grids", self.grids.to_json_value()),
-            ("steps", self.steps.to_json_value()),
-            ("quality_target", self.quality_target.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for Sweep {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(Sweep {
-            grids: v.field("grids")?,
-            steps: v.field("steps")?,
-            quality_target: v.field("quality_target")?,
-        })
-    }
-}
-
-/// Runs (or loads) the sweep.
+/// Queries the sweep: PCG, Tompson and Smart with and without the MLP
+/// on `problems_per_grid` problems at every grid.
 pub fn sweep(env: &BenchEnv) -> Sweep {
-    let key = format!(
-        "sweep-{}-{:?}-{}-{}",
-        env.offline.cache_key(),
-        env.grids,
-        env.problems_per_grid,
-        env.steps
-    );
-    let path = OfflineArtifacts::cache_path(&format!("{:016x}", sfn_rng::fnv1a(key.as_bytes())));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(s) = sfn_obs::json::from_json_str::<Sweep>(&text) {
-            return s;
-        }
-    }
-    let quality_target = env.framework.requirement().0;
-    let art = env.framework.artifacts();
-    let tompson = art.measurements[art.base_index].saved.clone();
+    let tompson = env.tompson();
+    let smart = env.smart();
+    let no_mlp = RuntimeConfig { use_mlp: false, ..smart };
+    let count = env.problems_per_grid;
     let grids = env
         .grids
         .iter()
-        .map(|&grid| {
-            let problems = problems_at(grid, env.problems_per_grid);
-            let references = references_for(&problems, env.steps);
-            let pcg_secs: Vec<f64> = references.iter().map(|r| r.1).collect();
-            let indexed: Vec<usize> = (0..problems.len()).collect();
-            let tompson_runs: Vec<RunRecord> = sfn_par::map(&indexed, |&i| {
-                run_fixed(&tompson, "tompson", &problems[i], env.steps, &references[i].0)
-            });
-            let smart: Vec<RunRecord> = sfn_par::map(&indexed, |&i| {
-                run_smart(&env.framework, &problems[i], env.steps, &references[i].0, None).0
-            });
-            let smart_no_mlp: Vec<RunRecord> = sfn_par::map(&indexed, |&i| {
-                run_smart(
-                    &env.framework,
-                    &problems[i],
-                    env.steps,
-                    &references[i].0,
-                    Some(RuntimeConfig {
-                        total_steps: env.steps,
-                        quality_target,
-                        use_mlp: false,
-                        ..Default::default()
-                    }),
-                )
-                .0
-            });
-            SweepGrid {
-                grid,
-                pcg_secs,
-                tompson: tompson_runs,
-                smart,
-                smart_no_mlp,
-            }
+        .map(|&grid| SweepGrid {
+            grid,
+            pcg_secs: env.runs(&Method::Pcg, grid, count).iter().map(|r| r.secs).collect(),
+            tompson: env.runs(&tompson, grid, count),
+            smart: env.runs(&Method::Smart(smart), grid, count),
+            smart_no_mlp: env.runs(&Method::Smart(no_mlp), grid, count),
         })
         .collect();
-    let s = Sweep {
-        grids,
-        steps: env.steps,
-        quality_target,
-    };
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    std::fs::write(&path, sfn_obs::json::to_json_string(&s)).ok();
-    s
+    Sweep { grids, quality_target: smart.quality_target }
 }
 
 impl Sweep {
@@ -213,14 +120,11 @@ impl Sweep {
         let mut t = TextTable::new(["Grid", "Paper grid", "Tompson", "Smart-fluidnet"]);
         let q = self.quality_target;
         for (i, g) in self.grids.iter().enumerate() {
-            let rate = |rs: &[RunRecord]| -> f64 {
-                100.0 * rs.iter().filter(|r| r.qloss <= q).count() as f64 / rs.len() as f64
-            };
             t.row([
                 format!("{0}x{0}", g.grid),
                 crate::env::BenchEnv::paper_grid_label(i).to_string(),
-                format!("{:.1}%", rate(&g.tompson)),
-                format!("{:.1}%", rate(&g.smart)),
+                format!("{:.1}%", success_rate(&g.tompson, q)),
+                format!("{:.1}%", success_rate(&g.smart, q)),
             ]);
         }
         format!(
@@ -241,14 +145,11 @@ impl Sweep {
         ]);
         let q = self.quality_target;
         for g in &self.grids {
-            let rate = |rs: &[RunRecord]| -> f64 {
-                100.0 * rs.iter().filter(|r| r.qloss <= q).count() as f64 / rs.len() as f64
-            };
             let secs = |rs: &[RunRecord]| -> f64 { rs.iter().map(|r| r.secs).sum() };
             t.row([
                 format!("{0}x{0}", g.grid),
-                format!("{:.1}%", rate(&g.smart_no_mlp)),
-                format!("{:.1}%", rate(&g.smart)),
+                format!("{:.1}%", success_rate(&g.smart_no_mlp, q)),
+                format!("{:.1}%", success_rate(&g.smart, q)),
                 format!("{:.0}%", 100.0 * secs(&g.smart) / secs(&g.smart_no_mlp).max(1e-12)),
             ]);
         }

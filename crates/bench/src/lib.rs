@@ -8,18 +8,12 @@
 //! the server's saturation point; per-layer kernel timings live in the
 //! repo benchmark (`benchmark/`, `BENCHMARK.json`), not here.
 //!
-//! Scale knobs (environment variables, all optional; README
-//! "Environment" lists every knob the workspace reads):
-//!
-//! | variable | meaning | default (quick) |
-//! |---|---|---|
-//! | `SFN_QUICK` | `1` runs every experiment at seconds scale | off |
-//! | `SFN_EVAL_PROBLEMS` | measurement problems of the offline stage | 8 (4) |
-//! | `SFN_TRAIN_EPOCHS` | offline training epochs per root model | 30 (60) |
-//! | `SFN_BENCH_PROBLEMS` | problems per *grid* in sweep experiments | 4 (2) |
-//! | `SFN_BENCH_STEPS` | simulation steps per problem | 32 (16) |
-//! | `SFN_BENCH_GRIDS` | comma-separated sweep grid sizes | `16,24,32,48,64` (`16,24`, fixed) |
-//! | `SFN_SUMMARY_FILE` | `run_all`'s machine-readable summary path | `run_all_summary.json` |
+//! Every simulation the tables and figures compare is a query of one
+//! [`runs::RunTable`], so experiments share runs and a killed `run_all`
+//! resumes by run. The scale knobs (`SFN_QUICK`, `SFN_EVAL_PROBLEMS`,
+//! `SFN_TRAIN_EPOCHS`, `SFN_BENCH_{GRIDS,PROBLEMS,STEPS}`,
+//! `SFN_SUMMARY_FILE`) and their defaults are in README's
+//! "Environment" table, the one list of every knob.
 //!
 //! The paper's absolute numbers came from a Titan X GPU against a CPU
 //! PCG at grids up to 1024²; ours come from one CPU at reduced scale.
@@ -31,7 +25,7 @@
 
 pub mod env;
 pub mod experiments;
-pub mod runners;
+pub mod runs;
 
 pub use env::BenchEnv;
 

@@ -88,21 +88,34 @@ fn reject(path: &Path, error: &str) {
 }
 
 impl OfflineArtifacts {
-    /// Default cache location for a config key:
-    /// `<workspace>/target/sfn-artifacts/<key>.json`, overridable with
-    /// `SFN_ARTIFACT_DIR`. Anchored to the workspace (not the process
+    /// The cache directory: `<workspace>/target/sfn-artifacts`,
+    /// overridable with `SFN_ARTIFACT_DIR` (or moved by
+    /// `CARGO_TARGET_DIR`). Anchored to the workspace (not the process
     /// CWD) so every binary shares one cache.
-    pub fn cache_path(key: &str) -> PathBuf {
-        let dir = if let Ok(d) = std::env::var("SFN_ARTIFACT_DIR") {
+    pub fn cache_dir() -> PathBuf {
+        if let Ok(d) = std::env::var("SFN_ARTIFACT_DIR") {
             PathBuf::from(d)
         } else if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
             Path::new(&d).join("sfn-artifacts")
         } else {
             // crates/core -> workspace root -> target/.
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../../target/sfn-artifacts")
-        };
-        dir.join(format!("{key}.json"))
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/sfn-artifacts")
+        }
+    }
+
+    /// Default cache location for a config key: `<key>.json` in
+    /// [`Self::cache_dir`].
+    pub fn cache_path(key: &str) -> PathBuf {
+        Self::cache_dir().join(format!("{key}.json"))
+    }
+
+    /// Logs a failed write to a cache file as `cache.write_failed`: the
+    /// run goes on, the next one recomputes what was not kept.
+    pub fn write_failed(path: &Path, error: &dyn std::fmt::Display) {
+        sfn_obs::event(sfn_obs::Level::Warn, "cache.write_failed")
+            .field_str("path", &path.display().to_string())
+            .field_str("error", &error.to_string())
+            .emit();
     }
 
     /// Saves to a JSON file, creating parent directories.

@@ -42,10 +42,7 @@ impl SmartFluidnet {
         }
         let artifacts = build_offline(cfg);
         if let Err(e) = artifacts.save(&path) {
-            sfn_obs::event(sfn_obs::Level::Warn, "cache.write_failed")
-                .field_str("path", &path.display().to_string())
-                .field_str("error", &e.to_string())
-                .emit();
+            OfflineArtifacts::write_failed(&path, &e);
         }
         Self { artifacts }
     }
@@ -108,8 +105,6 @@ impl SmartFluidnet {
 mod tests {
     use super::*;
     use sfn_sim::quality_loss;
-    use sfn_sim::ExactProjector;
-    use sfn_solver::{MicPreconditioner, PcgSolver};
     use sfn_workload::ProblemSet;
 
     fn framework() -> SmartFluidnet {
@@ -133,13 +128,8 @@ mod tests {
         }
 
         // Quality against the PCG reference is finite and sane.
-        let mut ref_sim = problem.simulation();
-        let mut pcg = ExactProjector::labelled(
-            PcgSolver::new(MicPreconditioner::default(), 1e-7, 100_000),
-            "pcg",
-        );
-        ref_sim.run(steps, &mut pcg);
-        let q = quality_loss(&out.density, ref_sim.density());
+        let (reference, _) = problem.reference(steps);
+        let q = quality_loss(&out.density, &reference);
         assert!(q.is_finite());
         if out.restarted {
             assert!(q < 1e-6, "restarted run must match PCG, got {q}");

@@ -9,8 +9,7 @@ use sfn_quality::{
     SampleConfig, SelectionInput, SuccessPredictor,
 };
 use sfn_runtime::CandidateModel;
-use sfn_sim::{quality_loss, ExactProjector};
-use sfn_solver::{MicPreconditioner, PcgSolver};
+use sfn_sim::quality_loss;
 use sfn_surrogate::{tompson_default, NeuralProjector, ProjectionDataset, TrainConfig};
 use sfn_workload::ProblemSet;
 
@@ -180,15 +179,7 @@ fn build_knn_pairs(selected: &[CandidateModel], cfg: &OfflineConfig) -> Vec<(f64
     let set = ProblemSet::evaluation(cfg.knn_grid, cfg.knn_problems);
     let problems: Vec<_> = set.iter().collect();
     // Reference densities once per problem.
-    let references: Vec<_> = sfn_par::map(&problems, |p| {
-            let mut sim = p.simulation();
-            let mut proj = ExactProjector::labelled(
-                PcgSolver::new(MicPreconditioner::default(), 1e-7, 100_000),
-                "pcg",
-            );
-            sim.run(cfg.eval_steps, &mut proj);
-            sim.density().clone()
-        });
+    let references: Vec<_> = sfn_par::map(&problems, |p| p.reference(cfg.eval_steps).0);
     sfn_par::map(selected, |model| {
             problems
                 .iter()

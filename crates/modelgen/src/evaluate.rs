@@ -11,8 +11,7 @@ use crate::family::GeneratedModel;
 use sfn_grid::Field2;
 use sfn_nn::network::SavedModel;
 use sfn_nn::Network;
-use sfn_sim::{quality_loss, ExactProjector, PressureProjector};
-use sfn_solver::{MicPreconditioner, PcgSolver};
+use sfn_sim::{quality_loss, PressureProjector};
 use sfn_surrogate::{train_network, NeuralProjector, ProjectionDataset, TrainConfig};
 use sfn_workload::{InputProblem, ProblemSet};
 
@@ -79,16 +78,7 @@ impl EvalContext {
     /// Runs the PCG reference simulation for every problem in `set`.
     pub fn new(set: &ProblemSet, steps: usize) -> Self {
         let problems: Vec<InputProblem> = set.iter().collect();
-        let reference: Vec<(Field2, f64)> = sfn_par::map(&problems, |p| {
-                let mut sim = p.simulation();
-                let mut proj = ExactProjector::labelled(
-                    PcgSolver::new(MicPreconditioner::default(), 1e-7, 100_000),
-                    "pcg",
-                );
-                let stats = sim.run(steps, &mut proj);
-                let secs: f64 = stats.iter().map(|s| s.projection_time.as_secs_f64()).sum();
-                (sim.density().clone(), secs)
-        });
+        let reference: Vec<(Field2, f64)> = sfn_par::map(&problems, |p| p.reference(steps));
         let (reference_densities, reference_times) = reference.into_iter().unzip();
         Self {
             problems,
@@ -297,12 +287,7 @@ mod tests {
     #[test]
     fn exact_projection_scores_zero_quality_loss() {
         let ctx = tiny_ctx();
-        let results = ctx.run_projector(|| {
-            Box::new(ExactProjector::labelled(
-                PcgSolver::new(MicPreconditioner::default(), 1e-7, 100_000),
-                "pcg",
-            ))
-        });
+        let results = ctx.run_projector(|| Box::new(sfn_workload::reference_projector()));
         for (q, _) in results {
             assert!(q < 1e-9, "PCG vs PCG quality loss {q}");
         }

@@ -21,6 +21,6 @@ pub mod problem;
 pub mod scenarios;
 pub mod turbulence;
 
-pub use problem::{InputProblem, ProblemSet};
+pub use problem::{reference_projector, InputProblem, ProblemSet};
 pub use scenarios::Scenario;
 pub use turbulence::TurbulenceSpec;

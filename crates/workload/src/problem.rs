@@ -8,8 +8,17 @@
 
 use crate::geometry::GeometrySpec;
 use crate::turbulence::TurbulenceSpec;
-use sfn_grid::{CellFlags, MacGrid};
-use sfn_sim::{SimConfig, Simulation};
+use sfn_grid::{CellFlags, Field2, MacGrid};
+use sfn_sim::{ExactProjector, SimConfig, Simulation};
+use sfn_solver::{MicPreconditioner, PcgSolver};
+
+/// The exact projector every ground truth uses: MIC(0)-preconditioned
+/// CG to a relative residual of 1e-7 (at most 100 000 iterations),
+/// labelled `pcg`. The offline stage, the bench harness and the tests
+/// all measure quality loss against it.
+pub fn reference_projector() -> ExactProjector<PcgSolver<MicPreconditioner>> {
+    ExactProjector::labelled(PcgSolver::new(MicPreconditioner::default(), 1e-7, 100_000), "pcg")
+}
 
 /// One fluid-simulation input problem.
 #[derive(Debug, Clone)]
@@ -34,6 +43,15 @@ impl InputProblem {
             self.flags.clone(),
             self.initial_velocity.clone(),
         )
+    }
+
+    /// Runs the PCG ground truth ([`reference_projector`]) for `steps`
+    /// steps: the final density and the seconds spent projecting.
+    pub fn reference(&self, steps: usize) -> (Field2, f64) {
+        let mut sim = self.simulation();
+        let stats = sim.run(steps, &mut reference_projector());
+        let secs = stats.iter().map(|s| s.projection_time.as_secs_f64()).sum();
+        (sim.density().clone(), secs)
     }
 }
 
@@ -157,6 +175,17 @@ mod tests {
     fn out_of_range_problem_panics() {
         let set = ProblemSet::evaluation(16, 2);
         let _ = set.problem(2);
+    }
+
+    #[test]
+    fn a_problem_does_not_depend_on_the_set_count() {
+        let one = ProblemSet::evaluation(16, 3).problem(2);
+        for n in [4, 8, 64] {
+            let other = ProblemSet::evaluation(16, n).problem(2);
+            assert_eq!((other.id, other.seed), (one.id, one.seed));
+            assert_eq!(other.flags, one.flags);
+            assert_eq!(other.initial_velocity, one.initial_velocity);
+        }
     }
 
     #[test]

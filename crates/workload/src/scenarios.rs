@@ -101,17 +101,11 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfn_sim::ExactProjector;
-    use sfn_solver::{MicPreconditioner, PcgSolver};
 
     fn run(scenario: Scenario) -> sfn_sim::Simulation {
         let p = scenario.build(24, 7);
         let mut sim = p.simulation();
-        let mut proj = ExactProjector::labelled(
-            PcgSolver::new(MicPreconditioner::default(), 1e-6, 100_000),
-            "pcg",
-        );
-        sim.run(12, &mut proj);
+        sim.run(12, &mut crate::reference_projector());
         sim
     }
 

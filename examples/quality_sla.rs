@@ -13,8 +13,7 @@
 
 use smart_fluidnet::core::{OfflineConfig, SmartFluidnet};
 use smart_fluidnet::runtime::{RuntimeConfig, SchedulerEvent};
-use smart_fluidnet::sim::{quality_loss, ExactProjector};
-use smart_fluidnet::solver::{MicPreconditioner, PcgSolver};
+use smart_fluidnet::sim::quality_loss;
 use smart_fluidnet::workload::ProblemSet;
 
 fn main() {
@@ -26,12 +25,7 @@ fn main() {
     let problem = ProblemSet::evaluation(config.eval_grid, 2).problem(1);
 
     // The PCG ground truth for judging the outcomes.
-    let mut reference = problem.simulation();
-    let mut pcg = ExactProjector::labelled(
-        PcgSolver::new(MicPreconditioner::default(), 1e-7, 100_000),
-        "pcg",
-    );
-    reference.run(steps, &mut pcg);
+    let (reference, _) = problem.reference(steps);
 
     // Three SLAs: loose, the derived baseline, and near-impossible.
     for (label, q) in [
@@ -72,7 +66,7 @@ fn main() {
         if out.events.is_empty() {
             println!("  (no switches: first model held for the whole run)");
         }
-        let achieved = quality_loss(&out.density, reference.density());
+        let achieved = quality_loss(&out.density, &reference);
         println!(
             "  achieved quality loss {achieved:.5}  -> requirement {}",
             if achieved <= q { "MET" } else { "MISSED" }

@@ -7,12 +7,11 @@
 //! ```
 
 use smart_fluidnet::grid::{CellFlags, Field2};
-use smart_fluidnet::sim::{quality_loss, ExactProjector, SimConfig, Simulation};
-use smart_fluidnet::solver::{MicPreconditioner, PcgSolver};
+use smart_fluidnet::sim::{quality_loss, SimConfig, Simulation};
 use smart_fluidnet::surrogate::{
     tompson_spec, train_projection_model, NeuralProjector, ProjectionDataset, TrainConfig,
 };
-use smart_fluidnet::workload::ProblemSet;
+use smart_fluidnet::workload::{reference_projector, ProblemSet};
 
 const GRID: usize = 48;
 const STEPS: usize = 48;
@@ -46,11 +45,7 @@ fn main() {
     // Reference run: MICCG(0), the paper's exact method.
     println!("running PCG (MICCG(0)) reference simulation...");
     let mut pcg_sim = Simulation::new(cfg, flags.clone());
-    let mut pcg = ExactProjector::labelled(
-        PcgSolver::new(MicPreconditioner::default(), 1e-7, 100_000),
-        "pcg",
-    );
-    let pcg_stats = pcg_sim.run(STEPS, &mut pcg);
+    let pcg_stats = pcg_sim.run(STEPS, &mut reference_projector());
     let pcg_secs: f64 = pcg_stats.iter().map(|s| s.projection_time.as_secs_f64()).sum();
 
     // Quickly train a small Tompson-style surrogate and rerun.

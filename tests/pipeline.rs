@@ -5,26 +5,12 @@
 use smart_fluidnet::core::{OfflineConfig, SmartFluidnet};
 use smart_fluidnet::nn::Network;
 use smart_fluidnet::runtime::RuntimeConfig;
-use smart_fluidnet::sim::{quality_loss, ExactProjector};
-use smart_fluidnet::solver::{MicPreconditioner, PcgSolver};
+use smart_fluidnet::sim::quality_loss;
 use smart_fluidnet::surrogate::NeuralProjector;
 use smart_fluidnet::workload::ProblemSet;
 
 fn framework() -> SmartFluidnet {
     SmartFluidnet::build_cached(&OfflineConfig::quick())
-}
-
-fn reference_density(
-    problem: &smart_fluidnet::workload::InputProblem,
-    steps: usize,
-) -> smart_fluidnet::grid::Field2 {
-    let mut sim = problem.simulation();
-    let mut pcg = ExactProjector::labelled(
-        PcgSolver::new(MicPreconditioner::default(), 1e-7, 100_000),
-        "pcg",
-    );
-    sim.run(steps, &mut pcg);
-    sim.density().clone()
 }
 
 #[test]
@@ -46,7 +32,7 @@ fn adaptive_runtime_meets_target_at_least_as_often_as_fixed_fastest() {
     let mut adaptive_hits = 0usize;
     let mut fixed_hits = 0usize;
     for problem in set.iter() {
-        let reference = reference_density(&problem, steps);
+        let (reference, _) = problem.reference(steps);
 
         let out = fw.run_problem(&problem, steps);
         if quality_loss(&out.density, &reference) <= q_target * 1.05 {

@@ -43,11 +43,7 @@ fn pcg_is_the_cheapest_exact_backend_in_iterations() {
     let (cfg, flags) = scenario();
     // Take a mid-simulation divergence field as a realistic RHS.
     let mut sim = Simulation::new(cfg, flags.clone());
-    let mut pcg = ExactProjector::labelled(
-        PcgSolver::new(MicPreconditioner::default(), 1e-7, 100_000),
-        "pcg",
-    );
-    sim.run(6, &mut pcg);
+    sim.run(6, &mut smart_fluidnet::workload::reference_projector());
     let div = sim.velocity().divergence(&flags);
     let b = divergence_rhs(&div, &flags, cfg.dt);
     let problem = PoissonProblem::new(&flags, cfg.dx);
