@@ -51,24 +51,6 @@ impl FaultsSummary {
     }
 }
 
-/// Durable-checkpoint tallies from the `sfn-ckpt` counters: what the
-/// durability section wrote, recovered, and rejected as torn.
-struct DurabilitySummary {
-    writes: u64,
-    recovers: u64,
-    rejected: u64,
-}
-
-impl DurabilitySummary {
-    fn collect() -> Self {
-        Self {
-            writes: sfn_obs::counter_value("ckpt.writes"),
-            recovers: sfn_obs::counter_value("ckpt.recovers"),
-            rejected: sfn_obs::counter_value("ckpt.rejected"),
-        }
-    }
-}
-
 struct RunAllSummary {
     quick: bool,
     sweep_grids: Vec<usize>,
@@ -76,7 +58,6 @@ struct RunAllSummary {
     figures: Vec<FigureRecord>,
     stages: Vec<sfn_obs::StageSummary>,
     faults: FaultsSummary,
-    ckpt: DurabilitySummary,
     /// The `sfn-prof/kernels@1` document, when the run was profiled
     /// with `SFN_PROF=1`; `null` otherwise.
     kernel_summary: Option<sfn_prof::ProfileReport>,
@@ -102,8 +83,6 @@ sfn_obs::json_record!(FaultsSummary {
     degraded: 0,
 });
 
-sfn_obs::json_record!(DurabilitySummary { writes: 0, recovers: 0, rejected: 0 });
-
 impl ToJson for RunAllSummary {
     fn to_json_value(&self) -> Value {
         obj([
@@ -113,7 +92,6 @@ impl ToJson for RunAllSummary {
             ("figures", self.figures.to_json_value()),
             ("stages", self.stages.to_json_value()),
             ("faults", self.faults.to_json_value()),
-            ("ckpt", self.ckpt.to_json_value()),
             ("kernel_summary", self.kernel_summary.to_json_value()),
             ("total_secs", self.total_secs.to_json_value()),
         ])
@@ -181,86 +159,6 @@ fn exercise_kernels() {
     let mut conv = Conv2d::new(1, 2, 3, false, &mut rng);
     let small = Tensor::from_fn(1, 1, 16, 16, |_, _, h, w| ((h * 16 + w) % 7) as f32 - 3.0);
     let _ = conv.forward(&small, false);
-}
-
-/// Exercises the durable-checkpoint path end to end: writes a cadence
-/// of checkpoints for a small smoke run, tears the newest file, then
-/// proves recovery skips it (`ckpt.rejected`), falls back to the
-/// previous valid checkpoint, and resumes bit-identically to an
-/// uninterrupted run — the in-process companion to the kill−9
-/// supervisor harness in `tests/crash_recovery.rs`.
-fn exercise_durability() {
-    use sfn_ckpt::{CheckpointDoc, TrackerState};
-    use sfn_grid::CellFlags;
-    use sfn_runtime::DurableCheckpointer;
-    use sfn_sim::{ExactProjector, SimConfig, Simulation};
-    use sfn_solver::{MicPreconditioner, PcgSolver};
-
-    let dir = std::env::temp_dir().join(format!("sfn-run-all-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let projector = || {
-        ExactProjector::labelled(PcgSolver::new(MicPreconditioner::default(), 1e-8, 400), "pcg")
-    };
-    let fresh = || Simulation::new(SimConfig::plume(16), CellFlags::smoke_box(16, 16));
-    let tracker = TrackerState { series: Vec::new(), warmup_steps: 0, skip_per_interval: 0 };
-    let seal = |sim: &Simulation| CheckpointDoc {
-        step: 12,
-        snapshot: sim.snapshot(),
-        tracker: tracker.clone(),
-        scheduler: None,
-    };
-
-    // Reference: 12 uninterrupted steps.
-    let mut reference = fresh();
-    let mut proj = projector();
-    for _ in 0..12 {
-        reference.step(&mut proj);
-    }
-
-    // Checkpointed run: durable write every 4 steps → files at 4, 8, 12.
-    let mut ckpt = DurableCheckpointer::new(&dir, 4, 3).unwrap();
-    let mut sim = fresh();
-    let mut proj = projector();
-    for step in 1..=12u64 {
-        sim.step(&mut proj);
-        if step % 4 == 0 && ckpt.due(step) {
-            ckpt.write(&CheckpointDoc {
-                step,
-                snapshot: sim.snapshot(),
-                tracker: tracker.clone(),
-                scheduler: None,
-            })
-            .unwrap();
-        }
-    }
-
-    // Tear the newest checkpoint in half — recovery must reject it and
-    // settle on step 8.
-    let store = sfn_ckpt::CheckpointStore::open(&dir).unwrap();
-    let (_, newest) = store.list().unwrap().pop().unwrap();
-    let bytes = std::fs::read(&newest).unwrap();
-    std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
-
-    let mut ckpt = DurableCheckpointer::new(&dir, 4, 3).unwrap();
-    let rec = ckpt.recover().unwrap().expect("a valid fallback checkpoint");
-    assert_eq!(rec.rejected.len(), 1, "exactly the torn file is rejected");
-    assert_eq!(rec.doc.step, 8, "fallback is the previous valid checkpoint");
-
-    // Resume from the fallback and finish; byte-identical final state.
-    let mut resumed = fresh();
-    resumed.restore(&rec.doc.snapshot).unwrap();
-    let mut proj = projector();
-    for _ in rec.doc.step..12 {
-        resumed.step(&mut proj);
-    }
-    let (a, b) = (sfn_ckpt::encode(&seal(&reference)).unwrap(), sfn_ckpt::encode(&seal(&resumed)).unwrap());
-    assert_eq!(a, b, "resumed run is bit-identical to the uninterrupted one");
-    println!(
-        "== Durability ==\ncheckpointed 3 / tore 1 / recovered from step {}; resume bit-identical ({} byte payload)\n",
-        rec.doc.step,
-        a.len()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn main() {
@@ -380,7 +278,6 @@ fn main() {
             ex::sensitivity::tolerance_ablation(&env, &[0.05, 0.15, 0.30, 0.60])
         );
     });
-    section(&mut recs, "durability", exercise_durability);
     let runs = env.table.counts();
     println!(
         "runs: computed {} PCG references, {} fixed-model and {} Smart runs; \
@@ -418,7 +315,6 @@ fn main() {
         figures: recs,
         stages,
         faults: FaultsSummary::collect(),
-        ckpt: DurabilitySummary::collect(),
         kernel_summary,
         total_secs,
     };

@@ -12,7 +12,7 @@
 //!
 //! * `seed` — base seed of every injection decision (default 0).
 //! * `kind` — one of `nan_output`, `inf_output`, `solver_starvation`,
-//!   `artifact_corruption`, `latency_spike`, `crash`, `slow_client`,
+//!   `artifact_corruption`, `latency_spike`, `slow_client`,
 //!   `conn_reset`, `queue_stall`.
 //! * `p` — per-eligible-event injection probability (default 1.0).
 //! * `start` / `end` — the eligible half-open step window `[start, end)`
@@ -42,9 +42,6 @@ pub enum FaultKind {
     ArtifactCorruption,
     /// Inject extra latency into an inference call.
     LatencySpike,
-    /// Kill the process (SIGKILL) at a named crash point — the
-    /// worst-case process failure for the crash-recovery harness.
-    Crash,
     /// Drip-feed a client's request/response bytes (serving path):
     /// the socket loop sleeps between chunks, tying up a connection.
     SlowClient,
@@ -65,7 +62,6 @@ impl FaultKind {
             "solver_starvation" => Some(Self::SolverStarvation),
             "artifact_corruption" => Some(Self::ArtifactCorruption),
             "latency_spike" => Some(Self::LatencySpike),
-            "crash" => Some(Self::Crash),
             "slow_client" => Some(Self::SlowClient),
             "conn_reset" => Some(Self::ConnReset),
             "queue_stall" => Some(Self::QueueStall),
@@ -81,7 +77,6 @@ impl FaultKind {
             Self::SolverStarvation => "solver_starvation",
             Self::ArtifactCorruption => "artifact_corruption",
             Self::LatencySpike => "latency_spike",
-            Self::Crash => "crash",
             Self::SlowClient => "slow_client",
             Self::ConnReset => "conn_reset",
             Self::QueueStall => "queue_stall",
@@ -95,7 +90,6 @@ impl FaultKind {
             Self::SolverStarvation => 0.5,             // residual error scale
             Self::ArtifactCorruption => 0.25,          // fraction of bytes
             Self::LatencySpike => 10.0,                // milliseconds
-            Self::Crash => 1.0,                        // unused
             Self::SlowClient => 25.0,                  // ms between chunks
             Self::ConnReset => 1.0,                    // unused
             Self::QueueStall => 50.0,                  // milliseconds
@@ -300,24 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_kind_parses_with_window_and_target() {
-        let plan = parse_plan(
-            r#"{"seed": 3, "faults": [
-                {"kind": "crash", "start": 12, "end": 13, "target": "ckpt/pre_rename"}
-            ]}"#,
-        )
-        .unwrap();
-        let s = &plan.specs[0];
-        assert_eq!(s.kind, FaultKind::Crash);
-        assert_eq!((s.start, s.end), (12, Some(13)));
-        assert_eq!(s.target.as_deref(), Some("ckpt/pre_rename"));
-        assert_eq!(s.probability, 1.0);
-        assert_eq!(FaultKind::parse(FaultKind::Crash.as_str()), Some(FaultKind::Crash));
-        assert!(s.covers("ckpt/pre_rename", 12));
-        assert!(!s.covers("ckpt/pre_rename", 13));
-    }
-
-    #[test]
     fn serving_fault_kinds_round_trip() {
         for kind in [FaultKind::SlowClient, FaultKind::ConnReset, FaultKind::QueueStall] {
             assert_eq!(FaultKind::parse(kind.as_str()), Some(kind));
@@ -363,6 +339,7 @@ mod tests {
             r#"{"seed": -1}"#,
             r#"{"seed": 1.5}"#,
             r#"{"faults": [{"kind": "meteor_strike"}]}"#,
+            r#"{"faults": [{"kind": "crash"}]}"#,
             r#"{"faults": [{"kind": "nan_output", "p": 2.0}]}"#,
             r#"{"faults": [{"kind": "nan_output", "mag": -1}]}"#,
             r#"{"faults": [{"p": 0.5}]}"#,

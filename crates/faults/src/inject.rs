@@ -201,33 +201,6 @@ pub fn latency_spike(site: &str, step: u64) -> Option<Duration> {
     Some(Duration::from_micros((f.magnitude * 1000.0) as u64))
 }
 
-/// Kills the process — SIGKILL, falling back to `abort()` — if a
-/// `crash` spec fires for `(site, step)`. This is the crash-recovery
-/// harness's injection point: a named boundary (`ckpt/pre_rename`,
-/// `runtime/mid_step`, …) where the process dies with no unwinding, no
-/// destructors and no flushing beyond what durable layers already did.
-/// The injection event is recorded and the trace flushed *first*, so
-/// post-mortems see where the run died.
-///
-/// Returns normally (a no-op) when no spec fires.
-pub fn crash_point(site: &str, step: u64) {
-    if !active() {
-        return;
-    }
-    let Some(f) = firings(&[FaultKind::Crash], site, step).into_iter().next() else {
-        return;
-    };
-    record_injection(&f, site, step, std::process::id() as u64);
-    sfn_obs::flush_trace();
-    // A real SIGKILL (not a catchable signal, not an unwind): the
-    // closest stand-in for power loss the harness can self-inflict.
-    let pid = std::process::id().to_string();
-    let _ = std::process::Command::new("kill").args(["-9", &pid]).status();
-    // If `kill` is unavailable (or somehow did not land), abort still
-    // ends the process without unwinding.
-    std::process::abort();
-}
-
 /// Serving-path fault: drip-feed pacing for a client's socket bytes.
 /// Returns the delay to sleep between chunks when a `slow_client` spec
 /// fires for `(site, step)` (magnitude = milliseconds), else `None`.
@@ -505,27 +478,6 @@ mod tests {
         for step in 0..256 {
             assert!(!corrupt_field("s", step, &mut v));
         }
-        install(None);
-    }
-
-    #[test]
-    fn crash_point_is_a_no_op_when_not_matched() {
-        // The positive case (the process actually dying) can only be
-        // exercised from a supervisor — see tests/crash_recovery.rs.
-        // In-process we can prove the gates: disarmed, wrong site,
-        // outside the window — all must return normally.
-        let _g = hold();
-        install(None);
-        crash_point("ckpt/pre_rename", 0);
-        let mut spec = FaultSpec::new(FaultKind::Crash);
-        spec.start = 10;
-        spec.end = Some(11);
-        spec.target = Some("ckpt/pre_rename".into());
-        install(Some(plan_with(spec)));
-        crash_point("ckpt/mid_temp_write", 10); // wrong site
-        crash_point("ckpt/pre_rename", 9); // before the window
-        crash_point("ckpt/pre_rename", 11); // after the window
-        assert_eq!(injected_count(), 0);
         install(None);
     }
 }

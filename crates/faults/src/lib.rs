@@ -13,9 +13,7 @@
 //!   report non-convergence ([`starve_solver`]);
 //! * **`artifact_corruption`** — flip or truncate artifact bytes on
 //!   read ([`corrupt_bytes`]);
-//! * **`latency_spike`** — stretch an inference call ([`latency_spike`]);
-//! * **`crash`** — kill the process (SIGKILL) at a named boundary
-//!   ([`crash_point`]), for the crash-recovery harness.
+//! * **`latency_spike`** — stretch an inference call ([`latency_spike`]).
 //!
 //! # Configuration
 //!
@@ -51,7 +49,7 @@ pub mod rng;
 
 pub use config::{parse_plan, FaultKind, FaultPlan, FaultSpec, ParseError};
 pub use inject::{
-    active, conn_reset, corrupt_bytes, corrupt_field, crash_point, current_plan, init_from_env,
+    active, conn_reset, corrupt_bytes, corrupt_field, current_plan, init_from_env,
     injected_count, install, latency_spike, note_recovery, queue_stall, recovered_count,
     slow_client, starve_solver,
 };

@@ -64,41 +64,6 @@ pub struct SimSnapshot {
     blowup_reported: bool,
 }
 
-impl SimSnapshot {
-    /// The step count the snapshot was taken at.
-    pub fn steps_done(&self) -> usize {
-        self.steps_done
-    }
-
-    /// The captured velocity field.
-    pub fn vel(&self) -> &MacGrid {
-        &self.vel
-    }
-
-    /// The captured density field.
-    pub fn density(&self) -> &Field2 {
-        &self.density
-    }
-
-    /// Whether the blow-up guard had already fired when the snapshot
-    /// was taken.
-    pub fn blowup_reported(&self) -> bool {
-        self.blowup_reported
-    }
-
-    /// Rebuilds a snapshot from its parts — the deserialisation path of
-    /// durable checkpointing (`sfn-ckpt`). The parts are taken verbatim;
-    /// geometry is validated when the snapshot is [`Simulation::restore`]d.
-    pub fn from_parts(
-        vel: MacGrid,
-        density: Field2,
-        steps_done: usize,
-        blowup_reported: bool,
-    ) -> Self {
-        Self { vel, density, steps_done, blowup_reported }
-    }
-}
-
 /// One running smoke simulation.
 #[derive(Debug, Clone)]
 pub struct Simulation {
@@ -189,9 +154,8 @@ impl Simulation {
     /// geometry. Restoration is bit-identical; the immutable geometry,
     /// weights and config are untouched.
     ///
-    /// A snapshot whose grid does not match the live simulation (a
-    /// checkpoint from a different problem, a corrupted file that
-    /// decoded to the wrong shape) is rejected with
+    /// A snapshot whose grid does not match the live simulation (one
+    /// taken from a different problem) is rejected with
     /// [`SimError::GeometryMismatch`] and the state is left untouched —
     /// silently adopting mismatched fields would corrupt every later
     /// step.
@@ -521,7 +485,7 @@ mod tests {
         sim.run(6, &mut proj);
 
         let snap = sim.snapshot();
-        assert_eq!(snap.steps_done(), 6);
+        assert_eq!(snap.steps_done, 6);
         // Run ahead, then roll back.
         sim.run(5, &mut proj);
         let ahead = sim.density().clone();
@@ -555,35 +519,18 @@ mod tests {
         // The failed restore must leave the state untouched.
         assert_eq!(small.snapshot(), before);
 
-        // A hand-built snapshot whose density alone is mismatched is
-        // rejected too (a decoder bug could produce exactly this).
-        let forged = SimSnapshot::from_parts(
-            small.velocity().clone(),
-            Field2::new(16, 8),
-            3,
-            false,
-        );
+        // A snapshot whose density alone is mismatched is rejected too.
+        let forged = SimSnapshot {
+            vel: small.velocity().clone(),
+            density: Field2::new(16, 8),
+            steps_done: 3,
+            blowup_reported: false,
+        };
         assert!(matches!(
             small.restore(&forged),
             Err(crate::error::SimError::GeometryMismatch { got: (16, 8), .. })
         ));
         assert_eq!(small.snapshot(), before);
-    }
-
-    #[test]
-    fn snapshot_from_parts_round_trips() {
-        let n = 16;
-        let mut sim = Simulation::new(SimConfig::plume(n), CellFlags::smoke_box(n, n));
-        let mut proj = pcg_projector();
-        sim.run(4, &mut proj);
-        let snap = sim.snapshot();
-        let rebuilt = SimSnapshot::from_parts(
-            snap.vel().clone(),
-            snap.density().clone(),
-            snap.steps_done(),
-            snap.blowup_reported(),
-        );
-        assert_eq!(rebuilt, snap, "part-wise reconstruction must be bit-identical");
     }
 
     #[test]

@@ -134,54 +134,6 @@ pub fn write_entries(
 
 // -------------------------------------------------------- regressions
 
-/// An `SFNC` header claiming `section_count` sections over a body far
-/// too small to hold them, with a *valid file checksum* so the count
-/// bound (not the checksum) is what rejects it. Without that bound the
-/// decoder would `Vec::with_capacity` ~64 GiB of section headers from
-/// this 60-byte file.
-pub fn forged_ckpt_section_count_blob(section_count: u32) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(sfn_ckpt::MAGIC);
-    buf.extend_from_slice(&sfn_ckpt::VERSION.to_le_bytes());
-    buf.extend_from_slice(&section_count.to_le_bytes());
-    // Pad past the decoder's minimum-length floor; the count bound must
-    // fire before any of this is interpreted.
-    buf.resize(52, 0);
-    let checksum = sfn_rng::fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
-}
-
-/// A structurally valid checkpoint whose META geometry was forged to a
-/// different `nx`, with both the section and file checksums recomputed
-/// so only the cross-field geometry validation can reject it (fnv1a is
-/// not cryptographic — an attacker can always fix up checksums).
-pub fn forged_ckpt_geometry_blob() -> Vec<u8> {
-    use sfn_grid::{Field2, MacGrid};
-    let (nx, ny) = (4usize, 4usize);
-    let mut vel = MacGrid::new(nx, ny, 0.25);
-    vel.u = Field2::from_vec(nx + 1, ny, vec![1.0; (nx + 1) * ny]);
-    vel.v = Field2::from_vec(nx, ny + 1, vec![2.0; nx * (ny + 1)]);
-    let density = Field2::from_vec(nx, ny, vec![0.5; nx * ny]);
-    let doc = sfn_ckpt::CheckpointDoc {
-        step: 7,
-        snapshot: sfn_sim::SimSnapshot::from_parts(vel, density, 7, false),
-        tracker: sfn_ckpt::TrackerState { series: vec![0.1, 0.2], warmup_steps: 2, skip_per_interval: 1 },
-        scheduler: None,
-    };
-    let mut bytes = sfn_ckpt::encode(&doc).expect("valid checkpoint encodes");
-    // META payload sits at 20..44 (magic 0..4, version 4..8, count
-    // 8..12, tag 12..16, len 16..20): step u64, nx u32 at 28, ny u32,
-    // dx f64. Forge nx, then re-seal both checksums.
-    bytes[28..32].copy_from_slice(&9u32.to_le_bytes());
-    let section_sum = sfn_rng::fnv1a(&bytes[12..44]);
-    bytes[44..52].copy_from_slice(&section_sum.to_le_bytes());
-    let body_len = bytes.len() - 8;
-    let file_sum = sfn_rng::fnv1a(&bytes[..body_len]);
-    bytes[body_len..].copy_from_slice(&file_sum.to_le_bytes());
-    bytes
-}
-
 /// A JSON document nested `depth` arrays deep — the stack-overflow
 /// shape the parser's depth limit now rejects.
 pub fn deep_nesting_doc(depth: usize) -> Vec<u8> {
@@ -206,10 +158,6 @@ pub fn regressions(target_name: &str) -> Vec<(&'static str, Vec<u8>)> {
                 doc.extend(std::iter::repeat_n(b'}', 20_000));
                 doc
             }),
-        ],
-        "ckpt" => vec![
-            ("regression-forged-section-count", forged_ckpt_section_count_blob(u32::MAX)),
-            ("regression-forged-geometry", forged_ckpt_geometry_blob()),
         ],
         // The hostile request shapes the metrics listener must keep
         // refusing: smuggled bare-LF line endings, a header flood past

@@ -270,65 +270,6 @@ pub fn artifacts_doc(rng: &mut StdRng) -> Vec<u8> {
     to_json_string(&artifacts).into_bytes()
 }
 
-/// A valid checksummed `SFNC` checkpoint blob (through the same encoder
-/// the durable store uses, so per-section checksums, section order and
-/// geometry are right by construction). Field payloads may carry NaN
-/// and infinity bit patterns — the codec is bit-transparent.
-pub fn ckpt_blob(rng: &mut StdRng) -> Vec<u8> {
-    use sfn_grid::{Field2, MacGrid};
-    let nx = rng.random_range(1..=6usize);
-    let ny = rng.random_range(1..=6usize);
-    let mut fill = |w: usize, h: usize| {
-        Field2::from_vec(
-            w,
-            h,
-            (0..w * h)
-                .map(|_| match rng.random_range(0..8u32) {
-                    0 => f64::NAN,
-                    1 => f64::INFINITY,
-                    2 => -0.0,
-                    _ => rng.random_range(-10.0..10.0),
-                })
-                .collect(),
-        )
-    };
-    let mut vel = MacGrid::new(nx, ny, 1.0 / nx as f64);
-    vel.u = fill(nx + 1, ny);
-    vel.v = fill(nx, ny + 1);
-    let density = fill(nx, ny);
-    let step = rng.random_range(0..10_000u64);
-    let snapshot = sfn_sim::SimSnapshot::from_parts(
-        vel,
-        density,
-        step as usize,
-        rng.random_unit() < 0.1,
-    );
-    let tracker = sfn_ckpt::TrackerState {
-        series: (0..rng.random_range(0..32usize)).map(|_| rng.random_range(0.0..4.0)).collect(),
-        warmup_steps: rng.random_range(0..32u32),
-        skip_per_interval: rng.random_range(0..8u32),
-    };
-    let scheduler = if rng.random_unit() < 0.7 {
-        let n = rng.random_range(1..=4usize);
-        Some(sfn_ckpt::SchedulerState {
-            current: rng.random_range(0..n as u32),
-            model_names: (0..n).map(|i| format!("M{i}")).collect(),
-            quarantine: (0..n)
-                .map(|_| sfn_ckpt::QuarantineEntry {
-                    strikes: rng.random_range(0..4u32),
-                    until_interval: rng.random_range(0..64u64),
-                    ejected: rng.random_unit() < 0.2,
-                })
-                .collect(),
-            rollbacks: rng.random_range(0..8u64),
-        })
-    } else {
-        None
-    };
-    sfn_ckpt::encode(&sfn_ckpt::CheckpointDoc { step, snapshot, tracker, scheduler })
-        .expect("generated checkpoint encodes")
-}
-
 /// A valid `sfn-prof/kernels@1` kernel-summary document, through the
 /// same serializer the `profile` reader uses (so derived rates are
 /// consistent by construction).
@@ -491,10 +432,6 @@ mod tests {
             let ks = kernel_summary_doc(&mut rng);
             sfn_prof::ProfileReport::from_json(std::str::from_utf8(&ks).unwrap())
                 .expect("valid kernel summary");
-
-            let ck = ckpt_blob(&mut rng);
-            let doc = sfn_ckpt::decode(&ck).expect("valid SFNC checkpoint");
-            assert_eq!(sfn_ckpt::encode(&doc).unwrap(), ck, "SFNC fixed point");
 
             let req = http_request(&mut rng);
             sfn_httpcore::parse_request(&req).expect("valid request head");

@@ -4,19 +4,17 @@
 //! The workspace is registry-free, so its parsers are hand-rolled:
 //! the [`sfn_obs::json`] recursive-descent parser (saved models,
 //! offline artifacts, fault schedules, bench caches, run summaries),
-//! the checksummed `SFNC` checkpoint format, the HTTP request-head
-//! parser, and the JSONL trace reader. Those are exactly the surfaces
-//! a production stack must treat as hostile — a corrupt checkpoint
-//! must fail with a typed error, never a stack overflow, an OOM
-//! pre-allocation, or a panic. This crate supplies the adversary:
+//! the HTTP request-head parser, and the JSONL trace reader. Those are
+//! exactly the surfaces a production stack must treat as hostile — a
+//! corrupt artifact must fail with a typed error, never a stack
+//! overflow, an OOM pre-allocation, or a panic. This crate supplies the adversary:
 //!
 //! * [`mutate`] — a byte-level mutator (bit flips, splices,
 //!   truncations, interesting-value injection, dictionary tokens)
 //!   driven by [`sfn_rng`];
 //! * [`gen`] — generators that emit *structurally valid* inputs (JSON
-//!   values, `SFNC` checkpoints, HTTP request heads, JSONL traces,
-//!   `SFN_FAULTS` schedules, artifact documents) for the mutator to
-//!   start from;
+//!   values, HTTP request heads, JSONL traces, `SFN_FAULTS` schedules,
+//!   artifact documents) for the mutator to start from;
 //! * [`targets`] — one registered [`Target`] per untrusted boundary,
 //!   each wrapping the parser in a round-trip differential oracle
 //!   (`parse → serialize → parse` must converge, `encode → decode`
@@ -60,7 +58,7 @@ pub enum Outcome {
 /// One registered fuzz target: an untrusted-input boundary plus the
 /// seeds and dictionary that make fuzzing it productive.
 pub struct Target {
-    /// CLI name (`json`, `ckpt`, …).
+    /// CLI name (`json`, `http`, …).
     pub name: &'static str,
     /// One-line description for `sfn-fuzz list`.
     pub about: &'static str,

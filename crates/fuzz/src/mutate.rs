@@ -11,7 +11,7 @@ use sfn_rng::{RngExt, StdRng};
 
 /// Scalars worth injecting verbatim: boundary values for the length and
 /// count fields binary formats carry (`0`, `1`, powers of two, `MAX`s),
-/// in the little-endian widths the `SFNC` checkpoint format uses.
+/// in little-endian widths.
 pub const INTERESTING: &[&[u8]] = &[
     &[0x00],
     &[0x01],

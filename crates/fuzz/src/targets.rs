@@ -64,13 +64,6 @@ pub fn all() -> Vec<Target> {
             dict: KERNEL_SUMMARY_DICT,
         },
         Target {
-            name: "ckpt",
-            about: "sfn_ckpt::decode — checksummed SFNC durable-checkpoint files",
-            run: run_ckpt,
-            seeds: |rng| (0..6).map(|_| crate::gen::ckpt_blob(rng)).collect(),
-            dict: CKPT_DICT,
-        },
-        Target {
             name: "http",
             about: "sfn_httpcore::parse_request — raw request heads off the metrics and serve sockets",
             run: run_http,
@@ -172,19 +165,6 @@ const KERNEL_SUMMARY_DICT: &[&[u8]] = &[
     b"\"memory\"",
     b"18446744073709551615",
     b"1e999",
-];
-
-const CKPT_DICT: &[&[u8]] = &[
-    b"SFNC",
-    b"META",
-    b"SNAP",
-    b"CDNT",
-    b"SCHD",
-    &[0x01, 0x00, 0x00, 0x00],
-    &[0xff, 0xff, 0xff, 0xff],
-    &[0x03, 0x00, 0x00, 0x00],
-    &[0x04, 0x00, 0x00, 0x00],
-    &[0x18, 0x00, 0x00, 0x00],
 ];
 
 const HTTP_DICT: &[&[u8]] = &[
@@ -478,32 +458,6 @@ fn run_kernel_summary(input: &[u8]) -> Outcome {
     // classifies without panicking, whatever the counters.
     for (_, t) in &r1.kernels {
         let _ = r1.bound(t).as_str();
-    }
-    Outcome::Accepted
-}
-
-/// `decode → encode` must be the *byte-exact* fixed point: the SFNC
-/// codec is strict (fixed section order, 0/1 bools, no trailing bytes,
-/// bit-transparent f64 payloads), so any accepted file must re-encode
-/// to exactly the bytes that were decoded — and decode again.
-fn run_ckpt(input: &[u8]) -> Outcome {
-    let d1 = match sfn_ckpt::decode(input) {
-        Ok(d) => d,
-        Err(e) => return Outcome::Rejected(e.0),
-    };
-    let bytes = match sfn_ckpt::encode(&d1) {
-        Ok(b) => b,
-        Err(e) => return Outcome::OracleFailure(format!("decoded checkpoint does not re-encode: {e}")),
-    };
-    if bytes != input {
-        return Outcome::OracleFailure(format!(
-            "SFNC round-trip is not a byte fixed point ({} in, {} out)",
-            input.len(),
-            bytes.len()
-        ));
-    }
-    if let Err(e) = sfn_ckpt::decode(&bytes) {
-        return Outcome::OracleFailure(format!("re-encoded checkpoint does not decode: {e}"));
     }
     Outcome::Accepted
 }
@@ -832,13 +786,12 @@ mod tests {
                 "config_env",
                 "model_json",
                 "kernel_summary",
-                "ckpt",
                 "http",
                 "simd_diff",
                 "serve_req"
             ]
         );
-        assert!(by_name("ckpt").is_some());
+        assert!(by_name("http").is_some());
         assert!(by_name("nope").is_none());
     }
 

@@ -39,8 +39,8 @@ fn committed_corpus_replays_clean() {
 }
 
 /// The corpus must contain the regression entries for the bugs this
-/// harness caught (JSON depth bomb, forged SFNC headers, HTTP header
-/// floods, f32 overflow), and they must still be rejected.
+/// harness caught (JSON depth bomb, HTTP header floods, f32 overflow),
+/// and they must still be rejected.
 #[test]
 fn regression_entries_are_committed_and_still_rejected() {
     quiet();

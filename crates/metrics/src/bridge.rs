@@ -1,6 +1,6 @@
 //! The obs→metrics bridge: a fanout sink turning the event stream the
 //! codebase already emits (`runtime.step`, `scheduler.decision`,
-//! `fault.injected`, `ckpt.write`, `prof.kernel`, …) into live series
+//! `fault.injected`, `prof.kernel`, …) into live series
 //! — zero new instrumentation call sites, and the only route from an
 //! event to a live series: the emitting crates do not depend on this
 //! one, so each series has exactly one feeder.
@@ -32,7 +32,6 @@ struct Handles {
     step_secs: &'static Histogram,
     steps: &'static Counter,
     predicted_loss: &'static Histogram,
-    ckpt_write_secs: &'static Histogram,
     events_observed: &'static Counter,
 }
 
@@ -50,7 +49,6 @@ pub fn install(hub: Arc<Hub>) {
         step_secs: histogram("runtime.step_secs"),
         steps: counter("runtime.steps"),
         predicted_loss: histogram("scheduler.predicted_loss"),
-        ckpt_write_secs: histogram("ckpt.write_secs"),
         events_observed: counter("metrics.events_observed"),
     };
     sfn_obs::add_event_observer(Box::new(move |line| observe_line(&hub, &handles, line)));
@@ -95,14 +93,6 @@ fn observe_line(hub: &Hub, handles: &Handles, line: &str) {
         "fault.injected" => {
             hub.note_fault(str_field("fault").unwrap_or("unknown"));
         }
-        "ckpt.write" => {
-            if let Some(secs) = f64_field("secs") {
-                handles.ckpt_write_secs.record(secs);
-            }
-            if let Some(bytes) = f64_field("bytes") {
-                hub.set_gauge("ckpt.last_write_bytes", bytes);
-            }
-        }
         "prof.kernel" => {
             if let Some(kernel) = str_field("kernel") {
                 hub.note_kernel(kernel, sfn_prof::KernelTotals::from_fields(&v));
@@ -124,7 +114,6 @@ mod tests {
             step_secs: histogram("test.bridge.step_secs"),
             steps: counter("test.bridge.steps"),
             predicted_loss: histogram("test.bridge.predicted_loss"),
-            ckpt_write_secs: histogram("test.bridge.ckpt_write_secs"),
             events_observed: counter("test.bridge.events_observed"),
         }
     }
@@ -138,7 +127,6 @@ mod tests {
             r#"{"ts":0.2,"level":"info","kind":"scheduler.decision","model":"mlp-a","predicted_loss":0.4,"candidates":5,"barred":1}"#,
             r#"{"ts":0.3,"level":"warn","kind":"runtime.quarantine","model":"mlp-a","strikes":1}"#,
             r#"{"ts":0.4,"level":"warn","kind":"fault.injected","fault":"nan_output","site":"chaos"}"#,
-            r#"{"ts":0.5,"level":"info","kind":"ckpt.write","step":8,"bytes":4096,"secs":0.008}"#,
             r#"{"ts":0.6,"level":"info","kind":"prof.kernel","kernel":"conv2d","calls":2,"ns":1000,"flops":5000}"#,
             r#"{"ts":0.7,"level":"info","kind":"unknown.kind","x":1}"#,
             "not json at all",
@@ -152,7 +140,6 @@ mod tests {
         assert_eq!(handles.step_secs.snapshot().count, 1);
         assert_eq!(handles.step_secs.snapshot().sum, 0.002);
         assert_eq!(handles.predicted_loss.snapshot().count, 1);
-        assert_eq!(handles.ckpt_write_secs.snapshot().count, 1);
         let roster = hub.roster();
         assert_eq!(roster[0].0, "mlp-a");
         assert_eq!((roster[0].1.steps, roster[0].1.quarantines), (1, 1));
@@ -161,6 +148,5 @@ mod tests {
         assert!((hub.kernels()[0].1.gflops() - 5.0).abs() < 1e-12);
         let gauges = hub.gauges();
         assert!(gauges.iter().any(|(k, v)| k == "scheduler.candidates" && *v == 5.0));
-        assert!(gauges.iter().any(|(k, v)| k == "ckpt.last_write_bytes" && *v == 4096.0));
     }
 }

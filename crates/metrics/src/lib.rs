@@ -9,7 +9,7 @@
 //!   roster/kernel/fault tallies;
 //! * an obs→metrics [`bridge`] observing every emitted event —
 //!   `runtime.step`, `scheduler.decision`, `fault.injected`,
-//!   `ckpt.write`, `prof.kernel` — with **zero new instrumentation
+//!   `prof.kernel` — with **zero new instrumentation
 //!   call sites** in the emitting crates;
 //! * a declarative [`slo`] engine computing multi-window error-budget
 //!   burn rates and flipping `/healthz` to degraded;

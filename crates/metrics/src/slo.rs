@@ -69,9 +69,8 @@ pub struct SloConfig {
 }
 
 impl Default for SloConfig {
-    /// The four stock objectives: step p99 under 250 ms, checkpoint
-    /// writes under 500 ms, and 1 % budgets for guard trips and
-    /// rollbacks.
+    /// The three stock objectives: step p99 under 250 ms, and 1 %
+    /// budgets for guard trips and rollbacks.
     fn default() -> Self {
         let objectives = vec![
             SloSpec {
@@ -97,14 +96,6 @@ impl Default for SloConfig {
                     denominator: "runtime.steps".into(),
                 },
                 budget: 0.01,
-            },
-            SloSpec {
-                name: "ckpt-write-latency".into(),
-                kind: SloKind::LatencyAbove {
-                    series: "ckpt.write_secs".into(),
-                    threshold_secs: 0.5,
-                },
-                budget: 0.05,
             },
         ];
         Self { objectives, fast_factor: 2.0, slow_factor: 1.0 }
@@ -229,13 +220,10 @@ mod tests {
     }
 
     #[test]
-    fn default_objectives_cover_the_four_slos() {
+    fn default_objectives_cover_the_three_slos() {
         let cfg = SloConfig::default();
         let names: Vec<&str> = cfg.objectives.iter().map(|o| o.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["step-latency", "divergence-guard-trips", "rollback-rate", "ckpt-write-latency"]
-        );
+        assert_eq!(names, ["step-latency", "divergence-guard-trips", "rollback-rate"]);
         assert!(cfg.fast_factor > cfg.slow_factor);
     }
 }

@@ -166,7 +166,7 @@ mod tests {
         let roster = doc.get("roster").and_then(Value::as_arr).unwrap();
         assert_eq!(roster[0].get("model").and_then(Value::as_str), Some("mlp-a"));
         let slo = doc.get("slo").and_then(Value::as_arr).unwrap();
-        assert_eq!(slo.len(), 4);
+        assert_eq!(slo.len(), 3);
         assert_eq!(
             doc.get("health").and_then(|h| h.get("degraded")).and_then(Value::as_bool),
             Some(false)

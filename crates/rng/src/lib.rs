@@ -49,9 +49,9 @@ pub fn splitmix64(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// 64-bit FNV-1a over `bytes`: the checksum of the `SFNC` checkpoint
-/// format, the content address of fuzz corpus files and the artifact
-/// cache keys. Any change breaks every file written with it.
+/// 64-bit FNV-1a over `bytes`: the content address of fuzz corpus
+/// files, the artifact cache keys and the bench run log's names. Any
+/// change breaks every file written with it.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -15,30 +15,23 @@
 //!    per Algorithm 2 ([`scheduler`]).
 //!
 //! The scheduler is additionally *self-healing*: corrupted state rolls
-//! back to the last healthy checkpoint ([`scheduler`]), misbehaving
+//! back to the last healthy check interval ([`scheduler`]), misbehaving
 //! models are quarantined with exponential backoff ([`quarantine`]),
 //! and when nothing is left the run degrades gracefully to the exact
 //! PCG solver. Failures on the construction paths surface as typed
 //! [`RuntimeError`]s instead of panics ([`error`]).
-//!
-//! State can additionally survive *process* failure: [`persist`]
-//! threads `sfn-ckpt`'s durable checkpoint store through the scheduler
-//! loop, and a killed run resumes bit-identically from the newest valid
-//! checkpoint.
 
 #![warn(missing_docs)]
 
 pub mod cumdiv;
 pub mod error;
 pub mod knn;
-pub mod persist;
 pub mod quarantine;
 pub mod scheduler;
 
 pub use cumdiv::CumDivNormTracker;
 pub use error::RuntimeError;
 pub use knn::KnnDatabase;
-pub use persist::DurableCheckpointer;
 pub use quarantine::{QuarantineDecision, QuarantineTable, MAX_STRIKES};
 pub use scheduler::{
     decide, Action, CandidateModel, RunLimits, RunOutcome, RuntimeConfig, SchedulerEvent,

@@ -8,8 +8,6 @@
 //! the step counter also rewinds the clock, which keeps a corruption
 //! storm from re-admitting models mid-storm.
 
-use sfn_ckpt::QuarantineEntry;
-
 /// Strikes after which a model is permanently ejected.
 pub const MAX_STRIKES: u32 = 3;
 
@@ -30,18 +28,25 @@ pub enum QuarantineDecision {
     },
 }
 
-/// Strike bookkeeping for an indexed model set. Each model's record is
-/// the checkpoint's own [`QuarantineEntry`], so durable checkpointing
-/// stores the table as it is.
+/// One model's strike record.
+#[derive(Debug, Clone, Default)]
+struct Entry {
+    strikes: u32,
+    /// First check interval the model is eligible again.
+    until_interval: u64,
+    ejected: bool,
+}
+
+/// Strike bookkeeping for an indexed model set.
 #[derive(Debug, Clone)]
 pub struct QuarantineTable {
-    entries: Vec<QuarantineEntry>,
+    entries: Vec<Entry>,
 }
 
 impl QuarantineTable {
     /// A table over `n` models, all healthy.
     pub fn new(n: usize) -> Self {
-        Self { entries: vec![QuarantineEntry::default(); n] }
+        Self { entries: vec![Entry::default(); n] }
     }
 
     /// Number of tracked models.
@@ -94,18 +99,6 @@ impl QuarantineTable {
     /// Models barred at `now` (quarantined or ejected), by index.
     pub fn unavailable(&self, now: u64) -> Vec<usize> {
         (0..self.entries.len()).filter(|&m| !self.is_available(m, now)).collect()
-    }
-
-    /// The per-model records, for durable checkpointing.
-    pub fn export_state(&self) -> Vec<QuarantineEntry> {
-        self.entries.clone()
-    }
-
-    /// Rebuilds a table from exported records — the resume path.
-    /// Strikes, backoff deadlines and ejections carry over so a crash
-    /// cannot launder a misbehaving model back into rotation.
-    pub fn from_state(entries: &[QuarantineEntry]) -> Self {
-        Self { entries: entries.to_vec() }
     }
 
     /// The nearest available model to `from`, preferring more accurate
@@ -181,28 +174,6 @@ mod tests {
         assert_eq!(q.next_available(1, 0), Some(0));
         q.strike(0, 0);
         assert_eq!(q.next_available(1, 0), None);
-    }
-
-    #[test]
-    fn export_import_round_trips_strikes_and_ejections() {
-        let mut q = QuarantineTable::new(3);
-        q.strike(0, 4);
-        q.strike(1, 4);
-        q.strike(1, 10);
-        q.strike(2, 0);
-        q.strike(2, 0);
-        q.strike(2, 0); // ejected
-        let state = q.export_state();
-        let mut back = QuarantineTable::from_state(&state);
-        assert_eq!(back.export_state(), state);
-        for now in [0u64, 4, 6, 11, 14, 100] {
-            for m in 0..3 {
-                assert_eq!(back.is_available(m, now), q.is_available(m, now), "model {m} at {now}");
-            }
-        }
-        assert!(back.is_ejected(2));
-        // A strike after resume continues the escalation, not a reset.
-        assert_eq!(back.strike(1, 20), QuarantineDecision::Ejected { strikes: 3 });
     }
 
     #[test]

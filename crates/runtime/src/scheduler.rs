@@ -10,14 +10,14 @@
 //!
 //! On top of Algorithm 2 the loop carries a fault-recovery layer:
 //!
-//! * a **checkpoint** (simulation snapshot + tracker state) is refreshed
-//!   at every healthy check interval;
+//! * a **rollback anchor** (a clone of the simulation, its tracker and
+//!   the step counter) is refreshed at every healthy check interval;
 //! * a corrupted step (NaN/∞ state or `DivNorm`) **strikes** the running
 //!   model in a [`QuarantineTable`], rolls the simulation back to the
-//!   checkpoint and switches to the best available replacement — far
+//!   anchor and switches to the best available replacement — far
 //!   cheaper than the from-scratch PCG restart of Algorithm 2 line 16;
 //! * when every candidate is quarantined or ejected the run **degrades**
-//!   to the exact PCG projector from the checkpoint onward — a
+//!   to the exact PCG projector from the anchor onward — a
 //!   guaranteed-terminal path: no further model can corrupt the state.
 //!
 //! Termination: every loop iteration either advances the step counter
@@ -27,9 +27,7 @@
 use crate::cumdiv::CumDivNormTracker;
 use crate::error::RuntimeError;
 use crate::knn::KnnDatabase;
-use crate::persist::{self, DurableCheckpointer};
 use crate::quarantine::{QuarantineDecision, QuarantineTable};
-use sfn_ckpt::{CheckpointDoc, SchedulerState};
 use sfn_grid::Field2;
 use sfn_nn::network::SavedModel;
 use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
@@ -113,19 +111,24 @@ impl RunLimits {
     }
 
     /// Which bound (if any) the run has hit at `step` after `executed`
-    /// total executed steps.
-    fn exceeded(&self, step: usize, executed: usize) -> Option<Truncation> {
-        if let Some(max) = self.max_steps {
-            if executed >= max {
-                return Some(Truncation::StepBudget { step });
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if std::time::Instant::now() >= deadline {
-                return Some(Truncation::DeadlineExpired { step });
-            }
-        }
-        None
+    /// total executed steps. A hit is reported as one `runtime.shed`
+    /// record: the serving layer and `sfn-trace` both key off it to
+    /// distinguish a deadline shed from a completed run.
+    fn shed(&self, step: usize, executed: usize) -> Option<Truncation> {
+        let hit = if self.max_steps.is_some_and(|max| executed >= max) {
+            Truncation::StepBudget { step }
+        } else if self.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+            Truncation::DeadlineExpired { step }
+        } else {
+            return None;
+        };
+        sfn_obs::counter_add("runtime.sheds", 1);
+        sfn_obs::event(Level::Warn, "runtime.shed")
+            .field_u64("step", step as u64)
+            .field_str("reason", hit.reason())
+            .field_u64("executed", executed as u64)
+            .emit();
+        Some(hit)
     }
 }
 
@@ -332,10 +335,6 @@ pub struct RunOutcome {
     /// `(model, strikes)` for every candidate that was struck at least
     /// once during the run.
     pub quarantined: Vec<(String, u32)>,
-    /// Step a durable checkpoint resumed the run from, or `None` for a
-    /// fresh start. The per-model accounting above covers only the
-    /// resumed portion of the run.
-    pub resumed_from: Option<usize>,
     /// `Some` when a [`RunLimits`] bound stopped the run early (the
     /// density is the state at the shed boundary, still finite and
     /// renderable); `None` for a run-to-completion.
@@ -436,7 +435,7 @@ impl SmartRuntime {
 
     /// Runs one simulation under the scheduler.
     pub fn run(&mut self, sim: Simulation) -> RunOutcome {
-        self.run_with_checkpoints(sim, None).0
+        self.run_bounded(sim, RunLimits::none())
     }
 
     /// Runs one simulation under the scheduler with external bounds
@@ -445,367 +444,105 @@ impl SmartRuntime {
     /// sheds the remaining steps and reports the cut in
     /// [`RunOutcome::truncation`].
     pub fn run_bounded(&mut self, sim: Simulation, limits: RunLimits) -> RunOutcome {
-        self.run_inner(sim, None, limits).0
-    }
-
-    /// Attempts to resume scheduler state from `ckpt`'s newest valid
-    /// durable checkpoint. Returns the resume step, or `None` when
-    /// there is nothing (valid) to resume from.
-    #[allow(clippy::too_many_arguments)]
-    fn try_resume(
-        &self,
-        ckpt: &mut DurableCheckpointer,
-        roster: &[String],
-        sim: &mut Simulation,
-        tracker: &mut CumDivNormTracker,
-        quarantine: &mut QuarantineTable,
-        current: &mut usize,
-        rollbacks: &mut usize,
-    ) -> Option<usize> {
-        let recovery = match ckpt.recover() {
-            Ok(Some(r)) => r,
-            Ok(None) => return None,
-            Err(e) => {
-                sfn_obs::event(Level::Warn, "ckpt.recover_failed")
-                    .field_str("dir", &ckpt.dir().display().to_string())
-                    .field_str("error", &e.to_string())
-                    .emit();
-                return None;
-            }
-        };
-        let doc = recovery.doc;
-        // A checkpoint from a different candidate roster would resume
-        // quarantine strikes and the model index against the wrong
-        // models — refuse it and run fresh.
-        let Some(sched) = doc.scheduler.as_ref().filter(|s| s.model_names == roster) else {
-            sfn_obs::event(Level::Warn, "ckpt.roster_mismatch")
-                .field_str("path", &recovery.path.display().to_string())
-                .emit();
-            return None;
-        };
-        if let Err(e) = sim.restore(&doc.snapshot) {
-            sfn_obs::event(Level::Warn, "ckpt.geometry_mismatch")
-                .field_str("path", &recovery.path.display().to_string())
-                .field_str("error", &e.to_string())
-                .emit();
-            return None;
-        }
-        *tracker = persist::tracker_from_state(&doc.tracker);
-        *quarantine = QuarantineTable::from_state(&sched.quarantine);
-        *current = sched.current as usize;
-        *rollbacks = sched.rollbacks as usize;
-        sfn_obs::event(Level::Info, "runtime.resume")
-            .field_u64("step", doc.step)
-            .field_str("model", &roster[*current])
-            .field_u64("skipped", recovery.rejected.len() as u64)
-            .field_str("path", &recovery.path.display().to_string())
-            .emit();
-        Some(doc.step as usize)
-    }
-
-    /// Runs one simulation under the scheduler with optional durable
-    /// checkpointing, returning the outcome *and* the final simulation
-    /// state (the bit-identity oracle of the crash-recovery harness).
-    ///
-    /// With a checkpointer the run first resumes from the newest valid
-    /// checkpoint in its directory (if any), then writes a durable
-    /// checkpoint at every healthy check interval that honours the
-    /// cadence. Durable writes are best-effort: an I/O failure warns
-    /// (`ckpt.write_failed`) and the run continues on the in-RAM anchor.
-    pub fn run_with_checkpoints(
-        &mut self,
-        sim: Simulation,
-        ckpt: Option<&mut DurableCheckpointer>,
-    ) -> (RunOutcome, Simulation) {
-        self.run_inner(sim, ckpt, RunLimits::none())
-    }
-
-    fn run_inner(
-        &mut self,
-        mut sim: Simulation,
-        ckpt: Option<&mut DurableCheckpointer>,
-        limits: RunLimits,
-    ) -> (RunOutcome, Simulation) {
         let cfg = self.config;
         let n_models = self.candidates.len();
         let timer = ScopedTimer::start("runtime/run");
-        let mut tracker = CumDivNormTracker::new();
         let mut events = Vec::new();
         let mut time_per_model = vec![0.0; n_models];
         let mut steps_per_model = vec![0usize; n_models];
         let mut predictions = Vec::new();
         let mut current = self.start_index();
-        let fresh_sim = sim.clone();
         let mut restarted = false;
         let mut degraded = false;
         let mut rollbacks = 0usize;
         let mut quarantine = QuarantineTable::new(n_models);
-        let roster: Vec<String> = self.candidates.iter().map(|c| c.name.clone()).collect();
-
-        let mut durable = ckpt;
-        let mut step = 0usize;
-        let mut resumed_from = None;
-        if let Some(d) = durable.as_deref_mut() {
-            resumed_from = self.try_resume(
-                d,
-                &roster,
-                &mut sim,
-                &mut tracker,
-                &mut quarantine,
-                &mut current,
-                &mut rollbacks,
-            );
-            step = resumed_from.unwrap_or(0);
-        }
 
         // DivNorm (Eq. 5) is an un-normalised sum over cells; dividing
         // by the cell count makes the KNN database — built offline on
         // *small* problems (§6.1) — transfer across grid sizes.
         let inv_cells = 1.0 / (sim.flags().nx() * sim.flags().ny()) as f64;
 
+        let mut live = Cursor { sim, tracker: CumDivNormTracker::new(), step: 0 };
+        // Algorithm 2 line 16 restarts from here.
+        let fresh = live.clone();
         // The rollback anchor: the newest known-healthy state, refreshed
         // at every healthy check interval. Quarantine time is measured
         // in check-interval indices derived from the step counter, so a
         // rollback rewinds the backoff clock too.
-        let mut checkpoint = (sim.snapshot(), tracker.clone(), step);
+        let mut anchor = live.clone();
 
         // Executed-step counter for `RunLimits::max_steps`: unlike
-        // `step` it never rewinds on rollback, so a corruption storm
-        // cannot stretch a bounded run past its work budget.
+        // `live.step` it never rewinds on rollback, so a corruption
+        // storm cannot stretch a bounded run past its work budget.
         let mut executed = 0usize;
         let mut truncation: Option<Truncation> = None;
 
-        while step < cfg.total_steps {
-            // Bound check first: `sim` here is always the newest healthy
-            // state (the corruption guard restores before looping), so a
-            // shed result is degraded-but-valid, never NaN soup.
-            if let Some(t) = limits.exceeded(step, executed) {
-                emit_shed(&t, executed);
+        while live.step < cfg.total_steps {
+            // Bound check first: `live` here is always the newest
+            // healthy state (the corruption guard rolls back before
+            // looping), so a shed result is degraded-but-valid, never
+            // NaN soup.
+            if let Some(t) = limits.shed(live.step, executed) {
                 truncation = Some(t);
                 break;
             }
-            let name = &self.candidates[current].name;
-            let stats =
-                timed_step(&mut sim, &mut self.projectors[current], name, step + 1, inv_cells, &mut tracker);
+            let stats = timed_step(
+                &mut live.sim,
+                &mut self.projectors[current],
+                &self.candidates[current].name,
+                live.step + 1,
+                inv_cells,
+                &mut live.tracker,
+            );
             time_per_model[current] += stats.projection_time.as_secs_f64();
             steps_per_model[current] += 1;
-            step += 1;
+            live.step += 1;
             executed += 1;
-            // Crash-harness boundary: a scheduled `crash` fault SIGKILLs
-            // the process here, mid-run between durable checkpoints.
-            sfn_faults::crash_point("runtime/mid_step", step as u64);
 
             // Corruption guard: a surrogate that produced NaNs or blew
             // the simulation up is struck and the state rolled back.
-            if !sim.is_healthy() || !stats.div_norm.is_finite() {
-                let corrupt_step = step;
-                let interval_now = (step / cfg.check_interval) as u64;
-                let decision = quarantine.strike(current, interval_now);
-                let (strikes, until_interval) = match decision {
-                    QuarantineDecision::Quarantined { strikes, until_interval } => {
-                        (strikes, Some(until_interval))
-                    }
-                    QuarantineDecision::Ejected { strikes } => (strikes, None),
-                };
-                sfn_obs::counter_add("runtime.quarantines", 1);
-                sfn_obs::event(Level::Warn, "runtime.quarantine")
-                    .field_u64("step", corrupt_step as u64)
-                    .field_str("model", &self.candidates[current].name)
-                    .field_u64("strikes", u64::from(strikes))
-                    .field_bool("ejected", until_interval.is_none())
-                    .emit();
-                events.push(SchedulerEvent::Quarantine {
-                    step: corrupt_step,
-                    model: self.candidates[current].name.clone(),
-                    strikes,
-                    until_interval,
-                });
-
-                // Roll back to the last healthy checkpoint. The anchor
-                // was snapshotted from this very simulation, so its
-                // geometry always matches.
-                sim.restore(&checkpoint.0)
-                    .expect("rollback anchor geometry matches the live simulation");
-                tracker = checkpoint.1.clone();
-                step = checkpoint.2;
+            if !live.sim.is_healthy() || !stats.div_norm.is_finite() {
                 rollbacks += 1;
-                sfn_obs::counter_add("runtime.rollbacks", 1);
-
-                let rewound = (step / cfg.check_interval) as u64;
-                match quarantine.next_available(current, rewound) {
-                    Some(next) => {
-                        sfn_obs::counter_add("runtime.recoveries", 1);
-                        sfn_obs::event(Level::Warn, "runtime.rollback")
-                            .field_u64("from_step", corrupt_step as u64)
-                            .field_u64("to_step", step as u64)
-                            .field_str("from", &self.candidates[current].name)
-                            .field_str("to", &self.candidates[next].name)
-                            .emit();
-                        events.push(SchedulerEvent::Rollback {
-                            step: corrupt_step,
-                            to_step: step,
-                            from: self.candidates[current].name.clone(),
-                            to: self.candidates[next].name.clone(),
-                        });
-                        current = next;
-                    }
+                match self.roll_back(&mut live, &anchor, &mut quarantine, current, &mut events) {
+                    Some(next) => current = next,
                     None => {
-                        // Every candidate is barred: degrade to PCG for
-                        // the rest of the run (terminal — the exact
-                        // solver cannot be quarantined).
                         degraded = true;
-                        let barred = quarantine.unavailable(rewound).len();
-                        sfn_obs::counter_add("runtime.degraded", 1);
-                        sfn_obs::event(Level::Error, "runtime.degraded")
-                            .field_u64("step", step as u64)
-                            .field_u64("barred", barred as u64)
-                            .field_str("fallback", "pcg")
-                            .emit();
-                        events.push(SchedulerEvent::Degrade { step, barred });
                         break;
                     }
                 }
                 continue;
             }
 
-            let at_checkpoint =
-                step.is_multiple_of(cfg.check_interval) && step < cfg.total_steps;
-            if !at_checkpoint {
+            if !live.step.is_multiple_of(cfg.check_interval) || live.step >= cfg.total_steps {
                 continue;
             }
             // Healthy check interval: refresh the rollback anchor even
             // when the static policy skips the quality check.
-            checkpoint = (sim.snapshot(), tracker.clone(), step);
-            // ...and persist it when the durable cadence is due. The
-            // snapshot was just taken, so the checkpoint document is
-            // exactly the in-RAM anchor.
-            if let Some(d) = durable.as_deref_mut() {
-                if d.due(step as u64) {
-                    let doc = CheckpointDoc {
-                        step: step as u64,
-                        snapshot: checkpoint.0.clone(),
-                        tracker: persist::tracker_state(&tracker),
-                        scheduler: Some(SchedulerState {
-                            current: current as u32,
-                            model_names: roster.clone(),
-                            quarantine: quarantine.export_state(),
-                            rollbacks: rollbacks as u64,
-                        }),
-                    };
-                    if let Err(e) = d.write(&doc) {
-                        sfn_obs::event(Level::Warn, "ckpt.write_failed")
-                            .field_u64("step", step as u64)
-                            .field_str("error", &e.to_string())
-                            .emit();
-                    }
-                }
-            }
+            anchor = live.clone();
             if !cfg.adaptive {
                 continue;
             }
-
-            let cdn_pred = match tracker.predict_final(cfg.check_interval, cfg.total_steps) {
-                Some(cdn) => cdn,
-                // Warm-up or degenerate history: keep the current model.
-                None => continue,
-            };
-            let predicted_loss = self.knn.predict(cdn_pred);
-            predictions.push((step, predicted_loss));
-
-            let hi = cfg.quality_target * (1.0 + cfg.tolerance);
-            let lo = cfg.quality_target * (1.0 - cfg.tolerance);
-            let interval_now = (step / cfg.check_interval) as u64;
-            // Switch targets honour the quarantine table: escalation
-            // picks the nearest available model above, relaxation the
-            // nearest available below.
-            let up = (current + 1..n_models).find(|&m| quarantine.is_available(m, interval_now));
-            let down = (0..current).rev().find(|&m| quarantine.is_available(m, interval_now));
-            // Decide first, mutate after: the whole Algorithm 2 check is
-            // reported as exactly one structured event either way.
-            let action = decide(predicted_loss, lo, hi, cfg.use_mlp, up, down);
-            sfn_obs::counter_add("scheduler.checks", 1);
-            // The decision record carries everything `sfn-trace audit`
-            // needs to replay Algorithm 2 offline: the prediction, the
-            // band, the candidate neighbourhood and the quarantine
-            // state that shaped the switch targets.
-            sfn_obs::event(Level::Info, "scheduler.decision")
-                .field_u64("step", step as u64)
-                .field_str("model", &self.candidates[current].name)
-                .field_f64("predicted_loss", predicted_loss)
-                .field_f64("cdn_pred", cdn_pred)
-                .field_f64("target", cfg.quality_target)
-                .field_f64("band_lo", lo)
-                .field_f64("band_hi", hi)
-                .field_bool("mlp", cfg.use_mlp)
-                .field_str("up", up.map_or("none", |m| self.candidates[m].name.as_str()))
-                .field_str("down", down.map_or("none", |m| self.candidates[m].name.as_str()))
-                .field_u64("barred", quarantine.unavailable(interval_now).len() as u64)
-                .field_u64("rank", current as u64)
-                .field_u64("candidates", n_models as u64)
-                .field_str("action", action.as_str())
-                .emit();
-            match action {
-                // The switch target rides inside the verdict, so a
-                // depleted neighbourhood can no longer panic here: it
-                // was already folded into Restart/Keep above.
-                Action::SwitchUp(to) | Action::SwitchDown(to) => {
-                    sfn_obs::counter_add("scheduler.switches", 1);
-                    events.push(SchedulerEvent::Switch {
-                        step,
-                        from: self.candidates[current].name.clone(),
-                        to: self.candidates[to].name.clone(),
-                        predicted_loss,
-                    });
-                    current = to;
-                }
+            match self.check(&live, &quarantine, current, &mut predictions, &mut events) {
+                Action::SwitchUp(to) | Action::SwitchDown(to) => current = to,
                 Action::Restart => {
-                    sfn_obs::counter_add("scheduler.restarts", 1);
-                    events.push(SchedulerEvent::Restart {
-                        step,
-                        predicted_loss,
-                    });
                     restarted = true;
+                    break;
                 }
                 Action::Keep => {}
             }
-            if restarted {
-                break;
-            }
         }
 
-        // The exact-solver tail, from the restored checkpoint when
-        // every model is barred and from step 0 on an Algorithm 2
-        // restart. A straight loop — no checks, no models, nothing left
-        // to quarantine.
+        // The exact-solver tail, from the anchor the rollback restored
+        // when every model is barred and from step 0 on an Algorithm 2
+        // restart.
         let mut restart_time = 0.0;
         if degraded || restarted {
-            let (span, label) = if restarted {
-                sim = fresh_sim;
-                tracker = CumDivNormTracker::new();
-                step = 0;
-                ("runtime/restart", "pcg")
-            } else {
-                ("runtime/degraded", "pcg-degraded")
-            };
-            let _span = sfn_obs::span!(span);
-            let mut pcg = ExactProjector::labelled(
-                PcgSolver::new(MicPreconditioner::default(), 1e-7, 200_000),
-                label,
-            );
-            while step < cfg.total_steps {
-                if let Some(t) = limits.exceeded(step, executed) {
-                    emit_shed(&t, executed);
-                    truncation = Some(t);
-                    break;
-                }
-                let s = timed_step(&mut sim, &mut pcg, label, step + 1, inv_cells, &mut tracker);
-                restart_time += s.projection_time.as_secs_f64();
-                step += 1;
-                executed += 1;
+            if restarted {
+                live = fresh;
             }
+            (restart_time, truncation) =
+                exact_tail(&mut live, restarted, limits, &mut executed, inv_cells, cfg.total_steps);
         }
-        let density = sim.density().clone();
-        let cum = tracker.series().to_vec();
 
         let quarantined = self
             .candidates
@@ -815,37 +552,213 @@ impl SmartRuntime {
             .map(|(i, c)| (c.name.clone(), quarantine.strikes(i)))
             .collect();
 
-        let outcome = RunOutcome {
-            density,
+        RunOutcome {
+            density: live.sim.density().clone(),
             events,
-            model_names: roster,
+            model_names: self.candidates.iter().map(|c| c.name.clone()).collect(),
             time_per_model,
             steps_per_model,
             predictions,
             restarted,
             restart_time,
             wall_time: timer.stop().as_secs_f64(),
-            cum_div_norm: cum,
+            cum_div_norm: live.tracker.series().to_vec(),
             rollbacks,
             degraded,
             quarantined,
-            resumed_from,
             truncation,
+        }
+    }
+
+    /// The corruption guard's response to an unhealthy step by model
+    /// `current`: strike it into quarantine, roll `live` back to
+    /// `anchor` and hand the run to the nearest available model.
+    /// Returns that model, or `None` when every candidate is barred and
+    /// the run must degrade to PCG for the rest of the run (terminal —
+    /// the exact solver cannot be quarantined).
+    fn roll_back(
+        &self,
+        live: &mut Cursor,
+        anchor: &Cursor,
+        quarantine: &mut QuarantineTable,
+        current: usize,
+        events: &mut Vec<SchedulerEvent>,
+    ) -> Option<usize> {
+        let interval = self.config.check_interval;
+        let corrupt_step = live.step;
+        let decision = quarantine.strike(current, (corrupt_step / interval) as u64);
+        let (strikes, until_interval) = match decision {
+            QuarantineDecision::Quarantined { strikes, until_interval } => {
+                (strikes, Some(until_interval))
+            }
+            QuarantineDecision::Ejected { strikes } => (strikes, None),
         };
-        (outcome, sim)
+        let from = &self.candidates[current].name;
+        sfn_obs::counter_add("runtime.quarantines", 1);
+        sfn_obs::event(Level::Warn, "runtime.quarantine")
+            .field_u64("step", corrupt_step as u64)
+            .field_str("model", from)
+            .field_u64("strikes", u64::from(strikes))
+            .field_bool("ejected", until_interval.is_none())
+            .emit();
+        events.push(SchedulerEvent::Quarantine {
+            step: corrupt_step,
+            model: from.clone(),
+            strikes,
+            until_interval,
+        });
+
+        // The anchor is a clone of this very run's state, so restoring
+        // it cannot fail.
+        *live = anchor.clone();
+        sfn_obs::counter_add("runtime.rollbacks", 1);
+
+        let step = live.step;
+        let rewound = (step / interval) as u64;
+        let Some(next) = quarantine.next_available(current, rewound) else {
+            let barred = quarantine.unavailable(rewound).len();
+            sfn_obs::counter_add("runtime.degraded", 1);
+            sfn_obs::event(Level::Error, "runtime.degraded")
+                .field_u64("step", step as u64)
+                .field_u64("barred", barred as u64)
+                .field_str("fallback", "pcg")
+                .emit();
+            events.push(SchedulerEvent::Degrade { step, barred });
+            return None;
+        };
+        let to = &self.candidates[next].name;
+        sfn_obs::counter_add("runtime.recoveries", 1);
+        sfn_obs::event(Level::Warn, "runtime.rollback")
+            .field_u64("from_step", corrupt_step as u64)
+            .field_u64("to_step", step as u64)
+            .field_str("from", from)
+            .field_str("to", to)
+            .emit();
+        events.push(SchedulerEvent::Rollback {
+            step: corrupt_step,
+            to_step: step,
+            from: from.clone(),
+            to: to.clone(),
+        });
+        Some(next)
+    }
+
+    /// The Algorithm 2 check at a healthy check interval (lines 8–16):
+    /// predict the final quality loss from `live`'s `CumDivNorm`
+    /// history and decide against the band around the requirement.
+    /// Records the belief in `predictions` and a switch or restart in
+    /// `events`; the caller acts on the returned verdict. Warm-up or a
+    /// degenerate history keeps the current model.
+    fn check(
+        &self,
+        live: &Cursor,
+        quarantine: &QuarantineTable,
+        current: usize,
+        predictions: &mut Vec<(usize, f64)>,
+        events: &mut Vec<SchedulerEvent>,
+    ) -> Action {
+        let cfg = &self.config;
+        let step = live.step;
+        let Some(cdn_pred) = live.tracker.predict_final(cfg.check_interval, cfg.total_steps) else {
+            return Action::Keep;
+        };
+        let predicted_loss = self.knn.predict(cdn_pred);
+        predictions.push((step, predicted_loss));
+
+        let hi = cfg.quality_target * (1.0 + cfg.tolerance);
+        let lo = cfg.quality_target * (1.0 - cfg.tolerance);
+        let interval_now = (step / cfg.check_interval) as u64;
+        // Switch targets honour the quarantine table: escalation
+        // picks the nearest available model above, relaxation the
+        // nearest available below.
+        let n_models = self.candidates.len();
+        let up = (current + 1..n_models).find(|&m| quarantine.is_available(m, interval_now));
+        let down = (0..current).rev().find(|&m| quarantine.is_available(m, interval_now));
+        // Decide first, mutate after: the whole Algorithm 2 check is
+        // reported as exactly one structured event either way.
+        let action = decide(predicted_loss, lo, hi, cfg.use_mlp, up, down);
+        sfn_obs::counter_add("scheduler.checks", 1);
+        // The decision record carries everything `sfn-trace audit`
+        // needs to replay Algorithm 2 offline: the prediction, the
+        // band, the candidate neighbourhood and the quarantine
+        // state that shaped the switch targets.
+        sfn_obs::event(Level::Info, "scheduler.decision")
+            .field_u64("step", step as u64)
+            .field_str("model", &self.candidates[current].name)
+            .field_f64("predicted_loss", predicted_loss)
+            .field_f64("cdn_pred", cdn_pred)
+            .field_f64("target", cfg.quality_target)
+            .field_f64("band_lo", lo)
+            .field_f64("band_hi", hi)
+            .field_bool("mlp", cfg.use_mlp)
+            .field_str("up", up.map_or("none", |m| self.candidates[m].name.as_str()))
+            .field_str("down", down.map_or("none", |m| self.candidates[m].name.as_str()))
+            .field_u64("barred", quarantine.unavailable(interval_now).len() as u64)
+            .field_u64("rank", current as u64)
+            .field_u64("candidates", n_models as u64)
+            .field_str("action", action.as_str())
+            .emit();
+        match action {
+            // The switch target rides inside the verdict, so a
+            // depleted neighbourhood can no longer panic here: it
+            // was already folded into Restart/Keep above.
+            Action::SwitchUp(to) | Action::SwitchDown(to) => {
+                sfn_obs::counter_add("scheduler.switches", 1);
+                events.push(SchedulerEvent::Switch {
+                    step,
+                    from: self.candidates[current].name.clone(),
+                    to: self.candidates[to].name.clone(),
+                    predicted_loss,
+                });
+            }
+            Action::Restart => {
+                sfn_obs::counter_add("scheduler.restarts", 1);
+                events.push(SchedulerEvent::Restart { step, predicted_loss });
+            }
+            Action::Keep => {}
+        }
+        action
     }
 }
 
-/// One `runtime.shed` record per truncated run: the serving layer and
-/// `sfn-trace` both key off this to distinguish a deadline shed from a
-/// completed run.
-fn emit_shed(t: &Truncation, executed: usize) {
-    sfn_obs::counter_add("runtime.sheds", 1);
-    sfn_obs::event(Level::Warn, "runtime.shed")
-        .field_u64("step", t.step() as u64)
-        .field_str("reason", t.reason())
-        .field_u64("executed", executed as u64)
-        .emit();
+/// The state a rollback rewinds: the simulation, its `CumDivNorm`
+/// history and the step counter. The rollback anchor and the restart
+/// point are clones of it.
+#[derive(Clone)]
+struct Cursor {
+    sim: Simulation,
+    tracker: CumDivNormTracker,
+    step: usize,
+}
+
+/// Finishes `live` on the exact PCG projector — the full Algorithm 2
+/// restart (`restarted`) or the degraded tail. A straight loop: no
+/// checks, no models, nothing left to quarantine; only `limits` can cut
+/// it short. Returns the tail's projection seconds and its truncation.
+fn exact_tail(
+    live: &mut Cursor,
+    restarted: bool,
+    limits: RunLimits,
+    executed: &mut usize,
+    inv_cells: f64,
+    total_steps: usize,
+) -> (f64, Option<Truncation>) {
+    let (span, label) =
+        if restarted { ("runtime/restart", "pcg") } else { ("runtime/degraded", "pcg-degraded") };
+    let _span = sfn_obs::span!(span);
+    let mut pcg =
+        ExactProjector::labelled(PcgSolver::new(MicPreconditioner::default(), 1e-7, 200_000), label);
+    let mut secs = 0.0;
+    while live.step < total_steps {
+        if let Some(t) = limits.shed(live.step, *executed) {
+            return (secs, Some(t));
+        }
+        let s = timed_step(&mut live.sim, &mut pcg, label, live.step + 1, inv_cells, &mut live.tracker);
+        secs += s.projection_time.as_secs_f64();
+        live.step += 1;
+        *executed += 1;
+    }
+    (secs, None)
 }
 
 /// Takes simulation step number `step` (1-based) under `projector`,
@@ -1217,124 +1130,6 @@ mod tests {
         assert_eq!(out.cum_div_norm.len(), 7);
         assert_eq!(out.steps_per_model.iter().sum::<usize>(), 7);
         assert!(out.density.all_finite());
-    }
-
-    fn temp_ckpt_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join("sfn-runtime-scheduler")
-            .join(format!("{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn bits(f: &Field2) -> Vec<u64> {
-        f.data().iter().map(|v| v.to_bits()).collect()
-    }
-
-    fn ckpt_candidates() -> Vec<CandidateModel> {
-        vec![
-            candidate("a", &yang_spec(2), 1, 0.8, 0.05, 0.1),
-            candidate("b", &yang_spec(4), 2, 0.7, 0.02, 0.2),
-        ]
-    }
-
-    fn ckpt_config() -> RuntimeConfig {
-        RuntimeConfig {
-            total_steps: 20,
-            quality_target: 1.0, // always satisfied -> no restart
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn durable_checkpoints_are_written_at_cadence() {
-        let dir = temp_ckpt_dir("cadence");
-        let mut rt = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
-        let mut d = DurableCheckpointer::new(&dir, 5, 10).unwrap();
-        let (out, _) = rt.run_with_checkpoints(simulation(16), Some(&mut d));
-        assert_eq!(out.resumed_from, None);
-        // Anchors at steps 5, 10, 15 (20 = total is not an anchor).
-        let steps: Vec<u64> = sfn_ckpt::CheckpointStore::open(&dir)
-            .unwrap()
-            .list()
-            .unwrap()
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect();
-        assert_eq!(steps, vec![5, 10, 15]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn killed_run_resumes_bit_identically() {
-        // Reference: one uninterrupted run.
-        let mut rt = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
-        let (reference, ref_sim) = rt.run_with_checkpoints(simulation(16), None);
-
-        // "Crashed" run: same schedule, but stop consuming it after the
-        // step-10 checkpoint by running a copy only up to the durable
-        // write, then resume from disk with a fresh runtime + sim.
-        let dir = temp_ckpt_dir("resume");
-        let mut rt1 = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
-        let mut d1 = DurableCheckpointer::new(&dir, 5, 10).unwrap();
-        let _ = rt1.run_with_checkpoints(simulation(16), Some(&mut d1));
-        // Drop the newest checkpoints so the resume really recomputes
-        // steps 10..20 instead of starting at 15 (simulates a kill at
-        // step ~12: only checkpoints 5 and 10 had been written).
-        std::fs::remove_file(dir.join("ckpt-00000015.sfnc")).unwrap();
-
-        let mut rt2 = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
-        let mut d2 = DurableCheckpointer::new(&dir, 5, 10).unwrap();
-        let (resumed, resumed_sim) = rt2.run_with_checkpoints(simulation(16), Some(&mut d2));
-        assert_eq!(resumed.resumed_from, Some(10));
-        assert_eq!(resumed.steps_per_model.iter().sum::<usize>(), 10, "only the tail re-ran");
-
-        // The oracle: final state is bit-identical to the uninterrupted run.
-        assert_eq!(bits(&resumed.density), bits(&reference.density));
-        let (a, b) = (ref_sim.snapshot(), resumed_sim.snapshot());
-        assert_eq!(bits(&a.vel().u), bits(&b.vel().u));
-        assert_eq!(bits(&a.vel().v), bits(&b.vel().v));
-        assert_eq!(bits(a.density()), bits(b.density()));
-        assert_eq!(a.steps_done(), b.steps_done());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn roster_mismatch_refuses_resume() {
-        let dir = temp_ckpt_dir("roster");
-        let mut rt = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
-        let mut d = DurableCheckpointer::new(&dir, 5, 10).unwrap();
-        let _ = rt.run_with_checkpoints(simulation(16), Some(&mut d));
-
-        // A runtime over a *different* candidate set must not adopt the
-        // old quarantine/current state.
-        let other = vec![
-            candidate("x", &yang_spec(2), 7, 0.8, 0.05, 0.1),
-            candidate("y", &yang_spec(4), 8, 0.7, 0.02, 0.2),
-        ];
-        let mut rt2 = SmartRuntime::new(other, knn(), ckpt_config());
-        let mut d2 = DurableCheckpointer::new(&dir, 5, 10).unwrap();
-        let (out, _) = rt2.run_with_checkpoints(simulation(16), Some(&mut d2));
-        assert_eq!(out.resumed_from, None, "mismatched roster must run fresh");
-        assert_eq!(out.steps_per_model.iter().sum::<usize>(), 20);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn geometry_mismatch_refuses_resume() {
-        let dir = temp_ckpt_dir("geom");
-        let mut rt = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
-        let mut d = DurableCheckpointer::new(&dir, 5, 10).unwrap();
-        let _ = rt.run_with_checkpoints(simulation(16), Some(&mut d));
-
-        // Same roster, different grid: the snapshot must be refused and
-        // the run started fresh on the new geometry.
-        let mut rt2 = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
-        let mut d2 = DurableCheckpointer::new(&dir, 5, 10).unwrap();
-        let (out, sim) = rt2.run_with_checkpoints(simulation(24), Some(&mut d2));
-        assert_eq!(out.resumed_from, None);
-        assert_eq!(sim.snapshot().density().w(), 24);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -89,23 +89,6 @@ pub struct RecoverySummary {
     pub max_secs: f64,
 }
 
-/// Durable-checkpoint activity (`ckpt.write` / `ckpt.recover` /
-/// `ckpt.rejected` records). All-zero when checkpointing was off; the
-/// latency fields use `0.0` (not NaN) so summaries stay comparable.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CkptSummary {
-    /// Durable checkpoint writes.
-    pub writes: u64,
-    /// Successful recoveries from a checkpoint.
-    pub recovers: u64,
-    /// Checkpoints rejected as torn/corrupt during recovery.
-    pub rejected: u64,
-    /// Summed write seconds.
-    pub write_secs: f64,
-    /// Worst recovery latency in seconds.
-    pub recover_max_secs: f64,
-}
-
 /// Serving-layer activity (`serve.admit` / `serve.shed` /
 /// `serve.request` / `serve.brownout` records). All-zero when the
 /// trace has no serving in it; `latency_p99_ms` uses `0.0` (not NaN)
@@ -177,8 +160,6 @@ pub struct Analysis {
     pub degraded: u64,
     /// Fault-recovery latency summary.
     pub recovery: RecoverySummary,
-    /// Durable-checkpoint write/recovery summary.
-    pub ckpt: CkptSummary,
     /// Serving-layer (sfn-serve) admission/shed/brownout summary.
     pub serve: ServeSummary,
 }
@@ -277,24 +258,6 @@ pub fn analyze(trace: &Trace) -> Analysis {
         max_secs: rq.map_or(f64::NAN, |q| q.max),
     };
 
-    let ckpt = CkptSummary {
-        writes: trace.count("ckpt.write"),
-        recovers: trace.count("ckpt.recover"),
-        rejected: trace.count("ckpt.rejected"),
-        // fold from +0.0 (an empty `sum()` would yield -0.0, which
-        // serialises as "-0" and needlessly diffs against baselines).
-        write_secs: trace
-            .of_kind("ckpt.write")
-            .filter_map(|e| e.f64("secs"))
-            .filter(|s| s.is_finite())
-            .fold(0.0, |a, s| a + s),
-        recover_max_secs: trace
-            .of_kind("ckpt.recover")
-            .filter_map(|e| e.f64("secs"))
-            .filter(|s| s.is_finite())
-            .fold(0.0, f64::max),
-    };
-
     let mut serve = ServeSummary::default();
     for e in trace.of_kind("serve.admit") {
         match e.str("decision") {
@@ -338,7 +301,6 @@ pub fn analyze(trace: &Trace) -> Analysis {
         rollbacks: trace.count("runtime.rollback"),
         degraded: trace.count("runtime.degraded"),
         recovery,
-        ckpt,
         serve,
     }
 }
@@ -347,8 +309,8 @@ pub fn analyze(trace: &Trace) -> Analysis {
 //
 // Decoding is lenient, so summaries written before a section existed
 // still load: an absent count reads 0, an absent name `"?"`, an absent
-// latency NaN (0 in the `ckpt` and `serve` sections, which are
-// all-zero when inactive).
+// latency NaN (0 in the `serve` section, which is all-zero when
+// inactive). Sections no longer written (`ckpt`) are ignored.
 
 sfn_obs::json_record!(Quantiles {
     count: 0,
@@ -363,14 +325,6 @@ sfn_obs::json_record!(ModelShare { model: "?".to_string(), steps: 0, secs: f64::
 sfn_obs::json_record!(KernelStat { name: "?".to_string(), calls: 0, secs: f64::NAN, gflops: f64::NAN });
 
 sfn_obs::json_record!(RecoverySummary { injected: 0, resolved: 0, p50_secs: f64::NAN, max_secs: f64::NAN });
-
-sfn_obs::json_record!(CkptSummary {
-    writes: 0,
-    recovers: 0,
-    rejected: 0,
-    write_secs: 0.0,
-    recover_max_secs: 0.0,
-});
 
 sfn_obs::json_record!(ServeSummary {
     admitted: 0,
@@ -405,7 +359,6 @@ impl ToJson for Analysis {
             ("rollbacks", self.rollbacks.to_json_value()),
             ("degraded", self.degraded.to_json_value()),
             ("recovery", self.recovery.to_json_value()),
-            ("ckpt", self.ckpt.to_json_value()),
             ("serve", self.serve.to_json_value()),
         ])
     }
@@ -443,7 +396,6 @@ impl FromJson for Analysis {
             rollbacks: v.field("rollbacks").unwrap_or(0),
             degraded: v.field("degraded").unwrap_or(0),
             recovery: RecoverySummary::from_json_value(section("recovery"))?,
-            ckpt: CkptSummary::from_json_value(section("ckpt"))?,
             serve: ServeSummary::from_json_value(section("serve"))?,
         })
     }
@@ -534,18 +486,6 @@ impl Analysis {
                 r.resolved,
                 1e3 * r.p50_secs,
                 1e3 * r.max_secs
-            );
-        }
-        let c = &self.ckpt;
-        if c.writes + c.recovers + c.rejected > 0 {
-            let _ = writeln!(
-                out,
-                "checkpoints: writes={} recovers={} rejected={} write_total={:.3}ms recover_max={:.3}ms",
-                c.writes,
-                c.recovers,
-                c.rejected,
-                1e3 * c.write_secs,
-                1e3 * c.recover_max_secs
             );
         }
         let sv = &self.serve;
@@ -658,28 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_events_are_summarised() {
-        let t = parse_trace(concat!(
-            "{\"ts\":0.1,\"level\":\"info\",\"kind\":\"ckpt.write\",\"step\":5,\"bytes\":9000,\"gc_removed\":0,\"secs\":0.002,\"path\":\"/x/ckpt-00000005.sfnc\"}\n",
-            "{\"ts\":0.2,\"level\":\"info\",\"kind\":\"ckpt.write\",\"step\":10,\"bytes\":9000,\"gc_removed\":1,\"secs\":0.003,\"path\":\"/x/ckpt-00000010.sfnc\"}\n",
-            "{\"ts\":0.3,\"level\":\"warn\",\"kind\":\"ckpt.rejected\",\"boundary\":\"sfn_ckpt\",\"path\":\"/x/ckpt-00000010.sfnc\",\"error\":\"torn\"}\n",
-            "{\"ts\":0.4,\"level\":\"info\",\"kind\":\"ckpt.recover\",\"step\":5,\"bytes\":9000,\"rejected\":1,\"secs\":0.004,\"path\":\"/x/ckpt-00000005.sfnc\"}\n",
-        ));
-        let a = analyze(&t);
-        assert_eq!(a.ckpt.writes, 2);
-        assert_eq!(a.ckpt.recovers, 1);
-        assert_eq!(a.ckpt.rejected, 1);
-        assert!((a.ckpt.write_secs - 0.005).abs() < 1e-12);
-        assert!((a.ckpt.recover_max_secs - 0.004).abs() < 1e-12);
-        assert!(a.render().contains("checkpoints: writes=2"), "{}", a.render());
-        // A checkpoint-free trace keeps the report quiet but comparable.
-        let quiet = analyze(&sample_trace());
-        assert_eq!(quiet.ckpt.writes, 0);
-        assert_eq!(quiet.ckpt.write_secs, 0.0);
-        assert!(!quiet.render().contains("checkpoints:"), "{}", quiet.render());
-    }
-
-    #[test]
     fn serve_events_are_summarised() {
         let t = parse_trace(concat!(
             "{\"ts\":0.1,\"level\":\"info\",\"kind\":\"serve.admit\",\"tenant\":\"acme\",\"decision\":\"admitted\",\"priority\":1}\n",
@@ -710,19 +628,25 @@ mod tests {
 
     #[test]
     fn summaries_from_before_a_section_existed_still_parse() {
-        // Baselines serialised before profiling, checkpointing or
-        // serving existed load those sections as empty / all-zero.
+        // Baselines serialised before profiling or serving existed load
+        // those sections as empty / all-zero.
         let a = analyze(&sample_trace());
         let text = a.to_json();
         for section in [
             ",\"kernels\":[]",
-            ",\"ckpt\":{\"writes\":0,\"recovers\":0,\"rejected\":0,\"write_secs\":0,\"recover_max_secs\":0}",
             ",\"serve\":{\"admitted\":0,\"refused\":0,\"shed\":0,\"requests\":0,\"truncated\":0,\"brownout_transitions\":0,\"max_rung_level\":0,\"latency_p99_ms\":0}",
         ] {
             let legacy = text.replace(section, "");
             assert_ne!(legacy, text, "{section} must have been stripped from {text}");
             assert_eq!(Analysis::from_json(&legacy).unwrap(), a);
         }
+        // Baselines serialised while durable checkpointing existed carry
+        // a `ckpt` section, which decodes to nothing.
+        let ckpt =
+            ",\"ckpt\":{\"writes\":0,\"recovers\":0,\"rejected\":0,\"write_secs\":0,\"recover_max_secs\":0}";
+        let legacy = text.replacen(",\"serve\":", &format!("{ckpt},\"serve\":"), 1);
+        assert_ne!(legacy, text, "{ckpt} must have been inserted into {text}");
+        assert_eq!(Analysis::from_json(&legacy).unwrap(), a);
     }
 
     #[test]

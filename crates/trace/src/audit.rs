@@ -52,13 +52,6 @@ pub struct AuditReport {
     /// `fuzz.finding` records — crashes/oracle divergences an `sfn-fuzz`
     /// run reported into this trace.
     pub fuzz_findings: u64,
-    /// `ckpt.write` records — durable checkpoints persisted.
-    pub ckpt_writes: u64,
-    /// `ckpt.recover` records — runs resumed from a checkpoint.
-    pub ckpt_recovers: u64,
-    /// `ckpt.rejected` records — torn/corrupt checkpoints skipped by
-    /// the recovery manager (visibility, not contradictions).
-    pub ckpt_rejected: u64,
     /// `serve.admit` records with `decision=admitted`.
     pub serve_admitted: u64,
     /// `serve.admit` records with `decision=refused`.
@@ -122,13 +115,6 @@ impl AuditReport {
                 out,
                 "hardened boundaries: parser_rejected={} fuzz_findings={}",
                 self.parser_rejected, self.fuzz_findings
-            );
-        }
-        if self.ckpt_writes + self.ckpt_recovers + self.ckpt_rejected > 0 {
-            let _ = writeln!(
-                out,
-                "durability: ckpt_writes={} ckpt_recovers={} ckpt_rejected={}",
-                self.ckpt_writes, self.ckpt_recovers, self.ckpt_rejected
             );
         }
         if self.serve_admitted + self.serve_refused + self.serve_sheds + self.brownout_transitions
@@ -265,9 +251,6 @@ pub fn audit(trace: &Trace) -> AuditReport {
     audit_brownout(trace, &mut report);
     report.parser_rejected = trace.count("parser.rejected");
     report.fuzz_findings = trace.count("fuzz.finding");
-    report.ckpt_writes = trace.count("ckpt.write");
-    report.ckpt_recovers = trace.count("ckpt.recover");
-    report.ckpt_rejected = trace.count("ckpt.rejected");
     for e in trace.of_kind("serve.admit") {
         match e.str("decision") {
             Some("refused") => report.serve_refused += 1,
@@ -356,24 +339,6 @@ mod tests {
         // A trace without them keeps the summary line quiet.
         let quiet = audit(&parse_trace(&decision("0.010", "keep", true)));
         assert!(!quiet.render().contains("parser_rejected"), "{}", quiet.render());
-    }
-
-    #[test]
-    fn checkpoint_activity_is_tallied_not_flagged() {
-        let t = parse_trace(
-            "{\"ts\":0.1,\"level\":\"info\",\"kind\":\"ckpt.write\",\"step\":5,\"bytes\":9000,\"secs\":0.002,\"path\":\"/x/ckpt-00000005.sfnc\"}\n\
-             {\"ts\":0.2,\"level\":\"warn\",\"kind\":\"ckpt.rejected\",\"boundary\":\"sfn_ckpt\",\"path\":\"/x/ckpt-00000010.sfnc\",\"error\":\"torn\"}\n\
-             {\"ts\":0.3,\"level\":\"info\",\"kind\":\"ckpt.recover\",\"step\":5,\"bytes\":9000,\"rejected\":1,\"secs\":0.004,\"path\":\"/x/ckpt-00000005.sfnc\"}\n",
-        );
-        let r = audit(&t);
-        assert_eq!(r.ckpt_writes, 1);
-        assert_eq!(r.ckpt_recovers, 1);
-        assert_eq!(r.ckpt_rejected, 1);
-        assert!(r.clean(), "durability events are visibility, not contradictions");
-        assert!(r.render().contains("ckpt_rejected=1"), "{}", r.render());
-        // Checkpoint-free traces keep the audit summary unchanged.
-        let quiet = audit(&parse_trace(&decision("0.010", "keep", true)));
-        assert!(!quiet.render().contains("durability"), "{}", quiet.render());
     }
 
     fn brownout(from: u64, to: u64) -> String {

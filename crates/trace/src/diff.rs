@@ -246,7 +246,7 @@ pub fn diff(baseline: &Analysis, current: &Analysis, thresholds: &Thresholds) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::{CkptSummary, KernelStat, ModelShare, Quantiles, RecoverySummary, ServeSummary};
+    use crate::analyze::{KernelStat, ModelShare, Quantiles, RecoverySummary, ServeSummary};
     use sfn_obs::StageSummary;
 
     fn base() -> Analysis {
@@ -278,7 +278,6 @@ mod tests {
             rollbacks: 0,
             degraded: 0,
             recovery: RecoverySummary { injected: 0, resolved: 0, p50_secs: f64::NAN, max_secs: f64::NAN },
-            ckpt: CkptSummary::default(),
             serve: ServeSummary {
                 admitted: 20,
                 refused: 2,

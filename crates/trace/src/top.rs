@@ -180,10 +180,9 @@ pub fn render_top(doc: &Value, color: bool) -> Result<String, String> {
     let counter = |name: &str| f64_at(doc, &["counters", name]).unwrap_or(0.0);
     out.push_str(&paint("\n  resilience\n", "1;36", color));
     out.push_str(&format!(
-        "  rollbacks {:.0}   quarantines {:.0}   ckpt writes {:.0}   faults injected {:.0} / recovered {:.0}\n",
+        "  rollbacks {:.0}   quarantines {:.0}   faults injected {:.0} / recovered {:.0}\n",
         counter("runtime.rollbacks"),
         counter("runtime.quarantines"),
-        counter("ckpt.writes"),
         counter("faults.injected"),
         counter("faults.recovered"),
     ));
@@ -237,7 +236,7 @@ mod tests {
             "fast":{"secs":60,"series":{"runtime.step_secs":{"count":100,"sum":0.4,"min":0.001,"max":0.02,"p50":0.002,"p90":0.004,"p95":0.004,"p99":0.016}}},
             "slow":{"secs":600,"series":{"runtime.step_secs":{"count":900,"sum":4.1,"min":0.001,"max":1.1,"p50":0.002,"p90":0.004,"p95":0.008,"p99":1.0}}}
         },
-        "counters":{"runtime.rollbacks":2,"runtime.quarantines":3,"ckpt.writes":7,"faults.injected":4,"faults.recovered":4},
+        "counters":{"runtime.rollbacks":2,"runtime.quarantines":3,"faults.injected":4,"faults.recovered":4},
         "gauges":{"scheduler.candidates":5},
         "roster":[{"model":"mlp-64","steps":420,"quarantines":1,"last_seen_ms":12000}],
         "kernels":[{"kernel":"advect","calls":900,"ns":1000000,"gflops":3.25}],

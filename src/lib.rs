@@ -14,7 +14,6 @@
 //! * [`modelgen`] — model transformation + Pareto candidate selection
 //! * [`quality`] — MLP-based offline output-quality control
 //! * [`runtime`] — quality-aware model-switch runtime
-//! * [`ckpt`] — crash-consistent durable checkpointing + recovery
 //! * [`workload`] — seeded input-problem generation
 //! * [`stats`] — statistics utilities
 //! * [`obs`] — observability: spans, metrics, JSONL event tracing
@@ -42,6 +41,5 @@ pub use sfn_surrogate as surrogate;
 pub use sfn_modelgen as modelgen;
 pub use sfn_quality as quality;
 pub use sfn_runtime as runtime;
-pub use sfn_ckpt as ckpt;
 pub use sfn_workload as workload;
 pub use smart_fluidnet_core as core;

@@ -17,9 +17,9 @@ const GRID: usize = 96;
 const STEPS: usize = 32;
 
 /// Runs `STEPS` steps on `threads` threads around a disc of radius
-/// `disc · GRID`, with one rollback on the way (a snapshot at the
-/// half-way mark, four steps past it, `restore`, on — the runtime's
-/// rollback path); returns the raw bits of the final density and
+/// `disc · GRID`, with one rollback on the way (a clone at the
+/// half-way mark, four steps past it, back to the clone, on — the
+/// runtime's rollback path); returns the raw bits of the final density and
 /// velocity, plus each kept step's DivNorm bits.
 fn run(threads: usize, disc: f64, projector: &mut dyn PressureProjector) -> Vec<u64> {
     sfn_par::with_threads(threads, || {
@@ -27,9 +27,9 @@ fn run(threads: usize, disc: f64, projector: &mut dyn PressureProjector) -> Vec<
         flags.add_solid_disc(GRID as f64 * 0.5, GRID as f64 * 0.6, GRID as f64 * disc);
         let mut sim = Simulation::new(SimConfig::plume(GRID), flags);
         let mut stats = sim.run(STEPS / 2, projector);
-        let snapshot = sim.snapshot();
+        let anchor = sim.clone();
         sim.run(4, projector);
-        sim.restore(&snapshot).expect("same geometry");
+        sim = anchor;
         stats.extend(sim.run(STEPS / 2, projector));
         let mut bits: Vec<u64> = stats.iter().map(|s| s.div_norm.to_bits()).collect();
         assert!(sim.is_healthy());
