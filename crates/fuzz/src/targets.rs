@@ -534,7 +534,8 @@ fn run_http(input: &[u8]) -> Outcome {
 /// (conv, the Poisson stencil, advect, the inference plan) are in fact
 /// *bit-identical* by construction — the vector paths repeat the
 /// scalar operation order — so the 4-ULP budget is headroom for future
-/// kernels that reassociate.
+/// kernels that reassociate. The conv's gradients, which fix the
+/// trained weights, get no budget: 0 ULP.
 fn run_simd_diff(input: &[u8]) -> Outcome {
     use sfn_par::simd::{with_level, SimdLevel};
     use sfn_rng::{RngExt, SeedableRng};
@@ -577,23 +578,48 @@ fn run_simd_diff(input: &[u8]) -> Outcome {
         // Two selectors on conv, so every selector byte the generator
         // emits (0..5) runs a kernel.
         0 | 1 => {
+            // Inference forward, then a training forward and backward
+            // (residual skip and zeroed weights included). The forward
+            // is held to the ULP budget, the three gradients to 0 ULP.
             let in_ch = b[1] as usize % 3 + 1;
-            let out_ch = b[2] as usize % 4 + 1;
+            let residual = b[6] & 1 == 1;
+            let out_ch = if residual { in_ch } else { b[2] as usize % 4 + 1 };
             let k = [1, 3, 5][b[3] as usize % 3];
             let h = b[4] as usize % 12 + 1;
             let w = b[5] as usize % 12 + 1;
-            let weight: Vec<f32> =
-                (0..out_ch * in_ch * k * k).map(|_| rng.random_range(-2.0..2.0) as f32).collect();
+            let n = b[7] as usize % 2 + 1;
+            let zeroed = b[8] & 1 == 1;
+            let weight: Vec<f32> = (0..out_ch * in_ch * k * k)
+                .map(|i| if zeroed && i % 3 == 0 { 0.0 } else { rng.random_range(-2.0..2.0) as f32 })
+                .collect();
             let bias: Vec<f32> = (0..out_ch).map(|_| rng.random_range(-1.0..1.0) as f32).collect();
             let mut layer =
-                sfn_nn::layers::Conv2d::from_weights(in_ch, out_ch, k, false, weight, bias);
-            let input = sfn_nn::Tensor::from_fn(1, in_ch, h, w, |_, _, _, _| {
+                sfn_nn::layers::Conv2d::from_weights(in_ch, out_ch, k, residual, weight, bias);
+            let input = sfn_nn::Tensor::from_fn(n, in_ch, h, w, |_, _, _, _| {
+                rng.random_range(-2.0..2.0) as f32
+            });
+            let grad_out = sfn_nn::Tensor::from_fn(n, out_ch, h, w, |_, _, _, _| {
                 rng.random_range(-2.0..2.0) as f32
             });
             use sfn_nn::layers::Layer;
-            let scalar = with_level(SimdLevel::Scalar, || layer.forward(&input, false));
-            let vector = layer.forward(&input, false);
-            check_f32(scalar.data(), vector.data(), "conv2d")
+            let mut run = || {
+                let out = layer.forward(&input, false);
+                let _ = layer.forward(&input, true);
+                let grad_in = layer.backward(&grad_out);
+                let params = layer.params();
+                let (gw, gb) = (params[0].grads.to_vec(), params[1].grads.to_vec());
+                (out, grad_in, gw, gb)
+            };
+            let scalar = with_level(SimdLevel::Scalar, &mut run);
+            let vector = run();
+            let check_bits = |scalar: &[f32], vector: &[f32], what: &str| {
+                let (i, (s, v)) = scalar.iter().zip(vector).enumerate().find(|(_, (s, v))| s.to_bits() != v.to_bits())?;
+                Some(Outcome::OracleFailure(format!("{what}: element {i} is not bit-identical ({s} vs {v})")))
+            };
+            check_f32(scalar.0.data(), vector.0.data(), "conv2d")
+                .or_else(|| check_bits(scalar.1.data(), vector.1.data(), "conv2d grad_in"))
+                .or_else(|| check_bits(&scalar.2, &vector.2, "conv2d grad_weight"))
+                .or_else(|| check_bits(&scalar.3, &vector.3, "conv2d grad_bias"))
         }
         2 => {
             // The 5-point Poisson stencil PCG applies every iteration.

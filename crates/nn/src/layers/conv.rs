@@ -18,12 +18,46 @@ pub struct Conv2d {
     bias: Vec<f32>,
     grad_weight: Vec<f32>,
     grad_bias: Vec<f32>,
-    cached_input: Option<Tensor>,
-    /// Reused padded-halo scratch for the direct path, keyed by the
-    /// padded geometry (planes, pitch; the length gives the height) it
-    /// was zeroed for. The interior is fully rewritten every call and
-    /// the halo never, so it is re-zeroed only on a geometry change.
-    scratch: Option<(usize, usize, crate::arena::AlignedBuf)>,
+    /// Reused padded-halo scratch for the direct path (see
+    /// [`HaloBuf`]). After a training forward it is also the
+    /// backward's cache of the input.
+    scratch: HaloBuf,
+    /// `(n, h, w)` of the training forward whose input `scratch`
+    /// holds; an inference forward clears it.
+    cached_shape: Option<(usize, usize, usize)>,
+    /// `backward`'s reused buffers: `grad_out` padded like the input,
+    /// and `grad_out` channel-last.
+    grad_padded: HaloBuf,
+    grad_lanes: Vec<f32>,
+}
+
+/// A padded-halo plane buffer, keyed by the padded geometry (planes,
+/// pitch; the length gives the height, as any slack after the last
+/// plane is shorter than a row) it was zeroed for. The interior
+/// is fully rewritten every call and the halo never, so it is
+/// re-zeroed only on a geometry change.
+type HaloBuf = Option<(usize, usize, crate::arena::AlignedBuf)>;
+
+/// Copies every `h × w` plane of `src` into the interior of a padded
+/// buffer in `slot` (row pitch `pw`, `pad` halo cells on each side,
+/// `slack` zeros after the last plane), re-zeroing it only on a
+/// geometry change.
+fn fill_halo<'a>(slot: &'a mut HaloBuf, src: &Tensor, pad: usize, pw: usize, slack: usize) -> &'a [f32] {
+    let (n, c, h, w) = src.shape();
+    let planes = n * c;
+    let ppl = (h + 2 * pad) * pw;
+    let len = planes * ppl + slack;
+    if !matches!(slot, Some((p, w, buf)) if (*p, *w, buf.len()) == (planes, pw, len)) {
+        *slot = Some((planes, pw, crate::arena::AlignedBuf::zeroed(len)));
+    }
+    let padded = &mut slot.as_mut().unwrap().2;
+    for (p, dst) in padded.as_mut_slice().chunks_exact_mut(ppl).enumerate() {
+        let src = src.plane(p / c, p % c);
+        for y in 0..h {
+            dst[(y + pad) * pw + pad..][..w].copy_from_slice(&src[y * w..][..w]);
+        }
+    }
+    padded
 }
 
 impl Conv2d {
@@ -46,8 +80,10 @@ impl Conv2d {
             bias: vec![0.0; out_ch],
             grad_weight: vec![0.0; w_len],
             grad_bias: vec![0.0; out_ch],
-            cached_input: None,
             scratch: None,
+            cached_shape: None,
+            grad_padded: None,
+            grad_lanes: Vec::new(),
         }
     }
 
@@ -74,8 +110,10 @@ impl Conv2d {
             bias,
             grad_weight: vec![0.0; w_len],
             grad_bias: vec![0.0; out_ch],
-            cached_input: None,
             scratch: None,
+            cached_shape: None,
+            grad_padded: None,
+            grad_lanes: Vec::new(),
         }
     }
 
@@ -117,20 +155,8 @@ impl Conv2d {
         // Padded-halo copies of every input plane, shared read-only by
         // all output-channel workers.
         let pw = crate::arena::padded_pitch(w + 2 * pad);
-        let ph = h + 2 * pad;
-        let ppl = ph * pw;
-        let planes = n * in_ch;
-        if !matches!(&self.scratch, Some((p, w, buf)) if (*p, *w, buf.len()) == (planes, pw, planes * ppl)) {
-            self.scratch = Some((planes, pw, crate::arena::AlignedBuf::zeroed(planes * ppl)));
-        }
-        let padded = &mut self.scratch.as_mut().unwrap().2;
-        for (p, dst) in padded.as_mut_slice().chunks_mut(ppl).enumerate() {
-            let src = input.plane(p / in_ch, p % in_ch);
-            for y in 0..h {
-                dst[(y + pad) * pw + pad..][..w].copy_from_slice(&src[y * w..][..w]);
-            }
-        }
-        let padded = &*padded;
+        let ppl = (h + 2 * pad) * pw;
+        let padded = fill_halo(&mut self.scratch, input, pad, pw, 0);
         let weight = &self.weight;
         let bias = &self.bias;
         let est_ns = super::est_ns(2 * ickk * hw * n * out_ch, true);
@@ -146,6 +172,232 @@ impl Conv2d {
     }
 }
 
+impl Conv2d {
+    /// Weight and bias gradients, vectorised across output channels
+    /// (lanes = `oc`) over a channel-last copy of `grad_out` and the
+    /// training forward's padded input. Every `(oc, ic, ky, kx)` sum
+    /// keeps the scalar order: per sample, `acc` starts at `+0.0` and
+    /// runs over `y`, then `x`; then `gw += acc`. The halo adds
+    /// `g·0.0 = ±0.0` terms the unpadded loops skip; they leave an
+    /// accumulator that starts at `+0.0` unchanged (it is never
+    /// `-0.0`), so the bits match for finite gradients.
+    fn weight_grads(&mut self, grad_out: &Tensor, pw: usize, est_ns: u64) {
+        let (n, _, h, w) = grad_out.shape();
+        let (k, in_ch, out_ch) = (self.kernel, self.in_ch, self.out_ch);
+        let (hw, kk) = (h * w, k * k);
+        let ickk = in_ch * kk;
+        let ppl = (h + 2 * (k / 2)) * pw;
+        let blocks = out_ch.div_ceil(LANES);
+        let ocp = blocks * LANES;
+        // `ocp` lanes per pixel; the ones past `out_ch` stay zero.
+        self.grad_lanes.resize(n * hw * ocp, 0.0);
+        for (nn, px) in self.grad_lanes.chunks_exact_mut(hw * ocp).enumerate() {
+            for oc in 0..out_ch {
+                for (dst, &g) in px[oc..].iter_mut().step_by(ocp).zip(grad_out.plane(nn, oc)) {
+                    *dst = g;
+                }
+            }
+        }
+        self.grad_bias.fill(0.0);
+        for px in self.grad_lanes.chunks_exact(ocp) {
+            for (gb, &g) in self.grad_bias.iter_mut().zip(px) {
+                *gb += g;
+            }
+        }
+        // One task per (lane block, run of `TAPS` filter taps), each
+        // summing over the samples in order into its own slice.
+        let runs = ickk.div_ceil(TAPS);
+        let padded = &self.scratch.as_ref().expect("the training forward's input").2;
+        let lanes = &self.grad_lanes;
+        let mut partial = vec![0.0f32; blocks * runs * TAPS * LANES];
+        sfn_par::for_each_chunk_mut(&mut partial, TAPS * LANES, est_ns, |task, gw| {
+            let (block, run) = (task / runs, task % runs);
+            // Tap `j` of the filter panel (`ic·k² + ky·k + kx`) starts at
+            // `ic·ppl + ky·pw + kx` of a padded sample. The last run
+            // repeats offset 0 past the panel; those sums are dropped.
+            let mut offs = [0; TAPS];
+            for (off, j) in offs.iter_mut().zip(run * TAPS..ickk) {
+                *off = j / kk * ppl + j % kk / k * pw + j % k;
+            }
+            for nn in 0..n {
+                let sample = &padded[nn * in_ch * ppl..][..in_ch * ppl];
+                let go = &lanes[nn * hw * ocp..][..hw * ocp];
+                weight_grad_taps(sample, &offs, pw, h, go, ocp, block * LANES, gw);
+            }
+        });
+        for (task, gw) in partial.chunks_exact(TAPS * LANES).enumerate() {
+            let (block, run) = (task / runs, task % runs);
+            for (j, gw) in (run * TAPS..ickk).zip(gw.chunks_exact(LANES)) {
+                for (oc, &g) in (block * LANES..out_ch).zip(gw) {
+                    self.grad_weight[oc * ickk + j] = g;
+                }
+            }
+        }
+    }
+
+    /// The input gradient: `grad_out` correlated with the transposed,
+    /// flipped filter ([`grad_taps`]), one [`direct_plane`] call per
+    /// (sample, input-channel) plane over a padded-halo copy of
+    /// `grad_out`, with the residual skip fused. The taps keep the
+    /// scalar `(oc, ky, kx)` order and skip the same zero weights, and
+    /// the halo adds only `w·0.0` terms to a sum started at `+0.0`, so
+    /// the bits match for finite gradients.
+    fn input_grad(&mut self, grad_out: &Tensor, pw: usize, est_ns: u64) -> Tensor {
+        let (n, _, h, w) = grad_out.shape();
+        let (k, in_ch, out_ch) = (self.kernel, self.in_ch, self.out_ch);
+        let pad = k / 2;
+        let ppl = (h + 2 * pad) * pw;
+        // Whole 8-column blocks: the kernel's vector body computes each
+        // column's sum exactly as its scalar tail would, but 8 at once.
+        // The extra columns read on into the halo, the next row and
+        // `slack` zeros past the last plane, and are dropped.
+        let wide = w.next_multiple_of(LANES);
+        let slack = (wide + k - 1).saturating_sub(pw);
+        let padded = fill_halo(&mut self.grad_padded, grad_out, pad, pw, slack);
+        let taps: Vec<Vec<Tap>> =
+            (0..in_ch).map(|ic| grad_taps(&self.weight, in_ch, k, ic, pw, ppl)).collect();
+        let residual = self.residual;
+        let mut grad_in = Tensor::zeros(n, in_ch, h, w);
+        sfn_par::for_each_chunk_mut(grad_in.data_mut(), h * w, est_ns, |plane, gi_plane| {
+            let (nn, ic) = (plane / in_ch, plane % in_ch);
+            let sample = &padded[nn * out_ch * ppl..][..out_ch * ppl + slack];
+            let residual = residual.then_some(ic * ppl + pad * pw + pad);
+            let mut wide_rows = Vec::new();
+            let (dst, pitch) = if wide == w {
+                (&mut *gi_plane, w)
+            } else {
+                wide_rows.resize(h * wide, 0.0);
+                (&mut wide_rows[..], wide)
+            };
+            let out = PlaneOut { dst, pitch, origin: 0, residual, relu: false };
+            direct_plane(sample, pw, h, wide, &taps[ic], 0.0, out);
+            for (dst, src) in gi_plane.chunks_exact_mut(w).zip(wide_rows.chunks_exact(wide)) {
+                dst.copy_from_slice(&src[..w]);
+            }
+        });
+        grad_in
+    }
+}
+
+/// The non-zero taps of input channel `ic`'s gradient: the transposed,
+/// flipped filter in `(oc, ky, kx)` order over a padded `grad_out`
+/// sample of row pitch `pw` and plane length `ppl` — offset
+/// `oc·ppl + (k−1−ky)·pw + (k−1−kx)`, weight `w[oc, ic, ky, kx]`.
+fn grad_taps(weight: &[f32], in_ch: usize, k: usize, ic: usize, pw: usize, ppl: usize) -> Vec<Tap> {
+    let kk = k * k;
+    let mut taps = Vec::with_capacity(weight.len() / in_ch);
+    for (oc, filter) in weight.chunks(in_ch * kk).enumerate() {
+        for (ky, wrow) in filter[ic * kk..][..kk].chunks(k).enumerate() {
+            for (kx, &wv) in wrow.iter().enumerate() {
+                if wv != 0.0 {
+                    taps.push((oc * ppl + (k - 1 - ky) * pw + (k - 1 - kx), wv));
+                }
+            }
+        }
+    }
+    taps
+}
+
+/// Output channels per weight-gradient lane block: one AVX2 vector.
+const LANES: usize = 8;
+
+/// Filter taps per weight-gradient task: independent sums enough to
+/// hide the add latency, few enough to stay in registers.
+const TAPS: usize = 8;
+
+/// Adds one sample's sums to `gw` (`TAPS × LANES`, `[tap][lane]`):
+/// `gw[t][l] += Σ_y Σ_x go[y, x, lane0 + l] · sample[offs[t] + y·pw + x]`,
+/// each sum from `+0.0` in `y`-then-`x` order. `go` is the sample's
+/// channel-last `grad_out` (`ocp` lanes per pixel), `sample` its
+/// padded input.
+///
+/// One plain-Rust body, compiled as is and under AVX2: the lanes are
+/// independent sums, so vectorising them reorders nothing, and neither
+/// build may fuse a multiply-add.
+#[allow(clippy::too_many_arguments)]
+fn weight_grad_taps(
+    sample: &[f32],
+    offs: &[usize; TAPS],
+    pw: usize,
+    h: usize,
+    go: &[f32],
+    ocp: usize,
+    lane0: usize,
+    gw: &mut [f32],
+) {
+    match sfn_par::simd::level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was detected by `level()`; the body is safe code.
+        sfn_par::simd::SimdLevel::Avx2 => unsafe {
+            weight_grad_taps_avx2(sample, offs, pw, h, go, ocp, lane0, gw)
+        },
+        _ => weight_grad_taps_body(sample, offs, pw, h, go, ocp, lane0, gw),
+    }
+}
+
+/// [`weight_grad_taps_body`] compiled for AVX2 (no FMA).
+///
+/// # Safety
+/// AVX2 must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn weight_grad_taps_avx2(
+    sample: &[f32],
+    offs: &[usize; TAPS],
+    pw: usize,
+    h: usize,
+    go: &[f32],
+    ocp: usize,
+    lane0: usize,
+    gw: &mut [f32],
+) {
+    weight_grad_taps_body(sample, offs, pw, h, go, ocp, lane0, gw)
+}
+
+/// The body of [`weight_grad_taps`]: `TAPS × LANES` accumulators.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn weight_grad_taps_body(
+    sample: &[f32],
+    offs: &[usize; TAPS],
+    pw: usize,
+    h: usize,
+    go: &[f32],
+    ocp: usize,
+    lane0: usize,
+    gw: &mut [f32],
+) {
+    let w = go.len() / (h * ocp);
+    let mut acc = [[0.0f32; LANES]; TAPS];
+    for y in 0..h {
+        // Stored one by one, each row keeps its length `w` visible to
+        // the compiler, so the loads below need no bounds checks.
+        let mut rows = [&sample[..0]; TAPS];
+        for (row, &off) in rows.iter_mut().zip(offs) {
+            *row = &sample[off + y * pw..][..w];
+        }
+        let grow = &go[y * w * ocp..][..w * ocp];
+        for x in 0..w {
+            let g: &[f32; LANES] = grow[x * ocp + lane0..][..LANES].try_into().unwrap();
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                *a = add_scaled(a, g, row[x]);
+            }
+        }
+    }
+    for (gw, a) in gw.chunks_exact_mut(LANES).zip(&acc) {
+        for (g, &al) in gw.iter_mut().zip(a) {
+            *g += al;
+        }
+    }
+}
+
+/// `a + g·s` per lane.
+#[inline(always)]
+fn add_scaled(a: &[f32; LANES], g: &[f32; LANES], s: f32) -> [f32; LANES] {
+    std::array::from_fn(|l| a[l] + g[l] * s)
+}
+
 /// One non-zero filter tap: the offset of its first source element in
 /// the padded sample (`ic·ppl + ky·pw + kx`) and its weight.
 pub(crate) type Tap = (usize, f32);
@@ -153,8 +405,9 @@ pub(crate) type Tap = (usize, f32);
 /// The non-zero taps of one output channel's `ic·k·k` filter panel in
 /// `(ic, ky, kx)` order, for a padded source of row pitch `pw` and
 /// plane length `ppl`. Both kernel bodies skip the same zero weights,
-/// so their accumulation order matches exactly. Training calls this
-/// per plane per forward: one allocation, no divisions.
+/// so their accumulation order matches exactly. A training forward
+/// calls this per plane (one allocation, no divisions); the backward's
+/// input gradient lists its transposed taps with [`grad_taps`].
 pub(crate) fn taps(filter: &[f32], k: usize, pw: usize, ppl: usize) -> Vec<Tap> {
     let mut taps = Vec::with_capacity(filter.len());
     for (ic, panel) in filter.chunks(k * k).enumerate() {
@@ -351,114 +604,22 @@ impl Layer for Conv2d {
                 scope.record(elems, 2 * elems * 4, elems * 4);
             }
         }
-        // The input cache only feeds backward(); cloning it at
-        // inference would add a full input-tensor copy per forward.
-        if training {
-            self.cached_input = Some(input.clone());
-        }
+        // `scratch` now holds this input padded: the backward's cache
+        // after a training forward, nothing to differentiate after an
+        // inference one.
+        self.cached_shape = training.then_some((n, h, w));
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward before forward")
-            .clone();
-        let (n, _, h, w) = input.shape();
+        let (n, h, w) = self.cached_shape.expect("backward before forward");
         assert_eq!(grad_out.shape(), (n, self.out_ch, h, w), "grad shape");
         let k = self.kernel;
-        let pad = k / 2;
-        let kk = k * k;
-        let in_ch = self.in_ch;
-        let out_ch = self.out_ch;
-
-        // Parameter gradients, parallel over output channels (the
-        // input gradient below costs the same 2·n·oc·ic·k²·h·w flops).
-        let per_oc = in_ch * kk;
-        let est_ns = super::est_ns(2 * n * out_ch * per_oc * h * w, false);
-        sfn_par::for_each_chunk_zip_mut(
-            &mut self.grad_weight,
-            per_oc,
-            &mut self.grad_bias,
-            est_ns,
-            |oc, gw, gb| {
-                *gb = 0.0;
-                for g in gw.iter_mut() {
-                    *g = 0.0;
-                }
-                for nn in 0..n {
-                    let go = grad_out.plane(nn, oc);
-                    for &g in go.iter() {
-                        *gb += g;
-                    }
-                    for ic in 0..in_ch {
-                        let ip = input.plane(nn, ic);
-                        for ky in 0..k {
-                            let dy = ky as isize - pad as isize;
-                            for kx in 0..k {
-                                let dx = kx as isize - pad as isize;
-                                let y0 = (-dy).max(0) as usize;
-                                let y1 = (h as isize - dy).min(h as isize) as usize;
-                                let x0 = (-dx).max(0) as usize;
-                                let x1 = (w as isize - dx).min(w as isize) as usize;
-                                let mut acc = 0.0f32;
-                                for y in y0..y1 {
-                                    let iy = (y as isize + dy) as usize;
-                                    let grow = y * w;
-                                    let irow = iy * w;
-                                    for x in x0..x1 {
-                                        let ix = (x as isize + dx) as usize;
-                                        acc += go[grow + x] * ip[irow + ix];
-                                    }
-                                }
-                                gw[ic * kk + ky * k + kx] += acc;
-                            }
-                        }
-                    }
-                }
-            });
-
-        // Input gradient: full correlation with flipped kernels,
-        // parallel over (sample, input-channel) planes.
-        let mut grad_in = Tensor::zeros(n, in_ch, h, w);
-        let hw = h * w;
-        let weight = &self.weight;
-        sfn_par::for_each_chunk_mut(grad_in.data_mut(), hw, est_ns, |plane, gi_plane| {
-                let nn = plane / in_ch;
-                let ic = plane % in_ch;
-                for oc in 0..out_ch {
-                    let go = grad_out.plane(nn, oc);
-                    for ky in 0..k {
-                        let dy = ky as isize - pad as isize;
-                        for kx in 0..k {
-                            let dx = kx as isize - pad as isize;
-                            let wv = weight[((oc * in_ch + ic) * k + ky) * k + kx];
-                            if wv == 0.0 {
-                                continue;
-                            }
-                            // grad_in[y][x] += w * grad_out[y-dy][x-dx]
-                            let y0 = dy.max(0) as usize;
-                            let y1 = (h as isize + dy).min(h as isize) as usize;
-                            let x0 = dx.max(0) as usize;
-                            let x1 = (w as isize + dx).min(w as isize) as usize;
-                            for y in y0..y1 {
-                                let gy = (y as isize - dy) as usize;
-                                let irow = y * w;
-                                let grow = gy * w;
-                                for x in x0..x1 {
-                                    let gx = (x as isize - dx) as usize;
-                                    gi_plane[irow + x] += wv * go[grow + gx];
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        if self.residual {
-            grad_in.add_scaled(grad_out, 1.0);
-        }
-        grad_in
+        let pw = crate::arena::padded_pitch(w + 2 * (k / 2));
+        // Each gradient costs the forward's 2·n·oc·ic·k²·h·w flops.
+        let est_ns = super::est_ns(2 * n * self.out_ch * self.in_ch * k * k * h * w, true);
+        self.weight_grads(grad_out, pw, est_ns);
+        self.input_grad(grad_out, pw, est_ns)
     }
 
     fn params(&mut self) -> Vec<ParamView<'_>> {
@@ -528,6 +689,147 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The scalar backward the vector one must match bit for bit:
+    /// index-checked loops over the unpadded tensors, skipping every
+    /// out-of-range term. Returns `(grad_in, grad_weight, grad_bias)`.
+    fn backward_ref(layer: &Conv2d, input: &Tensor, grad_out: &Tensor) -> (Tensor, Vec<f32>, Vec<f32>) {
+        let (n, _, h, w) = input.shape();
+        let k = layer.kernel;
+        let pad = k / 2;
+        let kk = k * k;
+        let (in_ch, out_ch) = (layer.in_ch, layer.out_ch);
+        let mut grad_weight = vec![0.0f32; out_ch * in_ch * kk];
+        let mut grad_bias = vec![0.0f32; out_ch];
+        for (oc, (gw, gb)) in grad_weight.chunks_mut(in_ch * kk).zip(&mut grad_bias).enumerate() {
+            for nn in 0..n {
+                let go = grad_out.plane(nn, oc);
+                for &g in go.iter() {
+                    *gb += g;
+                }
+                for ic in 0..in_ch {
+                    let ip = input.plane(nn, ic);
+                    for ky in 0..k {
+                        let dy = ky as isize - pad as isize;
+                        for kx in 0..k {
+                            let dx = kx as isize - pad as isize;
+                            let y0 = (-dy).max(0) as usize;
+                            let y1 = (h as isize - dy).clamp(0, h as isize) as usize;
+                            let x0 = (-dx).max(0) as usize;
+                            let x1 = (w as isize - dx).clamp(0, w as isize) as usize;
+                            let mut acc = 0.0f32;
+                            for y in y0..y1 {
+                                let iy = (y as isize + dy) as usize;
+                                for x in x0..x1 {
+                                    let ix = (x as isize + dx) as usize;
+                                    acc += go[y * w + x] * ip[iy * w + ix];
+                                }
+                            }
+                            gw[ic * kk + ky * k + kx] += acc;
+                        }
+                    }
+                }
+            }
+        }
+        // Input gradient: full correlation with flipped kernels.
+        let mut grad_in = Tensor::zeros(n, in_ch, h, w);
+        for nn in 0..n {
+            for ic in 0..in_ch {
+                let mut gi_plane = vec![0.0f32; h * w];
+                for oc in 0..out_ch {
+                    let go = grad_out.plane(nn, oc);
+                    for ky in 0..k {
+                        let dy = ky as isize - pad as isize;
+                        for kx in 0..k {
+                            let dx = kx as isize - pad as isize;
+                            let wv = layer.w_at(oc, ic, ky, kx);
+                            if wv == 0.0 {
+                                continue;
+                            }
+                            // grad_in[y][x] += w * grad_out[y-dy][x-dx]
+                            let y0 = dy.max(0) as usize;
+                            let y1 = (h as isize + dy).clamp(0, h as isize) as usize;
+                            let x0 = dx.max(0) as usize;
+                            let x1 = (w as isize + dx).clamp(0, w as isize) as usize;
+                            for y in y0..y1 {
+                                let gy = (y as isize - dy) as usize;
+                                for x in x0..x1 {
+                                    let gx = (x as isize - dx) as usize;
+                                    gi_plane[y * w + x] += wv * go[gy * w + gx];
+                                }
+                            }
+                        }
+                    }
+                }
+                for (y, row) in gi_plane.chunks(w).enumerate() {
+                    for (x, &v) in row.iter().enumerate() {
+                        grad_in.set(nn, ic, y, x, v);
+                    }
+                }
+            }
+        }
+        if layer.residual {
+            grad_in.add_scaled(grad_out, 1.0);
+        }
+        (grad_in, grad_weight, grad_bias)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn backward_matches_scalar_reference_bit_for_bit() {
+        // k = 1, 3, 5; w covers the direct kernel's scalar tail, its
+        // 8-wide loop and its 32-wide block; 11 output channels cover
+        // a full and a partial weight-gradient lane block.
+        let mut case = 0u64;
+        for k in [1, 3, 5] {
+            for residual in [false, true] {
+                let (in_ch, out_ch) = if residual { (3, 3) } else { (2, 11) };
+                for w in [1, 7, 8, 12, 24, 33] {
+                    for n in [1, 3] {
+                        for zeroed in [false, true] {
+                            case += 1;
+                            let mut layer = Conv2d::new(in_ch, out_ch, k, residual, &mut rng_from_seed(case));
+                            if zeroed {
+                                // Every third weight, and all of input channel 0's.
+                                for (i, wv) in layer.weight.iter_mut().enumerate() {
+                                    if i % 3 == 0 || (i / (k * k)) % in_ch == 0 {
+                                        *wv = 0.0;
+                                    }
+                                }
+                            }
+                            let h = 5;
+                            let input = Tensor::from_fn(n, in_ch, h, w, |s, c, y, x| {
+                                ((s * 31 + c * 17 + y * 7 + x * 3) % 23) as f32 / 7.0 - 1.5
+                            });
+                            let grad_out = Tensor::from_fn(n, out_ch, h, w, |s, c, y, x| {
+                                ((s * 13 + c * 29 + y * 11 + x * 5) % 19) as f32 / 5.0 - 1.8
+                            });
+                            let _ = layer.forward(&input, true);
+                            let grad_in = layer.backward(&grad_out);
+                            let (want_in, want_w, want_b) = backward_ref(&layer, &input, &grad_out);
+                            let at = format!("k={k} residual={residual} w={w} n={n} zeroed={zeroed}");
+                            assert_eq!(bits(grad_in.data()), bits(want_in.data()), "grad_in, {at}");
+                            assert_eq!(bits(&layer.grad_weight), bits(&want_w), "grad_weight, {at}");
+                            assert_eq!(bits(&layer.grad_bias), bits(&want_b), "grad_bias, {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_needs_a_training_forward() {
+        let mut layer = Conv2d::new(1, 1, 3, false, &mut rng_from_seed(8));
+        let input = Tensor::zeros(1, 1, 4, 4);
+        let _ = layer.forward(&input, true);
+        let _ = layer.forward(&input, false);
+        let _ = layer.backward(&input);
     }
 
     #[test]

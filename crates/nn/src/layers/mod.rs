@@ -26,11 +26,11 @@ use crate::tensor::Tensor;
 /// Single-thread run-time estimate (ns) that layers hand to `sfn-par`'s
 /// fan-out rule, from the flops a call site reports to `sfn-prof`
 /// anyway. Two rates cover the crate, measured with `SFN_THREADS=1` on
-/// the AVX2 reference VM: the register-blocked direct conv retires
-/// 20–40 flops/ns (`kernels` bench: `conv2d/64` 1.18 Mflop in 30 µs),
-/// the plain loops of the backward passes and dense layers 4–17. Below
-/// AVX2 the first is an under-estimate of the time, which only keeps
-/// more work inline.
+/// the AVX2 reference VM: the register-blocked conv kernels, forward
+/// and backward, retire 20–40 flops/ns (`kernels` bench: `conv2d/64`
+/// 1.18 Mflop in 30 µs), the plain loops of the dense layers 4–17.
+/// Below AVX2 the first is an under-estimate of the time, which only
+/// keeps more work inline.
 pub(crate) fn est_ns(flops: usize, vector_kernel: bool) -> u64 {
     (flops / if vector_kernel { 32 } else { 4 }) as u64
 }
