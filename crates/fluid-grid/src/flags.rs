@@ -86,6 +86,13 @@ impl CellFlags {
         self.cells[j * self.nx + i]
     }
 
+    /// Every flag, row-major like [`crate::Field2`]: cell `(i, j)` at
+    /// `[j * nx + i]`.
+    #[inline]
+    pub fn cells(&self) -> &[CellType] {
+        &self.cells
+    }
+
     /// Flag of cell `(i, j)` with out-of-range coordinates treated as
     /// solid (the world outside the domain is wall).
     #[inline]

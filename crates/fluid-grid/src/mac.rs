@@ -87,81 +87,103 @@ impl MacGrid {
     /// Solid and empty cells get divergence 0 (no pressure equation is
     /// solved there).
     pub fn divergence(&self, flags: &CellFlags) -> Field2 {
-        assert_eq!((flags.nx(), flags.ny()), (self.nx, self.ny), "flag shape");
-        Field2::from_fn(self.nx, self.ny, |i, j| {
-            if !flags.is_fluid(i, j) {
-                return 0.0;
+        let mut div = Field2::new(self.nx, self.ny);
+        for (j, row) in div.data_mut().chunks_exact_mut(self.nx).enumerate() {
+            for (d, fluid) in row.iter_mut().zip(self.divergence_row(flags, j)) {
+                *d = fluid.unwrap_or(0.0);
             }
-            (self.u.at(i + 1, j) - self.u.at(i, j) + self.v.at(i, j + 1) - self.v.at(i, j))
-                / self.dx
-        })
+        }
+        div
+    }
+
+    /// Row `j` of [`MacGrid::divergence`], left to right: `Some(div)`
+    /// for a fluid cell, `None` for a solid or empty one. A reduction
+    /// over the divergence (the DivNorm of Eq. 5) folds these rows
+    /// instead of allocating the field.
+    ///
+    /// # Panics
+    /// Panics if `flags` does not match the grid or `j ≥ ny`.
+    pub fn divergence_row<'a>(
+        &'a self,
+        flags: &'a CellFlags,
+        j: usize,
+    ) -> impl Iterator<Item = Option<f64>> + 'a {
+        assert_eq!((flags.nx(), flags.ny()), (self.nx, self.ny), "flag shape");
+        let (nx, dx) = (self.nx, self.dx);
+        let u = &self.u.data()[j * (nx + 1)..(j + 1) * (nx + 1)];
+        let (v_below, v_above) = self.v.data()[j * nx..(j + 2) * nx].split_at(nx);
+        let cells = &flags.cells()[j * nx..(j + 1) * nx];
+        cells
+            .iter()
+            .zip(u.iter().zip(&u[1..]))
+            .zip(v_below.iter().zip(v_above))
+            .map(move |((&c, (&u0, &u1)), (&v0, &v1))| {
+                (c == CellType::Fluid).then(|| (u1 - u0 + v1 - v0) / dx)
+            })
     }
 
     /// Zeroes the normal velocity on every face touching a solid cell
     /// (no-slip for the normal component, the standard MAC treatment of
-    /// solid boundaries).
+    /// solid boundaries). The world outside the grid is wall, so every
+    /// domain-edge face is zeroed too.
     pub fn enforce_solid_boundaries(&mut self, flags: &CellFlags) {
-        assert_eq!((flags.nx(), flags.ny()), (self.nx, self.ny), "flag shape");
-        for j in 0..self.ny {
-            for i in 0..=self.nx {
-                let left = flags.at_or_solid(i as isize - 1, j as isize);
-                let right = flags.at_or_solid(i as isize, j as isize);
-                if left == CellType::Solid || right == CellType::Solid {
-                    self.u.set(i, j, 0.0);
+        let cells = flags.cells();
+        self.for_each_interior_row(flags, |faces, lo, hi| {
+            let (below, above) = (&cells[lo..], &cells[hi..]);
+            for ((f, &a), &b) in faces.iter_mut().zip(below).zip(above) {
+                if a == CellType::Solid || b == CellType::Solid {
+                    *f = 0.0;
                 }
             }
-        }
-        for j in 0..=self.ny {
-            for i in 0..self.nx {
-                let below = flags.at_or_solid(i as isize, j as isize - 1);
-                let above = flags.at_or_solid(i as isize, j as isize);
-                if below == CellType::Solid || above == CellType::Solid {
-                    self.v.set(i, j, 0.0);
-                }
-            }
-        }
+        });
     }
 
     /// Subtracts the pressure gradient: `u ← u − scale · ∇p`, where
     /// `scale = Δt / (ρ · dx)` (Algorithm 1 line 18). Faces adjacent to
-    /// a solid keep zero normal velocity; empty neighbours contribute a
-    /// ghost pressure of 0 (free surface).
+    /// a solid (domain edges included) are set to zero normal velocity;
+    /// an empty neighbour contributes a ghost pressure of 0 (free
+    /// surface) whatever `p` holds there, so the result never depends
+    /// on `p` outside the fluid.
     pub fn subtract_pressure_gradient(&mut self, p: &Field2, flags: &CellFlags, scale: f64) {
         assert_eq!((p.w(), p.h()), (self.nx, self.ny), "pressure shape");
+        let (cells, p) = (flags.cells(), p.data());
+        // The pressure a face sees in a non-solid cell.
+        let ghost = |c: CellType, p: f64| if c == CellType::Fluid { p } else { 0.0 };
+        self.for_each_interior_row(flags, |faces, lo, hi| {
+            let below = cells[lo..].iter().zip(&p[lo..]);
+            let above = cells[hi..].iter().zip(&p[hi..]);
+            for ((f, (&ca, &a)), (&cb, &b)) in faces.iter_mut().zip(below).zip(above) {
+                *f = if ca == CellType::Solid || cb == CellType::Solid {
+                    0.0
+                } else {
+                    *f - scale * (ghost(cb, b) - ghost(ca, a))
+                };
+            }
+        });
+    }
+
+    /// Zeroes every domain-edge face (the outside wall), then hands each
+    /// row of interior faces to `row(faces, lo, hi)`: `faces[k]` lies
+    /// between the cells at flat (row-major) indices `lo + k` and
+    /// `hi + k` — left/right for `u`, below/above for `v`.
+    fn for_each_interior_row(
+        &mut self,
+        flags: &CellFlags,
+        mut row: impl FnMut(&mut [f64], usize, usize),
+    ) {
         assert_eq!((flags.nx(), flags.ny()), (self.nx, self.ny), "flag shape");
-        let cell_p = |i: isize, j: isize| -> Option<f64> {
-            match flags.at_or_solid(i, j) {
-                CellType::Fluid => Some(p.at(i as usize, j as usize)),
-                CellType::Empty => Some(0.0),
-                CellType::Solid => None,
-            }
-        };
-        for j in 0..self.ny {
-            for i in 0..=self.nx {
-                let pl = cell_p(i as isize - 1, j as isize);
-                let pr = cell_p(i as isize, j as isize);
-                match (pl, pr) {
-                    (Some(a), Some(b)) => {
-                        let val = self.u.at(i, j) - scale * (b - a);
-                        self.u.set(i, j, val);
-                    }
-                    // Face touches a solid: normal velocity is pinned.
-                    _ => self.u.set(i, j, 0.0),
-                }
-            }
+        let (nx, ny) = (self.nx, self.ny);
+        for (j, u) in self.u.data_mut().chunks_exact_mut(nx + 1).enumerate() {
+            u[0] = 0.0;
+            u[nx] = 0.0;
+            row(&mut u[1..nx], j * nx, j * nx + 1);
         }
-        for j in 0..=self.ny {
-            for i in 0..self.nx {
-                let pb = cell_p(i as isize, j as isize - 1);
-                let pt = cell_p(i as isize, j as isize);
-                match (pb, pt) {
-                    (Some(a), Some(b)) => {
-                        let val = self.v.at(i, j) - scale * (b - a);
-                        self.v.set(i, j, val);
-                    }
-                    _ => self.v.set(i, j, 0.0),
-                }
-            }
+        let (bottom, rest) = self.v.data_mut().split_at_mut(nx);
+        let (interior, top) = rest.split_at_mut((ny - 1) * nx);
+        bottom.fill(0.0);
+        top.fill(0.0);
+        for (j, v) in interior.chunks_exact_mut(nx).enumerate() {
+            row(v, j * nx, (j + 1) * nx);
         }
     }
 

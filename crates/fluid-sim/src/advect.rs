@@ -7,7 +7,7 @@
 //! correction pass with a monotonicity clamp.
 
 use sfn_grid::simd::{Backtrace, Grid};
-use sfn_grid::{CellFlags, Field2, MacGrid};
+use sfn_grid::{CellFlags, CellType, Field2, MacGrid};
 
 /// Backtraces position `(x, y)` (grid units) through `vel` by `dt`
 /// with RK2 (midpoint). Velocities are physical (`dx` per time unit),
@@ -87,15 +87,14 @@ fn advect_scope(points: usize) -> sfn_prof::KernelScope {
 /// path of [`Backtrace::sample_row`]; the two agree bit-for-bit.
 pub fn advect_scalar(vel: &MacGrid, q: &Field2, flags: &CellFlags, dt: f64) -> Field2 {
     assert_eq!((q.w(), q.h()), (vel.nx(), vel.ny()), "field shape");
+    assert_eq!((flags.nx(), flags.ny()), (q.w(), q.h()), "flag shape");
     let _scope = advect_scope(q.w() * q.h());
     let mut out = Field2::new(q.w(), q.h());
     advect_rows(vel, q, (0.5, 0.5), dt, &mut out);
     // Solid-cell fixup (both paths): obstacles keep their old value.
-    for j in 0..q.h() {
-        for i in 0..q.w() {
-            if flags.is_solid(i, j) {
-                out.set(i, j, q.at(i, j));
-            }
+    for ((o, &old), &cell) in out.data_mut().iter_mut().zip(q.data()).zip(flags.cells()) {
+        if cell == CellType::Solid {
+            *o = old;
         }
     }
     out

@@ -8,13 +8,14 @@
 //! confinement, an optional extension used by mantaflow to re-inject
 //! small-scale swirl lost to numerical diffusion, is also provided.
 
-use sfn_grid::{CellFlags, Field2, MacGrid};
+use sfn_grid::{CellFlags, CellType, Field2, MacGrid};
 
 /// Adds buoyancy `Δt·α·ρ_smoke` upwards (positive `y`), sampling the
 /// cell-centred density at the `v` faces.
 pub fn add_buoyancy(vel: &mut MacGrid, density: &Field2, flags: &CellFlags, alpha: f64, dt: f64) {
     let (nx, ny) = (vel.nx(), vel.ny());
     assert_eq!((density.w(), density.h()), (nx, ny), "density shape");
+    assert_eq!((flags.nx(), flags.ny()), (nx, ny), "flag shape");
     let scope = sfn_prof::KernelScope::enter("forces");
     if scope.active() {
         // Per interior v-face: two density reads plus the face value,
@@ -22,13 +23,17 @@ pub fn add_buoyancy(vel: &mut MacGrid, density: &Field2, flags: &CellFlags, alph
         let faces = (nx * ny.saturating_sub(1)) as u64;
         scope.record(4 * faces, 3 * faces * 8, faces * 8);
     }
-    for j in 1..ny {
-        for i in 0..nx {
-            // v(i, j) sits between cells (i, j-1) and (i, j).
-            if flags.is_fluid(i, j) && flags.is_fluid(i, j - 1) {
-                let rho = 0.5 * (density.at(i, j) + density.at(i, j - 1));
-                let v = vel.v.at(i, j) + dt * alpha * rho;
-                vel.v.set(i, j, v);
+    let (cells, rho) = (flags.cells(), density.data());
+    let kick = dt * alpha;
+    // Interior face row j + 1 sits between cell rows j and j + 1.
+    let rows = vel.v.data_mut()[nx..ny * nx].chunks_exact_mut(nx);
+    for (j, v) in rows.enumerate() {
+        let (lo, hi) = (j * nx, (j + 1) * nx);
+        let below = cells[lo..hi].iter().zip(&rho[lo..hi]);
+        let above = cells[hi..hi + nx].iter().zip(&rho[hi..hi + nx]);
+        for ((v, (&cb, &rb)), (&ca, &ra)) in v.iter_mut().zip(below).zip(above) {
+            if cb == CellType::Fluid && ca == CellType::Fluid {
+                *v += kick * (0.5 * (ra + rb));
             }
         }
     }

@@ -29,5 +29,5 @@ pub use diagnostics::{diagnostics, Diagnostics};
 pub use error::SimError;
 pub use metrics::{div_norm, quality_loss};
 pub use projection::{ExactProjector, PressureProjector, ProjectionOutcome};
-pub use sim::{SimSnapshot, Simulation, StepStats};
+pub use sim::{Simulation, StepStats};
 pub use source::SmokeSource;

@@ -7,13 +7,12 @@ use sfn_grid::{CellFlags, Field2, MacGrid};
 /// solid cell. This is the training objective of the Tompson model and
 /// the runtime-observable signal accumulated into `CumDivNorm`.
 pub fn div_norm(vel: &MacGrid, flags: &CellFlags, weights: &Field2) -> f64 {
-    let div = vel.divergence(flags);
+    assert_eq!((weights.w(), weights.h()), (flags.nx(), flags.ny()));
     let mut s = 0.0;
-    for j in 0..flags.ny() {
-        for i in 0..flags.nx() {
-            if flags.is_fluid(i, j) {
-                let d = div.at(i, j);
-                s += weights.at(i, j) * d * d;
+    for (j, w) in weights.data().chunks_exact(flags.nx()).enumerate() {
+        for (&w, div) in w.iter().zip(vel.divergence_row(flags, j)) {
+            if let Some(d) = div {
+                s += w * d * d;
             }
         }
     }

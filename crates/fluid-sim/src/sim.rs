@@ -13,6 +13,14 @@
 //!
 //! After projection the step records the `DivNorm` of Eq. 5, which the
 //! adaptive runtime accumulates into `CumDivNorm`.
+//!
+//! Walls: the step makes one wall pass
+//! ([`MacGrid::enforce_solid_boundaries`]), after the forces, so the
+//! divergence reads zero on every face a solid touches. The source and
+//! buoyancy touch only faces between two fluid cells, so that pass
+//! serves them too; vorticity confinement reads every face, so with it
+//! on a second pass runs after advection. The projection needs none:
+//! [`MacGrid::subtract_pressure_gradient`] zeroes those faces itself.
 
 use crate::advect::{advect_scalar, advect_scalar_cubic, advect_scalar_maccormack, advect_velocity};
 use crate::config::AdvectionScheme;
@@ -48,20 +56,6 @@ pub struct StepStats {
     pub projection_time: Duration,
     /// Maximum velocity magnitude after the step (CFL diagnostics).
     pub max_speed: f64,
-}
-
-/// The evolving state of a [`Simulation`], captured for rollback.
-///
-/// Only the mutable state is stored — geometry, weights and config are
-/// immutable over a run and stay with the simulation. [`Simulation::restore`]
-/// from a snapshot is bit-identical: the same `f64` payloads, the same
-/// step counter, the same re-armed blow-up guard.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimSnapshot {
-    vel: MacGrid,
-    density: Field2,
-    steps_done: usize,
-    blowup_reported: bool,
 }
 
 /// One running smoke simulation.
@@ -140,41 +134,6 @@ impl Simulation {
         Ok(sim)
     }
 
-    /// Captures the mutable state for a later [`Simulation::restore`].
-    pub fn snapshot(&self) -> SimSnapshot {
-        SimSnapshot {
-            vel: self.vel.clone(),
-            density: self.density.clone(),
-            steps_done: self.steps_done,
-            blowup_reported: self.blowup_reported,
-        }
-    }
-
-    /// Rolls the mutable state back to a snapshot with the same
-    /// geometry. Restoration is bit-identical; the immutable geometry,
-    /// weights and config are untouched.
-    ///
-    /// A snapshot whose grid does not match the live simulation (one
-    /// taken from a different problem) is rejected with
-    /// [`SimError::GeometryMismatch`] and the state is left untouched —
-    /// silently adopting mismatched fields would corrupt every later
-    /// step.
-    pub fn restore(&mut self, snap: &SimSnapshot) -> Result<(), SimError> {
-        let expected = (self.config.nx, self.config.ny);
-        let vel_dims = (snap.vel.nx(), snap.vel.ny());
-        let density_dims = (snap.density.w(), snap.density.h());
-        for got in [vel_dims, density_dims] {
-            if got != expected {
-                return Err(SimError::GeometryMismatch { expected, got });
-            }
-        }
-        self.vel = snap.vel.clone();
-        self.density = snap.density.clone();
-        self.steps_done = snap.steps_done;
-        self.blowup_reported = snap.blowup_reported;
-        Ok(())
-    }
-
     /// Replaces non-finite velocity components with `0.0` and clamps
     /// magnitudes above `max_speed`, returning the number of repaired
     /// components. A non-zero repair count re-arms the blow-up guard so
@@ -236,7 +195,8 @@ impl Simulation {
     }
 
     /// Advances the simulation one time step using `projector` for the
-    /// pressure solve.
+    /// pressure solve: one wall pass, two with vorticity confinement on
+    /// (see the module doc).
     pub fn step(&mut self, projector: &mut dyn PressureProjector) -> StepStats {
         let cfg = self.config;
 
@@ -255,7 +215,10 @@ impl Simulation {
                 }
             };
             self.vel = advect_velocity(&self.vel, cfg.dt);
-            self.vel.enforce_solid_boundaries(&self.flags);
+            // Only confinement reads faces on a solid (module doc).
+            if cfg.vorticity_epsilon > 0.0 {
+                self.vel.enforce_solid_boundaries(&self.flags);
+            }
         }
 
         // 2. Sources and body forces.
@@ -266,6 +229,7 @@ impl Simulation {
             if cfg.vorticity_epsilon > 0.0 {
                 add_vorticity_confinement(&mut self.vel, &self.flags, cfg.vorticity_epsilon, cfg.dt);
             }
+            // The wall pass the divergence below relies on.
             self.vel.enforce_solid_boundaries(&self.flags);
         }
 
@@ -275,9 +239,9 @@ impl Simulation {
             let div = self.vel.divergence(&self.flags);
             let outcome = projector.solve_pressure(&div, &self.flags, cfg.dx, cfg.dt);
             let scale = cfg.dt / (cfg.rho * cfg.dx);
+            // Writes zero on every face with a solid neighbour itself.
             self.vel
                 .subtract_pressure_gradient(&outcome.pressure, &self.flags, scale);
-            self.vel.enforce_solid_boundaries(&self.flags);
             outcome
         };
 
@@ -473,64 +437,6 @@ mod tests {
             Simulation::try_with_initial_velocity(cfg, CellFlags::smoke_box(n, n), vel),
             Err(crate::error::SimError::GeometryMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn snapshot_restore_is_bit_identical() {
-        let n = 16;
-        let cfg = SimConfig::plume(n);
-        let flags = CellFlags::smoke_box(n, n);
-        let mut sim = Simulation::new(cfg, flags);
-        let mut proj = pcg_projector();
-        sim.run(6, &mut proj);
-
-        let snap = sim.snapshot();
-        assert_eq!(snap.steps_done, 6);
-        // Run ahead, then roll back.
-        sim.run(5, &mut proj);
-        let ahead = sim.density().clone();
-        sim.restore(&snap).unwrap();
-        assert_eq!(sim.steps_done(), 6);
-        assert_eq!(sim.snapshot(), snap, "restore must be bit-identical");
-
-        // Replaying the same steps from the restored state reproduces
-        // the exact same trajectory.
-        sim.run(5, &mut proj);
-        assert_eq!(*sim.density(), ahead);
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_geometry() {
-        // A snapshot from a 24² run must not be adoptable by a 16² run:
-        // the doc promises "same geometry" and silently cloning the
-        // wrong-shaped fields would corrupt every later step.
-        let mut small = Simulation::new(SimConfig::plume(16), CellFlags::smoke_box(16, 16));
-        let mut big = Simulation::new(SimConfig::plume(24), CellFlags::smoke_box(24, 24));
-        let mut proj = pcg_projector();
-        small.run(3, &mut proj);
-        big.run(3, &mut proj);
-
-        let before = small.snapshot();
-        let err = small.restore(&big.snapshot()).unwrap_err();
-        assert_eq!(
-            err,
-            crate::error::SimError::GeometryMismatch { expected: (16, 16), got: (24, 24) }
-        );
-        // The failed restore must leave the state untouched.
-        assert_eq!(small.snapshot(), before);
-
-        // A snapshot whose density alone is mismatched is rejected too.
-        let forged = SimSnapshot {
-            vel: small.velocity().clone(),
-            density: Field2::new(16, 8),
-            steps_done: 3,
-            blowup_reported: false,
-        };
-        assert!(matches!(
-            small.restore(&forged),
-            Err(crate::error::SimError::GeometryMismatch { got: (16, 8), .. })
-        ));
-        assert_eq!(small.snapshot(), before);
     }
 
     #[test]

@@ -628,6 +628,7 @@ impl SmartRuntime {
         };
         let to = &self.candidates[next].name;
         sfn_obs::counter_add("runtime.recoveries", 1);
+        sfn_faults::note_recovery("runtime/rollback");
         sfn_obs::event(Level::Warn, "runtime.rollback")
             .field_u64("from_step", corrupt_step as u64)
             .field_u64("to_step", step as u64)
@@ -746,6 +747,9 @@ fn exact_tail(
     let (span, label) =
         if restarted { ("runtime/restart", "pcg") } else { ("runtime/degraded", "pcg-degraded") };
     let _span = sfn_obs::span!(span);
+    if !restarted {
+        sfn_faults::note_recovery("runtime/degraded");
+    }
     let mut pcg =
         ExactProjector::labelled(PcgSolver::new(MicPreconditioner::default(), 1e-7, 200_000), label);
     let mut secs = 0.0;
@@ -1061,6 +1065,38 @@ mod tests {
         // The healthy model carried the whole surviving run.
         let healthy = out.model_names.iter().position(|n| n == "healthy").unwrap();
         assert_eq!(out.steps_per_model[healthy], 20);
+    }
+
+    #[test]
+    fn rollback_and_degradation_count_as_recoveries() {
+        // No test in this crate installs a fault plan (which resets the
+        // count), so the process-wide tally only grows.
+        let rolled_back = sfn_faults::recovered_count();
+        let c = vec![
+            broken_candidate("broken", 0.9, 0.05),
+            candidate("healthy", &yang_spec(4), 2, 0.5, 0.02, 0.2),
+        ];
+        let cfg = RuntimeConfig {
+            total_steps: 10,
+            quality_target: 1.0,
+            use_mlp: false,
+            ..Default::default()
+        };
+        let out = SmartRuntime::new(c, knn(), cfg).run(simulation(16));
+        assert_eq!((out.rollbacks, out.degraded), (1, false));
+        assert!(
+            sfn_faults::recovered_count() > rolled_back,
+            "a rollback to a healthy model is a recovery"
+        );
+
+        let degraded = sfn_faults::recovered_count();
+        let c = vec![broken_candidate("broken", 0.9, 0.02)];
+        let out = SmartRuntime::new(c, knn(), cfg).run(simulation(16));
+        assert!(out.degraded);
+        assert!(
+            sfn_faults::recovered_count() > degraded,
+            "finishing on PCG is a recovery"
+        );
     }
 
     #[test]

@@ -224,46 +224,6 @@ fn fault_schedule_replays_identically() {
     assert_eq!(first.degraded, second.degraded);
 }
 
-#[test]
-fn snapshot_restore_is_bit_identical_under_active_faults() {
-    use smart_fluidnet::sim::ExactProjector;
-    use smart_fluidnet::solver::{MicPreconditioner, PcgSolver};
-    let _g = hold();
-    // Snapshot/restore must hold up while the fault injector is
-    // actively starving the solver: a snapshot taken mid-fault restores
-    // bit-for-bit, and the restored simulation keeps stepping to a
-    // finite state.
-    faults::install(Some(
-        faults::parse_plan(
-            r#"{"seed": 11, "faults": [
-                {"kind": "solver_starvation", "p": 0.5, "mag": 0.8, "target": "chaos-snap"}]}"#,
-        )
-        .expect("valid chaos plan"),
-    ));
-    let mut sim = simulation();
-    let mut proj = ExactProjector::labelled(
-        PcgSolver::new(MicPreconditioner::default(), 1e-7, 20_000),
-        "chaos-snap",
-    );
-    for _ in 0..6 {
-        sim.step(&mut proj);
-    }
-    let snap = sim.snapshot();
-    for _ in 0..5 {
-        sim.step(&mut proj);
-    }
-    let ahead = sim.snapshot();
-    assert_ne!(ahead, snap, "five further faulty steps must change state");
-    sim.restore(&snap).expect("snapshot from the same sim always restores");
-    assert_eq!(sim.snapshot(), snap, "restore under active faults must be bit-identical");
-    assert!(faults::injected_count() > 0, "the p=0.5 schedule must have fired");
-    for _ in 0..5 {
-        sim.step(&mut proj);
-    }
-    assert!(sim.density().all_finite(), "restored sim must keep stepping finitely");
-    faults::install(None);
-}
-
 /// An in-memory trace sink for asserting on emitted JSONL records.
 #[derive(Clone)]
 struct SharedBuf(std::sync::Arc<Mutex<Vec<u8>>>);
