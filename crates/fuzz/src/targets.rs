@@ -534,8 +534,8 @@ fn run_http(input: &[u8]) -> Outcome {
 /// (conv, the Poisson stencil, advect, the inference plan) are in fact
 /// *bit-identical* by construction — the vector paths repeat the
 /// scalar operation order — so the 4-ULP budget is headroom for future
-/// kernels that reassociate. The conv's gradients, which fix the
-/// trained weights, get no budget: 0 ULP.
+/// kernels that reassociate. The conv layer, whose forward and
+/// gradients fix the trained weights, gets no budget: 0 ULP.
 fn run_simd_diff(input: &[u8]) -> Outcome {
     use sfn_par::simd::{with_level, SimdLevel};
     use sfn_rng::{RngExt, SeedableRng};
@@ -579,14 +579,15 @@ fn run_simd_diff(input: &[u8]) -> Outcome {
         // emits (0..5) runs a kernel.
         0 | 1 => {
             // Inference forward, then a training forward and backward
-            // (residual skip and zeroed weights included). The forward
-            // is held to the ULP budget, the three gradients to 0 ULP.
+            // (residual skip and zeroed weights included), all held to
+            // 0 ULP. Up to 20 × 40 reaches every register tile of the
+            // direct kernel, its leftover rows and its masked vector.
             let in_ch = b[1] as usize % 3 + 1;
             let residual = b[6] & 1 == 1;
             let out_ch = if residual { in_ch } else { b[2] as usize % 4 + 1 };
             let k = [1, 3, 5][b[3] as usize % 3];
-            let h = b[4] as usize % 12 + 1;
-            let w = b[5] as usize % 12 + 1;
+            let h = b[4] as usize % 20 + 1;
+            let w = b[5] as usize % 40 + 1;
             let n = b[7] as usize % 2 + 1;
             let zeroed = b[8] & 1 == 1;
             let weight: Vec<f32> = (0..out_ch * in_ch * k * k)
@@ -616,7 +617,7 @@ fn run_simd_diff(input: &[u8]) -> Outcome {
                 let (i, (s, v)) = scalar.iter().zip(vector).enumerate().find(|(_, (s, v))| s.to_bits() != v.to_bits())?;
                 Some(Outcome::OracleFailure(format!("{what}: element {i} is not bit-identical ({s} vs {v})")))
             };
-            check_f32(scalar.0.data(), vector.0.data(), "conv2d")
+            check_bits(scalar.0.data(), vector.0.data(), "conv2d")
                 .or_else(|| check_bits(scalar.1.data(), vector.1.data(), "conv2d grad_in"))
                 .or_else(|| check_bits(&scalar.2, &vector.2, "conv2d grad_weight"))
                 .or_else(|| check_bits(&scalar.3, &vector.3, "conv2d grad_bias"))

@@ -1,7 +1,7 @@
 //! Weight initialisation.
 
 use sfn_rng::rngs::StdRng;
-use sfn_rng::{RngExt, SeedableRng};
+use sfn_rng::RngExt;
 
 /// He (Kaiming) initialisation for ReLU networks: normal with
 /// `σ = sqrt(2 / fan_in)`, via Box-Muller from uniform samples.
@@ -27,38 +27,34 @@ pub fn gaussian(rng: &mut StdRng, count: usize, sigma: f64) -> Vec<f32> {
     out
 }
 
-/// Deterministic RNG from a seed.
-pub fn rng_from_seed(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfn_rng::SeedableRng;
 
     #[test]
     fn deterministic_given_seed() {
-        let a = he_normal(&mut rng_from_seed(7), 64, 100);
-        let b = he_normal(&mut rng_from_seed(7), 64, 100);
+        let a = he_normal(&mut StdRng::seed_from_u64(7), 64, 100);
+        let b = he_normal(&mut StdRng::seed_from_u64(7), 64, 100);
         assert_eq!(a, b);
     }
 
-    // Golden values pin `rng_from_seed` to the exact xoshiro256++
+    // Golden values pin `StdRng::seed_from_u64` to the exact xoshiro256++
     // stream: every saved model's initial weights depend on it, so a
     // silent generator change would corrupt seeded reproducibility.
     #[test]
     fn golden_seed_stream_is_pinned() {
-        let mut r = rng_from_seed(0);
+        let mut r = StdRng::seed_from_u64(0);
         assert_eq!(r.next_u64(), 5987356902031041503);
         assert_eq!(r.next_u64(), 7051070477665621255);
-        let mut r = rng_from_seed(42);
+        let mut r = StdRng::seed_from_u64(42);
         assert_eq!(r.next_u64(), 15021278609987233951);
     }
 
     #[test]
     fn he_variance_close_to_target() {
         let fan_in = 128;
-        let v = he_normal(&mut rng_from_seed(1), fan_in, 100_000);
+        let v = he_normal(&mut StdRng::seed_from_u64(1), fan_in, 100_000);
         let mean: f64 = v.iter().map(|&x| x as f64).sum::<f64>() / v.len() as f64;
         let var: f64 = v.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / v.len() as f64;
         let target = 2.0 / fan_in as f64;
@@ -71,7 +67,7 @@ mod tests {
 
     #[test]
     fn gaussian_odd_count() {
-        let v = gaussian(&mut rng_from_seed(5), 7, 1.0);
+        let v = gaussian(&mut StdRng::seed_from_u64(5), 7, 1.0);
         assert_eq!(v.len(), 7);
         assert!(v.iter().all(|x| x.is_finite()));
     }

@@ -40,10 +40,9 @@ impl Layer for ReLU {
         let input = self.cached_input.as_ref().expect("backward before forward");
         assert_eq!(input.shape(), grad_out.shape(), "grad shape");
         let mut grad_in = grad_out.clone();
+        // A select, not a branch: the sign of `x` is unpredictable.
         for (g, &x) in grad_in.data_mut().iter_mut().zip(input.data()) {
-            if x <= 0.0 {
-                *g = 0.0;
-            }
+            *g = if x <= 0.0 { 0.0 } else { *g };
         }
         grad_in
     }
@@ -157,6 +156,26 @@ impl Layer for Tanh {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn relu_backward_matches_the_branching_reference_bit_for_bit() {
+        let special = [f32::NAN, -0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, -1.5, 2.5];
+        let xs: Vec<f32> = special.iter().flat_map(|&x| [x; 7]).collect();
+        let gs: Vec<f32> = (0..7).flat_map(|_| special).collect();
+        let mut r = ReLU::new();
+        let x = Tensor::from_vec(1, 1, 7, 7, xs.clone());
+        let _ = r.forward(&x, true);
+        let gi = r.backward(&Tensor::from_vec(1, 1, 7, 7, gs.clone()));
+        // The parent's body: zero the gradient where `x <= 0.0`.
+        let mut want = gs;
+        for (g, &x) in want.iter_mut().zip(&xs) {
+            if x <= 0.0 {
+                *g = 0.0;
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(gi.data()), bits(&want));
+    }
 
     #[test]
     fn relu_forward_backward() {

@@ -32,21 +32,19 @@ pub struct Conv2d {
 }
 
 /// A padded-halo plane buffer, keyed by the padded geometry (planes,
-/// pitch; the length gives the height, as any slack after the last
-/// plane is shorter than a row) it was zeroed for. The interior
+/// pitch; the length gives the height) it was zeroed for. The interior
 /// is fully rewritten every call and the halo never, so it is
 /// re-zeroed only on a geometry change.
 type HaloBuf = Option<(usize, usize, crate::arena::AlignedBuf)>;
 
 /// Copies every `h × w` plane of `src` into the interior of a padded
-/// buffer in `slot` (row pitch `pw`, `pad` halo cells on each side,
-/// `slack` zeros after the last plane), re-zeroing it only on a
-/// geometry change.
-fn fill_halo<'a>(slot: &'a mut HaloBuf, src: &Tensor, pad: usize, pw: usize, slack: usize) -> &'a [f32] {
+/// buffer in `slot` (row pitch `pw`, `pad` halo cells on each side),
+/// re-zeroing it only on a geometry change.
+fn fill_halo<'a>(slot: &'a mut HaloBuf, src: &Tensor, pad: usize, pw: usize) -> &'a [f32] {
     let (n, c, h, w) = src.shape();
     let planes = n * c;
     let ppl = (h + 2 * pad) * pw;
-    let len = planes * ppl + slack;
+    let len = planes * ppl;
     if !matches!(slot, Some((p, w, buf)) if (*p, *w, buf.len()) == (planes, pw, len)) {
         *slot = Some((planes, pw, crate::arena::AlignedBuf::zeroed(len)));
     }
@@ -156,7 +154,7 @@ impl Conv2d {
         // all output-channel workers.
         let pw = crate::arena::padded_pitch(w + 2 * pad);
         let ppl = (h + 2 * pad) * pw;
-        let padded = fill_halo(&mut self.scratch, input, pad, pw, 0);
+        let padded = fill_halo(&mut self.scratch, input, pad, pw);
         let weight = &self.weight;
         let bias = &self.bias;
         let est_ns = super::est_ns(2 * ickk * hw * n * out_ch, true);
@@ -173,6 +171,17 @@ impl Conv2d {
 }
 
 impl Conv2d {
+    /// Checks `grad_out` against the cached training forward and returns
+    /// the padded row pitch and the fan-out estimate each gradient uses.
+    fn backward_geometry(&self, grad_out: &Tensor) -> (usize, u64) {
+        let (n, h, w) = self.cached_shape.expect("backward before forward");
+        assert_eq!(grad_out.shape(), (n, self.out_ch, h, w), "grad shape");
+        let k = self.kernel;
+        let pw = crate::arena::padded_pitch(w + 2 * (k / 2));
+        // Each gradient costs the forward's 2·n·oc·ic·k²·h·w flops.
+        (pw, super::est_ns(2 * n * self.out_ch * self.in_ch * k * k * h * w, true))
+    }
+
     /// Weight and bias gradients, vectorised across output channels
     /// (lanes = `oc`) over a channel-last copy of `grad_out` and the
     /// training forward's padded input. Every `(oc, ic, ky, kx)` sum
@@ -238,42 +247,27 @@ impl Conv2d {
     /// The input gradient: `grad_out` correlated with the transposed,
     /// flipped filter ([`grad_taps`]), one [`direct_plane`] call per
     /// (sample, input-channel) plane over a padded-halo copy of
-    /// `grad_out`, with the residual skip fused. The taps keep the
-    /// scalar `(oc, ky, kx)` order and skip the same zero weights, and
-    /// the halo adds only `w·0.0` terms to a sum started at `+0.0`, so
-    /// the bits match for finite gradients.
+    /// `grad_out`, written straight into `grad_in` with the residual
+    /// skip fused. The taps keep the scalar `(oc, ky, kx)` order and
+    /// skip the same zero weights, and the halo adds only `w·0.0` terms
+    /// to a sum started at `+0.0`, so the bits match for finite
+    /// gradients.
     fn input_grad(&mut self, grad_out: &Tensor, pw: usize, est_ns: u64) -> Tensor {
         let (n, _, h, w) = grad_out.shape();
         let (k, in_ch, out_ch) = (self.kernel, self.in_ch, self.out_ch);
         let pad = k / 2;
         let ppl = (h + 2 * pad) * pw;
-        // Whole 8-column blocks: the kernel's vector body computes each
-        // column's sum exactly as its scalar tail would, but 8 at once.
-        // The extra columns read on into the halo, the next row and
-        // `slack` zeros past the last plane, and are dropped.
-        let wide = w.next_multiple_of(LANES);
-        let slack = (wide + k - 1).saturating_sub(pw);
-        let padded = fill_halo(&mut self.grad_padded, grad_out, pad, pw, slack);
+        let padded = fill_halo(&mut self.grad_padded, grad_out, pad, pw);
         let taps: Vec<Vec<Tap>> =
             (0..in_ch).map(|ic| grad_taps(&self.weight, in_ch, k, ic, pw, ppl)).collect();
         let residual = self.residual;
         let mut grad_in = Tensor::zeros(n, in_ch, h, w);
         sfn_par::for_each_chunk_mut(grad_in.data_mut(), h * w, est_ns, |plane, gi_plane| {
             let (nn, ic) = (plane / in_ch, plane % in_ch);
-            let sample = &padded[nn * out_ch * ppl..][..out_ch * ppl + slack];
+            let sample = &padded[nn * out_ch * ppl..][..out_ch * ppl];
             let residual = residual.then_some(ic * ppl + pad * pw + pad);
-            let mut wide_rows = Vec::new();
-            let (dst, pitch) = if wide == w {
-                (&mut *gi_plane, w)
-            } else {
-                wide_rows.resize(h * wide, 0.0);
-                (&mut wide_rows[..], wide)
-            };
-            let out = PlaneOut { dst, pitch, origin: 0, residual, relu: false };
-            direct_plane(sample, pw, h, wide, &taps[ic], 0.0, out);
-            for (dst, src) in gi_plane.chunks_exact_mut(w).zip(wide_rows.chunks_exact(wide)) {
-                dst.copy_from_slice(&src[..w]);
-            }
+            let out = PlaneOut { dst: gi_plane, pitch: w, origin: 0, residual, relu: false };
+            direct_plane(sample, pw, h, w, &taps[ic], 0.0, out);
         });
         grad_in
     }
@@ -479,25 +473,25 @@ pub(crate) fn direct_plane(
         sfn_par::simd::SimdLevel::Avx2 => unsafe {
             direct_plane_avx2(sample, pw, h, w, taps, bias, out)
         },
-        _ => direct_plane_scalar(sample, pw, h, 0..w, taps, bias, out),
+        _ => direct_plane_scalar(sample, pw, h, w, taps, bias, out),
     }
 }
 
-/// Scalar body of [`direct_plane`], over the columns `cols` of every
-/// row (all of them, or what the vector body's 8-wide blocks left).
+/// Scalar body of [`direct_plane`]: the `SFN_SIMD=scalar` path and the
+/// vector body's oracle.
 fn direct_plane_scalar(
     sample: &[f32],
     pw: usize,
     h: usize,
-    cols: std::ops::Range<usize>,
+    w: usize,
     taps: &[Tap],
     bias: f32,
     out: PlaneOut<'_>,
 ) {
     for y in 0..h {
         let row = y * pw;
-        let orow = &mut out.dst[out.origin + y * out.pitch..][cols.clone()];
-        for (x, o) in cols.clone().zip(orow) {
+        let orow = &mut out.dst[out.origin + y * out.pitch..][..w];
+        for (x, o) in orow.iter_mut().enumerate() {
             let mut acc = bias;
             for &(off, wv) in taps {
                 acc += wv * sample[off + row + x];
@@ -510,14 +504,15 @@ fn direct_plane_scalar(
     }
 }
 
-/// AVX2 body of [`direct_plane`]: a 32-wide (4×ymm) register block of
-/// accumulators per row chunk; every tap is one broadcast + 4
-/// load/mul/add, the epilogue runs on the registers and the output row
-/// is stored exactly once. Plain mul+add in the scalar tap order (and
-/// `max` with zero as the second operand, so NaN and `-0.0` clamp to
-/// `+0.0` like `f32::max`) keeps it bit-identical to
-/// [`direct_plane_scalar`], which also finishes each row's last
-/// `w % 8` columns.
+/// AVX2 body of [`direct_plane`], in register tiles of `R` rows × `V`
+/// ymm accumulators ([`tile`]), walked row-major. Planes at least 32
+/// wide run one row of 4 vectors per 32-column block, then one tile
+/// for the rest of the row; narrower planes run 8, 4 or 2 rows of 1,
+/// 2 or 3–4 vectors per tile, and any leftover rows one at a time. A
+/// row's last `w % 8` columns are one masked vector. Plain mul+add in
+/// the scalar tap order (and `max` with zero as the second operand, so
+/// NaN and `-0.0` clamp to `+0.0` like `f32::max`) keeps every element
+/// bit-identical to [`direct_plane_scalar`].
 ///
 /// # Safety
 /// AVX2 must be available, and [`direct_plane`]'s two extent
@@ -534,53 +529,131 @@ unsafe fn direct_plane_avx2(
     out: PlaneOut<'_>,
 ) {
     use std::arch::x86_64::*;
-    let sp = sample.as_ptr();
-    let zero = _mm256_setzero_ps();
-    for y in 0..h {
-        let row = y * pw;
-        let op = out.dst.as_mut_ptr().add(out.origin + y * out.pitch);
-        // Skip-connection row, or any valid pointer when unused.
-        let rp = sp.add(out.residual.unwrap_or(0) + row);
-        let finish = |acc: __m256, x: usize| {
-            debug_assert!(x + 8 <= w);
-            let acc = match out.residual {
-                Some(_) => _mm256_add_ps(acc, _mm256_loadu_ps(rp.add(x))),
-                None => acc,
-            };
-            let acc = if out.relu { _mm256_max_ps(acc, zero) } else { acc };
-            _mm256_storeu_ps(op.add(x), acc);
-        };
-        let mut x = 0;
-        while x + 32 <= w {
-            let mut a0 = _mm256_set1_ps(bias);
-            let mut a1 = a0;
-            let mut a2 = a0;
-            let mut a3 = a0;
-            for &(off, wv) in taps {
-                let s = sp.add(off + row + x);
-                let wv8 = _mm256_set1_ps(wv);
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(wv8, _mm256_loadu_ps(s)));
-                a1 = _mm256_add_ps(a1, _mm256_mul_ps(wv8, _mm256_loadu_ps(s.add(8))));
-                a2 = _mm256_add_ps(a2, _mm256_mul_ps(wv8, _mm256_loadu_ps(s.add(16))));
-                a3 = _mm256_add_ps(a3, _mm256_mul_ps(wv8, _mm256_loadu_ps(s.add(24))));
+    let tail = (w % 8) as i32;
+    let plane = Plane {
+        sp: sample.as_ptr(),
+        pw,
+        taps,
+        bias,
+        op: out.dst.as_mut_ptr().add(out.origin),
+        pitch: out.pitch,
+        residual: out.residual,
+        relu: out.relu,
+        mask: _mm256_cmpgt_epi32(_mm256_set1_epi32(tail), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
+    };
+    let p = &plane;
+    if w >= 32 {
+        for y in 0..h {
+            let mut x = 0;
+            while x + 32 <= w {
+                tile::<1, 4, false>(p, y, x);
+                x += 32;
             }
-            finish(a0, x);
-            finish(a1, x + 8);
-            finish(a2, x + 16);
-            finish(a3, x + 24);
-            x += 32;
+            match (w - x).div_ceil(8) {
+                0 => {}
+                1 if tail == 0 => tile::<1, 1, false>(p, y, x),
+                1 => tile::<1, 1, true>(p, y, x),
+                2 if tail == 0 => tile::<1, 2, false>(p, y, x),
+                2 => tile::<1, 2, true>(p, y, x),
+                3 if tail == 0 => tile::<1, 3, false>(p, y, x),
+                3 => tile::<1, 3, true>(p, y, x),
+                _ => tile::<1, 4, true>(p, y, x),
+            }
         }
-        while x + 8 <= w {
-            let mut a0 = _mm256_set1_ps(bias);
-            for &(off, wv) in taps {
-                let s = _mm256_loadu_ps(sp.add(off + row + x));
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_set1_ps(wv), s));
+        return;
+    }
+    match w.div_ceil(8) {
+        1 if tail == 0 => rows::<8, 1, false>(p, h),
+        1 => rows::<8, 1, true>(p, h),
+        2 if tail == 0 => rows::<4, 2, false>(p, h),
+        2 => rows::<4, 2, true>(p, h),
+        3 if tail == 0 => rows::<2, 3, false>(p, h),
+        3 => rows::<2, 3, true>(p, h),
+        _ => rows::<2, 4, true>(p, h),
+    }
+}
+
+/// What [`tile`] needs of one [`direct_plane_avx2`] call: the source,
+/// the taps, and the destination with its epilogue. `mask` selects a
+/// row's last `w % 8` lanes.
+#[cfg(target_arch = "x86_64")]
+struct Plane<'a> {
+    sp: *const f32,
+    pw: usize,
+    taps: &'a [Tap],
+    bias: f32,
+    op: *mut f32,
+    pitch: usize,
+    residual: Option<usize>,
+    relu: bool,
+    mask: std::arch::x86_64::__m256i,
+}
+
+/// A whole narrow plane in `R`-row tiles of `V` vectors from column 0,
+/// then the rows left over one at a time.
+///
+/// # Safety
+/// As [`tile`], for every row below `h`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn rows<const R: usize, const V: usize, const MASKED: bool>(p: &Plane<'_>, h: usize) {
+    let mut y = 0;
+    while y + R <= h {
+        tile::<R, V, MASKED>(p, y, 0);
+        y += R;
+    }
+    while y < h {
+        tile::<1, V, MASKED>(p, y, 0);
+        y += 1;
+    }
+}
+
+/// Rows `y..y + R`, columns `x..x + 8·V` of the plane, with the last
+/// vector cut to `p.mask`'s lanes when `MASKED`: `R·V` accumulators,
+/// each tap one broadcast plus `R·V` loads, multiplies and adds, then
+/// the epilogue and one store per vector. Masked lanes are neither
+/// read nor written.
+///
+/// # Safety
+/// AVX2 must be available, and the tile must lie inside the plane that
+/// [`direct_plane`]'s extent assertions checked.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(p: &Plane<'_>, y: usize, x: usize) {
+    use std::arch::x86_64::*;
+    let load = |ptr: *const f32, v: usize| {
+        if MASKED && v == V - 1 {
+            _mm256_maskload_ps(ptr, p.mask)
+        } else {
+            _mm256_loadu_ps(ptr)
+        }
+    };
+    let mut acc = [[_mm256_set1_ps(p.bias); V]; R];
+    for &(off, wv) in p.taps {
+        let wv8 = _mm256_set1_ps(wv);
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let s = p.sp.add(off + (y + r) * p.pw + x);
+            for (v, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(wv8, load(s.add(8 * v), v)));
             }
-            finish(a0, x);
-            x += 8;
         }
     }
-    direct_plane_scalar(sample, pw, h, w / 8 * 8..w, taps, bias, out);
+    let zero = _mm256_setzero_ps();
+    for (r, acc) in acc.iter().enumerate() {
+        let op = p.op.add((y + r) * p.pitch + x);
+        for (v, &a) in acc.iter().enumerate() {
+            let a = match p.residual {
+                Some(off) => _mm256_add_ps(a, load(p.sp.add(off + (y + r) * p.pw + x + 8 * v), v)),
+                None => a,
+            };
+            let a = if p.relu { _mm256_max_ps(a, zero) } else { a };
+            if MASKED && v == V - 1 {
+                _mm256_maskstore_ps(op.add(8 * v), p.mask, a);
+            } else {
+                _mm256_storeu_ps(op.add(8 * v), a);
+            }
+        }
+    }
 }
 
 /// Kernel name of the direct path in the roofline report, for
@@ -612,14 +685,14 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (n, h, w) = self.cached_shape.expect("backward before forward");
-        assert_eq!(grad_out.shape(), (n, self.out_ch, h, w), "grad shape");
-        let k = self.kernel;
-        let pw = crate::arena::padded_pitch(w + 2 * (k / 2));
-        // Each gradient costs the forward's 2·n·oc·ic·k²·h·w flops.
-        let est_ns = super::est_ns(2 * n * self.out_ch * self.in_ch * k * k * h * w, true);
+        let (pw, est_ns) = self.backward_geometry(grad_out);
         self.weight_grads(grad_out, pw, est_ns);
         self.input_grad(grad_out, pw, est_ns)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let (pw, est_ns) = self.backward_geometry(grad_out);
+        self.weight_grads(grad_out, pw, est_ns);
     }
 
     fn params(&mut self) -> Vec<ParamView<'_>> {
@@ -654,7 +727,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init::rng_from_seed;
+    use sfn_rng::SeedableRng;
 
     /// Naive reference convolution for cross-checking.
     fn conv_ref(input: &Tensor, layer: &Conv2d) -> Tensor {
@@ -781,9 +854,9 @@ mod tests {
 
     #[test]
     fn backward_matches_scalar_reference_bit_for_bit() {
-        // k = 1, 3, 5; w covers the direct kernel's scalar tail, its
-        // 8-wide loop and its 32-wide block; 11 output channels cover
-        // a full and a partial weight-gradient lane block.
+        // k = 1, 3, 5; w covers the direct kernel's masked vector, its
+        // 1- and 3-vector row tiles and its 32-wide block; 11 output
+        // channels cover a full and a partial weight-gradient lane block.
         let mut case = 0u64;
         for k in [1, 3, 5] {
             for residual in [false, true] {
@@ -792,7 +865,8 @@ mod tests {
                     for n in [1, 3] {
                         for zeroed in [false, true] {
                             case += 1;
-                            let mut layer = Conv2d::new(in_ch, out_ch, k, residual, &mut rng_from_seed(case));
+                            let mut rng = StdRng::seed_from_u64(case);
+                            let mut layer = Conv2d::new(in_ch, out_ch, k, residual, &mut rng);
                             if zeroed {
                                 // Every third weight, and all of input channel 0's.
                                 for (i, wv) in layer.weight.iter_mut().enumerate() {
@@ -822,10 +896,77 @@ mod tests {
         }
     }
 
+    /// The AVX2 body against [`direct_plane_scalar`], by bits: every
+    /// tile shape, leftover row and masked tail (w in 1..=70, h in
+    /// 1..=20), zero weights, the fused epilogue, a padded destination,
+    /// and NaN, ±inf and −0.0 in the source. Nothing outside the
+    /// `h × w` interior of the destination may change. NaN results
+    /// compare as one value: Rust leaves the sign and payload of a NaN
+    /// result unspecified (`inf − inf` plus a quiet NaN gives either
+    /// sign, depending on which operand the compiler puts first).
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn direct_plane_vector_body_matches_scalar_bit_for_bit() {
+        if sfn_par::simd::detect() != sfn_par::simd::SimdLevel::Avx2 {
+            return;
+        }
+        sfn_rng::prop::cases(600, |g| {
+            let (w, h) = (g.range(1..=70usize), g.range(1..=20usize));
+            let k = [1, 3, 5][g.range(0..3usize)];
+            let in_ch = g.range(1..=2usize);
+            let pad = k / 2;
+            let pw = w + 2 * pad + g.range(0..=9usize);
+            let ppl = (h + 2 * pad) * pw;
+            let sample: Vec<f32> = (0..in_ch * ppl)
+                .map(|_| match g.range(0..40u32) {
+                    0 => f32::NAN,
+                    1 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    3 | 4 => -0.0,
+                    _ => g.range(-2.0f32..2.0),
+                })
+                .collect();
+            let filter: Vec<f32> = (0..in_ch * k * k)
+                .map(|_| if g.range(0..4u32) == 0 { 0.0 } else { g.range(-1.0f32..1.0) })
+                .collect();
+            let taps = taps(&filter, k, pw, ppl);
+            let bias = g.range(-1.0f32..1.0);
+            let residual = (g.range(0..2u32) == 1).then(|| g.range(0..in_ch) * ppl + pad * pw + pad);
+            let relu = g.range(0..2u32) == 1;
+            let pitch = w + g.range(0..=9usize);
+            let origin = g.range(0..=2 * pitch);
+            let len = origin + (h - 1) * pitch + w + g.range(0..=9usize);
+            let before: Vec<f32> = (0..len).map(|i| -1000.0 - i as f32).collect();
+            let run = |dst: &mut Vec<f32>, scalar: bool| {
+                let out = PlaneOut { dst, pitch, origin, residual, relu };
+                if scalar {
+                    direct_plane_scalar(&sample, pw, h, w, &taps, bias, out);
+                } else {
+                    // SAFETY: AVX2 is present, and the scalar run on the
+                    // same geometry bounds-checked every element read
+                    // and written.
+                    unsafe { direct_plane_avx2(&sample, pw, h, w, &taps, bias, out) }
+                }
+            };
+            let (mut scalar, mut vector) = (before.clone(), before.clone());
+            run(&mut scalar, true);
+            run(&mut vector, false);
+            let at = format!("w={w} h={h} k={k} pw={pw} pitch={pitch} origin={origin} len={len}");
+            let canon = |v: &[f32]| -> Vec<u32> {
+                v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+            };
+            assert_eq!(canon(&vector), canon(&scalar), "{at}");
+            for (i, (&v, &b)) in vector.iter().zip(&before).enumerate() {
+                let interior = i >= origin && (i - origin) % pitch < w && (i - origin) / pitch < h;
+                assert!(interior || v.to_bits() == b.to_bits(), "element {i} outside the plane, {at}");
+            }
+        });
+    }
+
     #[test]
     #[should_panic(expected = "backward before forward")]
     fn backward_needs_a_training_forward() {
-        let mut layer = Conv2d::new(1, 1, 3, false, &mut rng_from_seed(8));
+        let mut layer = Conv2d::new(1, 1, 3, false, &mut StdRng::seed_from_u64(8));
         let input = Tensor::zeros(1, 1, 4, 4);
         let _ = layer.forward(&input, true);
         let _ = layer.forward(&input, false);
@@ -834,7 +975,7 @@ mod tests {
 
     #[test]
     fn forward_matches_naive_reference() {
-        let mut rng = rng_from_seed(1);
+        let mut rng = StdRng::seed_from_u64(1);
         let mut layer = Conv2d::new(3, 4, 3, false, &mut rng);
         let input = Tensor::from_fn(2, 3, 7, 6, |n, c, h, w| {
             ((n * 37 + c * 17 + h * 5 + w * 3) % 13) as f32 / 6.0 - 1.0
@@ -848,7 +989,7 @@ mod tests {
 
     #[test]
     fn identity_kernel_preserves_input() {
-        let mut rng = rng_from_seed(2);
+        let mut rng = StdRng::seed_from_u64(2);
         let mut layer = Conv2d::new(1, 1, 3, false, &mut rng);
         layer.weight.fill(0.0);
         layer.weight[4] = 1.0; // centre tap
@@ -861,7 +1002,7 @@ mod tests {
 
     #[test]
     fn residual_adds_input() {
-        let mut rng = rng_from_seed(3);
+        let mut rng = StdRng::seed_from_u64(3);
         let mut layer = Conv2d::new(2, 2, 3, true, &mut rng);
         layer.weight.fill(0.0);
         layer.bias.fill(0.0);
@@ -872,7 +1013,7 @@ mod tests {
 
     #[test]
     fn gradients_match_finite_differences() {
-        let mut rng = rng_from_seed(4);
+        let mut rng = StdRng::seed_from_u64(4);
         let mut layer = Conv2d::new(2, 3, 3, false, &mut rng);
         let input = Tensor::from_fn(1, 2, 5, 5, |_, c, h, w| {
             ((c * 11 + h * 3 + w * 7) % 9) as f32 / 4.0 - 1.0
@@ -923,7 +1064,7 @@ mod tests {
 
     #[test]
     fn residual_gradient_passthrough() {
-        let mut rng = rng_from_seed(5);
+        let mut rng = StdRng::seed_from_u64(5);
         let mut layer = Conv2d::new(2, 2, 3, true, &mut rng);
         layer.weight.fill(0.0);
         layer.bias.fill(0.0);
@@ -937,7 +1078,7 @@ mod tests {
 
     #[test]
     fn flops_formula() {
-        let mut rng = rng_from_seed(6);
+        let mut rng = StdRng::seed_from_u64(6);
         let layer = Conv2d::new(4, 8, 3, false, &mut rng);
         // 2 * 8*4*9 * 16*16 = 147456
         assert_eq!(layer.flops((4, 16, 16)), 2 * 8 * 4 * 9 * 256);
@@ -946,7 +1087,7 @@ mod tests {
     #[test]
     fn batch_independence() {
         // Forward of a batch equals per-sample forwards.
-        let mut rng = rng_from_seed(7);
+        let mut rng = StdRng::seed_from_u64(7);
         let mut layer = Conv2d::new(2, 3, 5, false, &mut rng);
         let batch = Tensor::from_fn(3, 2, 6, 6, |n, c, h, w| {
             ((n * 31 + c * 7 + h * 3 + w) % 11) as f32 - 5.0

@@ -163,7 +163,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init::rng_from_seed;
+    use sfn_rng::SeedableRng;
 
     #[test]
     fn forward_small_case_by_hand() {
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn accepts_spatial_input() {
-        let mut rng = rng_from_seed(1);
+        let mut rng = StdRng::seed_from_u64(1);
         let mut d = Dense::new(12, 3, &mut rng);
         let x = Tensor::from_fn(2, 3, 2, 2, |n, c, h, w| (n + c + h + w) as f32);
         let y = d.forward(&x, false);
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn gradcheck() {
-        let mut rng = rng_from_seed(2);
+        let mut rng = StdRng::seed_from_u64(2);
         let mut d = Dense::new(6, 4, &mut rng);
         let x = Tensor::from_fn(2, 6, 1, 1, |n, c, _, _| ((n * 5 + c * 3) % 7) as f32 / 3.0 - 1.0);
         let out = d.forward(&x, true);

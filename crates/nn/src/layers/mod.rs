@@ -53,6 +53,13 @@ pub trait Layer: Send {
     /// gradients internally.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// The parameter gradients of [`Layer::backward`] without the input
+    /// gradient, for a network's first layer, whose input gradient
+    /// nothing reads.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Mutable access to all (parameter, gradient) pairs; empty for
     /// parameterless layers.
     fn params(&mut self) -> Vec<ParamView<'_>>;

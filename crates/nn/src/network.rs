@@ -113,14 +113,18 @@ impl Network {
         self.forward(input, false)
     }
 
-    /// Backward pass; must follow a `forward(_, true)` call. Returns
-    /// the gradient with respect to the network input.
-    pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+    /// Backward pass; must follow a `forward(_, true)` call. Leaves
+    /// every layer's parameter gradients for the optimiser; the
+    /// gradient with respect to the network input is never computed.
+    pub fn backward(&mut self, grad_output: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output)));
         }
-        g
+        first.backward_params(g.as_ref().unwrap_or(grad_output));
     }
 
     /// All (parameter, gradient) views across layers, in a stable order.
@@ -264,7 +268,8 @@ mod tests {
 
     #[test]
     fn end_to_end_gradcheck() {
-        // Small net, loss = 0.5 Σ y².
+        // Small net, loss = 0.5 Σ y². The first layer's weight gradient
+        // depends on every later layer's input gradient.
         let spec = NetworkSpec::new(vec![
             LayerSpec::Conv2d { in_ch: 1, out_ch: 2, kernel: 3, residual: false },
             LayerSpec::Tanh,
@@ -273,25 +278,25 @@ mod tests {
         let mut net = Network::from_spec(&spec, 11).unwrap();
         let x = Tensor::from_fn(1, 1, 5, 5, |_, _, h, w| ((h * 3 + w * 5) % 7) as f32 / 3.0 - 1.0);
         let y = net.forward(&x, true);
-        let gi = net.backward(&y);
-        let loss = |net: &mut Network, x: &Tensor| -> f64 {
-            let y = net.forward(x, true);
+        net.backward(&y);
+        let grads = net.params()[0].grads.to_vec();
+        let loss = |net: &mut Network| -> f64 {
+            let y = net.forward(&x, true);
             y.data().iter().map(|&v| 0.5 * (v as f64) * (v as f64)).sum()
         };
         let eps = 1e-2f32;
-        let mut xm = x.clone();
-        for &i in &[0usize, 6, 12, 18, 24] {
-            let orig = xm.data()[i];
-            xm.data_mut()[i] = orig + eps;
-            let lp = loss(&mut net, &xm);
-            xm.data_mut()[i] = orig - eps;
-            let lm = loss(&mut net, &xm);
-            xm.data_mut()[i] = orig;
+        for &i in &[0usize, 4, 8, 11, 17] {
+            let orig = net.params()[0].values[i];
+            net.params()[0].values[i] = orig + eps;
+            let lp = loss(&mut net);
+            net.params()[0].values[i] = orig - eps;
+            let lm = loss(&mut net);
+            net.params()[0].values[i] = orig;
             let fd = ((lp - lm) / (2.0 * eps as f64)) as f32;
             assert!(
-                (fd - gi.data()[i]).abs() <= 2e-2 * fd.abs().max(gi.data()[i].abs()).max(0.1),
-                "input {i}: fd {fd} vs {}",
-                gi.data()[i]
+                (fd - grads[i]).abs() <= 2e-2 * fd.abs().max(grads[i].abs()).max(0.1),
+                "layer 0 weight {i}: fd {fd} vs {}",
+                grads[i]
             );
         }
     }

@@ -151,19 +151,6 @@ impl Tensor {
         &self.data[start..start + self.h * self.w]
     }
 
-    /// Reinterprets the tensor with a new shape of identical length.
-    ///
-    /// # Panics
-    /// Panics if the element counts differ.
-    pub fn reshape(mut self, n: usize, c: usize, h: usize, w: usize) -> Self {
-        assert_eq!(self.data.len(), n * c * h * w, "reshape length mismatch");
-        self.n = n;
-        self.c = c;
-        self.h = h;
-        self.w = w;
-        self
-    }
-
     /// Element-wise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         let mut out = Self::zeros(self.n, self.c, self.h, self.w);
@@ -246,20 +233,6 @@ mod tests {
         let t = Tensor::from_fn(2, 2, 2, 2, |n, c, _, _| (n * 10 + c) as f32);
         assert_eq!(t.plane(1, 0), &[10.0; 4]);
         assert_eq!(t.plane(0, 1), &[1.0; 4]);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(1, 1, 2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let r = t.clone().reshape(1, 6, 1, 1);
-        assert_eq!(r.data(), t.data());
-        assert_eq!(r.shape(), (1, 6, 1, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "reshape length mismatch")]
-    fn reshape_rejects_bad_shape() {
-        let _ = Tensor::zeros(1, 1, 2, 2).reshape(1, 1, 3, 3);
     }
 
     #[test]
